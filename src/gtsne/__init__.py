@@ -10,8 +10,8 @@ from .affinity import (
     AffinityModel,
     ConditionalRow,
     build_affinity_model,
-    calibrate_row,
-    dump_affinity_csv,
+    calibrate,
+    exact_knn,
     symmetrize,
 )
 from .core import (
@@ -60,7 +60,6 @@ from .objective import (
 )
 from .optimizer import OptimizerState, gains_update, init_embedding, run, step
 from .pca import PcaEmbedding, pca_fit
-from .vptree import VpTree, build_vptree, knn_all, knn_query
 
 __version__ = "0.1.0"
 
@@ -82,16 +81,14 @@ __all__ = [
     "RunReport",
     "StructureScores",
     "ThreeLinesSpec",
-    "VpTree",
     "build_affinity_model",
     "build_quadtree",
-    "build_vptree",
-    "calibrate_row",
+    "calibrate",
     "center_columns",
     "centroid_distance_correlation",
     "check_config",
     "config_to_text",
-    "dump_affinity_csv",
+    "exact_knn",
     "gains_update",
     "gen_blobs",
     "gen_sphere",
@@ -101,9 +98,7 @@ __all__ = [
     "gradient_exact",
     "init_embedding",
     "kmeans_fit",
-    "knn_all",
     "knn_preservation",
-    "knn_query",
     "line_continuity",
     "loss",
     "lowdim_kernel",

@@ -230,6 +230,9 @@ def _write_report(report, path) -> None:
         if report.degenerate_rows:
             ids = ",".join(str(i) for i in report.degenerate_rows)
             fh.write(f"# degenerate_rows = {ids}\n")
+        if report.unconverged_rows:
+            ids = ",".join(str(i) for i in report.unconverged_rows)
+            fh.write(f"# unconverged_rows = {ids}\n")
         fh.write("iteration,loss,micro,macro,kmeans,gamma,z_estimator,max_update\n")
         for rec in report.loss_trace:
             fh.write(

@@ -339,6 +339,7 @@ class RunReport:
     config: EmbedConfig
     seed: int
     degenerate_rows: list
+    unconverged_rows: list  # rows whose perplexity search missed the tolerance
     iterations_run: int
     stop_reason: str
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .affinity import exact_knn
 from .core import Dataset, Embedding
 from .macro import pairwise_sq_dists
 
@@ -34,15 +35,6 @@ def _coords(obj) -> np.ndarray:
     return np.asarray(obj, dtype=np.float64)
 
 
-def _exact_knn_sets(points: np.ndarray, k: int) -> np.ndarray:
-    """(n, k) neighbor ids by ascending (squared distance, index)."""
-    d2 = pairwise_sq_dists(points, points)
-    np.fill_diagonal(d2, np.inf)
-    # Stable sort on distances keeps equal-distance ids in index order.
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
-
-
 def knn_preservation(x, y, k: int) -> float:
     """Mean fraction of each point's k nearest input neighbors that are
     also among its k nearest map neighbors. Both sides use exact search.
@@ -54,11 +46,12 @@ def knn_preservation(x, y, k: int) -> float:
     n = len(xs)
     if not (1 <= k <= n - 1):
         raise ValueError(f"k={k} must lie in [1, {n - 1}]")
-    high = _exact_knn_sets(xs, k)
-    low = _exact_knn_sets(ys, k)
-    overlap = 0
-    for i in range(n):
-        overlap += len(set(high[i]).intersection(low[i]))
+    # One key per (point, neighbor) pair; rows hold distinct ids, so the
+    # keys shared by both sides count the overlap.
+    owner = np.arange(n)[:, None] * n
+    high = owner + exact_knn(xs, k)[0]
+    low = owner + exact_knn(ys, k)[0]
+    overlap = len(np.intersect1d(high, low, assume_unique=True))
     return overlap / (n * k)
 
 

@@ -395,12 +395,17 @@ def gradient_exact(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
     return _assemble(y, p, macro, cfg, att, rep, z_y, edge_kern, "exact")
 
 
-def gradient_bh(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
+def gradient_bh(
+    y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig, loss_p=None
+):
     """Barnes-Hut gradient. Returns (g, GradientWorkspace).
 
     The micro repulsion and the normalizer are tree estimates controlled
     by cfg.bh_theta (0 recovers the exact sums); attraction, centroid, and
-    k-means terms are exact. The map must be 2-D or 3-D.
+    k-means terms are exact. The map must be 2-D or 3-D. The workspace's
+    losses are measured against loss_p when given, a P with p's pairs:
+    under early exaggeration p is the scaled P, and the plain P gives
+    the objective's value.
     """
     if cfg.gradient_mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient_mode {cfg.gradient_mode!r}")
@@ -411,4 +416,8 @@ def gradient_bh(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
     z_y = max(float(zsum.sum()), Q_FLOOR)
     att, edge_kern = _attraction(y, p)
     rep = force / z_y
-    return _assemble(y, p, macro, cfg, att, rep, z_y, edge_kern, "barnes_hut")
+    if loss_p is None:
+        loss_p = p
+    elif not (np.array_equal(loss_p.row, p.row) and np.array_equal(loss_p.col, p.col)):
+        raise ValueError("loss_p must have the same pairs as p")
+    return _assemble(y, loss_p, macro, cfg, att, rep, z_y, edge_kern, "barnes_hut")

@@ -101,9 +101,11 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
     times: dict = {}
     t_start = time.perf_counter()
 
-    # Independent per-stage seeds derived from the run seed.
+    # Independent per-stage seeds derived from the run seed. The third
+    # draw once seeded a neighbor-search tree; it stays so that the other
+    # two, and with them every map, are unchanged.
     seed_seq = np.random.default_rng(cfg.seed)
-    seed_init, seed_kmeans, seed_tree = (
+    seed_init, seed_kmeans, _ = (
         int(s) for s in seed_seq.integers(0, 2**63 - 1, size=3)
     )
 
@@ -126,10 +128,19 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
         n_neighbors=cfg.n_neighbors,
         perplexity=cfg.perplexity,
         tol=cfg.perplexity_tol,
-        seed=seed_tree,
     )
     degenerate_rows = [i for i, row in enumerate(rows) if row.degenerate]
+    unconverged_rows = [
+        i for i, row in enumerate(rows) if not (row.converged or row.degenerate)
+    ]
     times["affinity"] = time.perf_counter() - t0
+    if verbose and unconverged_rows:
+        worst = max(abs(rows[i].perplexity - cfg.perplexity) for i in unconverged_rows)
+        print(
+            f"warning: {len(unconverged_rows)} rows missed the target perplexity "
+            f"by more than perplexity_tol={cfg.perplexity_tol:g} (worst gap {worst:.3g})",
+            file=sys.stderr,
+        )
 
     y = init_embedding(n, d, cfg.init_stddev, seed_init).y
     state = OptimizerState(velocity=np.zeros_like(y), gains=np.ones_like(y))
@@ -171,7 +182,7 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
             if it < cfg.momentum_switch_iter
             else cfg.momentum_final
         )
-        g, ws = gradient_bh(y, p_train, macro, cfg)
+        g, ws = gradient_bh(y, p_train, macro, cfg, loss_p=p)
         y = step(y, state, g, cfg.learning_rate, gamma)
         if not np.all(np.isfinite(y)):
             raise RuntimeError(
@@ -209,6 +220,7 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
         config=cfg,
         seed=cfg.seed,
         degenerate_rows=degenerate_rows,
+        unconverged_rows=unconverged_rows,
         iterations_run=iterations_run,
         stop_reason=stop_reason,
     )

@@ -50,6 +50,65 @@ def solve_beta(sq_d, target, iters=300):
     return 0.5 * (lo + hi)
 
 
+def calibrate_row(sq_distances, target_perplexity, tol=1e-5, max_iter=200):
+    """Scalar bracket-and-bisect search for one row's Gaussian precision.
+
+    The loop the package ran row by row before its search covered the whole
+    distance matrix at once: from beta = 1 grow a bracket by doubling or
+    halving, then bisect until |2^H - target| <= tol or max_iter
+    evaluations are spent, keeping the best beta seen. Infinite distances
+    carry zero weight; an all-zero row falls back to uniform with beta 0.
+    Returns (beta, probs, perplexity, degenerate).
+    """
+    d2 = np.asarray(sq_distances, dtype=np.float64)
+    k = len(d2)
+    if np.all(d2 == 0.0):
+        return 0.0, np.full(k, 1.0 / k), float(k), True
+    shifted = d2 - d2[np.isfinite(d2)].min()
+
+    def stats(beta):
+        w = np.exp(-beta * shifted)
+        total = w.sum()
+        probs = w / total
+        live = probs > 0.0
+        return probs, float(np.exp(np.log(total) + beta * float(shifted[live] @ probs[live])))
+
+    evals = 0
+    best_beta = 1.0
+    best_gap = np.inf
+
+    def measure(beta):
+        nonlocal evals, best_beta, best_gap
+        evals += 1
+        _, perp = stats(beta)
+        gap = abs(perp - target_perplexity)
+        if gap < best_gap:
+            best_gap = gap
+            best_beta = beta
+        return perp
+
+    lo = hi = 1.0
+    perp = measure(1.0)
+    if perp > target_perplexity:
+        while perp > target_perplexity and best_gap > tol and evals < max_iter:
+            lo = hi
+            hi *= 2.0
+            perp = measure(hi)
+    else:
+        while perp < target_perplexity and best_gap > tol and evals < max_iter:
+            hi = lo
+            lo /= 2.0
+            perp = measure(lo)
+    while best_gap > tol and evals < max_iter:
+        mid = 0.5 * (lo + hi)
+        if measure(mid) > target_perplexity:
+            lo = mid
+        else:
+            hi = mid
+    probs, perp = stats(best_beta)
+    return best_beta, probs, perp, False
+
+
 def dense_affinities(x, perplexity, n_neighbors):
     """Full symmetric joint affinity matrix from scratch.
 

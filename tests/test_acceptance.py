@@ -21,7 +21,7 @@ import time
 import numpy as np
 import pytest
 
-from gtsne.affinity import build_affinity_model
+from gtsne.affinity import build_affinity_model, exact_knn
 from gtsne.cli import main
 from gtsne.core import EmbedConfig
 from gtsne.datasets import (
@@ -36,7 +36,6 @@ from gtsne.metrics import centroid_distance_correlation, line_continuity
 from gtsne.objective import gradient_bh, gradient_exact, loss
 from gtsne.optimizer import init_embedding, run
 from gtsne.pca import pca_fit
-from gtsne.vptree import build_vptree, knn_query
 
 from oracles import brute_knn, central_differences
 
@@ -250,21 +249,18 @@ def test_04_probability_normalizations_hold_on_every_dataset():
     assert ok, line
 
 
-def test_05_vptree_neighbors_match_brute_force():
+def test_05_exact_knn_matches_brute_force():
     rng = np.random.default_rng(11)
     points = rng.normal(size=(500, 10))
-    tree = build_vptree(points, seed=0)
     checked = 0
     for k in (1, 10, 90):
+        ids, sq = exact_knn(points, k)
         for i in range(len(points)):
-            got = knn_query(tree, i, k)
             want = brute_knn(points, i, k)
             # Ids must match in order; squared distances only up to
-            # summation order (scalar loop vs numpy reduction).
-            assert [h[0] for h in got] == [h[0] for h in want], (k, i)
-            np.testing.assert_allclose(
-                [h[1] for h in got], [h[1] for h in want], rtol=1e-12
-            )
+            # summation order (einsum vs the oracle's sum).
+            assert ids[i].tolist() == [h[0] for h in want], (k, i)
+            np.testing.assert_allclose(sq[i], [h[1] for h in want], rtol=1e-12)
             checked += 1
     line = gate(
         5, True, f"{checked} queries (k in 1/10/90) set- and order-exact vs brute force"

@@ -1,16 +1,17 @@
 """Perplexity calibration and the symmetric joint affinity model."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from gtsne import (
     AffinityModel,
-    ConditionalRow,
     build_affinity_model,
-    calibrate_row,
+    calibrate,
     symmetrize,
 )
-from oracles import dense_affinities, row_perplexity, solve_beta
+from oracles import calibrate_row, dense_affinities, row_perplexity, solve_beta
 
 # d2 = (1, 4, 9) at effective neighbor count 2, solved independently by
 # bisection; the row follows from the fitted precision.
@@ -18,21 +19,27 @@ FROZEN_BETA_149 = 0.37446067565143626
 FROZEN_ROW_149 = (0.727177260826915, 0.23646217201215897, 0.03636056716092603)
 
 
+def calibrate_one(d2, target, **kwargs):
+    """calibrate on a single distance row, its fields read off that row."""
+    cal = calibrate(np.asarray(d2, dtype=np.float64)[None, :], target, **kwargs)
+    return SimpleNamespace(**{name: value[0] for name, value in cal._asdict().items()})
+
+
 class TestCalibrateRow:
     def test_two_equal_distances(self):
-        row = calibrate_row(np.array([5.0, 5.0]), 2.0 - 1e-9)
+        row = calibrate_one([5.0, 5.0], 2.0 - 1e-9)
         np.testing.assert_allclose(row.probs, [0.5, 0.5], atol=1e-12)
         assert abs(row.perplexity - 2.0) < 1e-5
         assert not row.degenerate
 
     def test_uniform_row_maximizes_effective_count(self):
         k = 6
-        row = calibrate_row(np.full(k, 3.0), k - 1e-9)
+        row = calibrate_one(np.full(k, 3.0), k - 1e-9)
         np.testing.assert_allclose(row.probs, np.full(k, 1.0 / k), atol=1e-12)
         np.testing.assert_allclose(row.perplexity, k, atol=1e-6)
 
     def test_frozen_bisection_case(self):
-        row = calibrate_row(np.array([1.0, 4.0, 9.0]), 2.0, tol=1e-9)
+        row = calibrate_one([1.0, 4.0, 9.0], 2.0, tol=1e-9)
         assert abs(row.beta - FROZEN_BETA_149) < 1e-6
         np.testing.assert_allclose(row.probs, FROZEN_ROW_149, atol=1e-6)
 
@@ -42,11 +49,29 @@ class TestCalibrateRow:
             k = int(rng.integers(5, 40))
             d2 = np.sort(rng.uniform(0.1, 20.0, size=k))
             target = float(rng.uniform(1.5, k - 0.5))
-            row = calibrate_row(d2, target, tol=1e-9)
+            row = calibrate_one(d2, target, tol=1e-9)
             ref_beta = solve_beta(d2, target)
             assert abs(row.beta - ref_beta) < 1e-6 * max(1.0, ref_beta)
             _, ref_probs = row_perplexity(d2, ref_beta)
             np.testing.assert_allclose(row.probs, ref_probs, atol=1e-6)
+
+    def test_matches_scalar_loop_exactly(self):
+        # The matrix search takes the same steps as the row-by-row loop, so
+        # every row lands on the same beta, bit for bit, including rows
+        # with infinite distances and an all-zero (degenerate) row.
+        rng = np.random.default_rng(7)
+        k, target = 24, 7.5
+        d2 = rng.uniform(0.0, 30.0, size=(300, k)) * rng.uniform(0.01, 100.0, size=(300, 1))
+        d2[::5, : k // 3] = np.inf
+        d2[17] = 0.0
+        cal = calibrate(d2, target, tol=1e-5)
+        for i in range(len(d2)):
+            beta, probs, perp, degenerate = calibrate_row(d2[i], target, tol=1e-5)
+            assert cal.beta[i] == beta, i
+            assert cal.degenerate[i] == degenerate, i
+            np.testing.assert_allclose(cal.probs[i], probs, rtol=1e-12, atol=1e-300)
+            np.testing.assert_allclose(cal.perplexity[i], perp, rtol=1e-12)
+        assert cal.degenerate.sum() == 1 and cal.converged.sum() == len(d2) - 1
 
     def test_achieves_target_within_tolerance(self):
         rng = np.random.default_rng(1)
@@ -56,54 +81,52 @@ class TestCalibrateRow:
             if np.all(d2 == 0.0):
                 continue
             target = float(rng.uniform(1.1, k - 0.1))
-            row = calibrate_row(d2, target, tol=1e-5)
+            row = calibrate_one(d2, target, tol=1e-5)
             assert abs(row.perplexity - target) <= 1e-5
             assert abs(row.probs.sum() - 1.0) < 1e-12
-            np.testing.assert_allclose(row.sigma, 1.0 / np.sqrt(2.0 * row.beta))
+            assert row.converged
 
     def test_all_zero_distances_fall_back_to_uniform(self):
-        row = calibrate_row(np.zeros(4), 2.0)
+        row = calibrate_one(np.zeros(4), 2.0)
         assert row.degenerate
+        assert not row.converged
         assert row.beta == 0.0
-        assert row.sigma == np.inf
         np.testing.assert_allclose(row.probs, np.full(4, 0.25))
         assert row.perplexity == 4.0
 
     def test_partially_infinite_distances_are_usable(self):
-        row = calibrate_row(np.array([1.0, np.inf, 2.0, np.inf]), 1.5)
+        row = calibrate_one([1.0, np.inf, 2.0, np.inf], 1.5)
         assert row.probs[1] == 0.0 and row.probs[3] == 0.0
         assert abs(row.perplexity - 1.5) <= 1e-5
 
+    def test_running_out_of_evaluations_is_flagged(self):
+        # Two evaluations cannot reach the tolerance; the row keeps the
+        # better of its two betas and reports the miss.
+        row = calibrate_one([1.0, 4.0, 9.0], 2.0, tol=1e-9, max_iter=2)
+        assert not row.converged and not row.degenerate
+        assert row.beta in (0.5, 1.0)
+        assert abs(row.perplexity - 2.0) > 1e-9
+
     def test_input_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
-            calibrate_row(np.array([1.0]), 0.5)
+            calibrate(np.array([[1.0]]), 0.5)
+        with pytest.raises(ValueError, match=r"\(n, k\) matrix"):
+            calibrate(np.array([1.0, 2.0, 3.0]), 1.5)
         with pytest.raises(ValueError, match="nonnegative"):
-            calibrate_row(np.array([1.0, -1.0]), 1.5)
+            calibrate(np.array([[1.0, -1.0]]), 1.5)
         with pytest.raises(ValueError, match="nonnegative"):
-            calibrate_row(np.array([1.0, np.nan]), 1.5)
+            calibrate(np.array([[1.0, np.nan]]), 1.5)
         with pytest.raises(ValueError, match="target perplexity"):
-            calibrate_row(np.array([1.0, 2.0]), 2.0)
+            calibrate(np.array([[1.0, 2.0]]), 2.0)
         with pytest.raises(ValueError, match="target perplexity"):
-            calibrate_row(np.array([1.0, 2.0]), 0.0)
-        with pytest.raises(ValueError, match="infinite"):
-            calibrate_row(np.array([np.inf, np.inf]), 1.5)
-
-
-def _row(neighbors, probs):
-    return ConditionalRow(
-        neighbors=np.asarray(neighbors),
-        probs=np.asarray(probs, dtype=np.float64),
-        sigma=1.0,
-        beta=0.5,
-        perplexity=float(len(probs)),
-    )
+            calibrate(np.array([[1.0, 2.0]]), 0.0)
+        with pytest.raises(ValueError, match="row 1: all neighbor distances are infinite"):
+            calibrate(np.array([[1.0, 2.0], [np.inf, np.inf]]), 1.5)
 
 
 class TestSymmetrize:
     def test_mutual_pair(self):
-        rows = [_row([1], [1.0]), _row([0], [1.0])]
-        ids = np.array([[1], [0]])
-        model = symmetrize(rows, ids, n=2)
+        model = symmetrize(np.array([[1], [0]]), np.array([[1.0], [1.0]]), n=2)
         assert model.nnz == 1
         assert (model.row[0], model.col[0]) == (0, 1)
         assert model.val[0] == 0.5
@@ -112,11 +135,9 @@ class TestSymmetrize:
     def test_one_sided_listing(self):
         # 0 lists 1 with conditional mass 0.2; 1 looks elsewhere. The
         # unordered pair still gets 0.2 / (2 * 10).
-        rows = [_row([1], [0.2]), _row([2], [1.0])] + [
-            _row([0], [1.0]) for _ in range(8)
-        ]
         ids = np.array([[1], [2]] + [[0]] * 8)
-        model = symmetrize(rows, ids, n=10)
+        probs = np.array([[0.2], [1.0]] + [[1.0]] * 8)
+        model = symmetrize(ids, probs, n=10)
         pair = dict(zip(zip(model.row, model.col), model.val))
         assert pair[(0, 1)] == 0.2 / 20.0
 
@@ -129,10 +150,14 @@ class TestSymmetrize:
         assert abs(model.total() - 1.0) < 1e-9
 
     def test_self_listing_rejected(self):
-        rows = [_row([0], [1.0]), _row([0], [1.0])]
-        ids = np.array([[0], [0]])
         with pytest.raises(ValueError, match="itself"):
-            symmetrize(rows, ids, n=2)
+            symmetrize(np.array([[0], [0]]), np.array([[1.0], [1.0]]), n=2)
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="one calibrated row per point"):
+            symmetrize(np.array([[1], [0]]), np.array([[1.0]]), n=2)
+        with pytest.raises(ValueError, match="one calibrated row per point"):
+            symmetrize(np.array([[1], [0]]), np.array([[1.0], [1.0]]), n=3)
 
 
 class TestAffinityModel:
@@ -182,6 +207,8 @@ class TestBuildAffinityModel:
         _, rows = build_affinity_model(x, n_neighbors=20, perplexity=8, tol=1e-5)
         for row in rows:
             assert abs(row.perplexity - 8.0) <= 1e-5
+            assert row.converged
+            np.testing.assert_allclose(row.sigma, 1.0 / np.sqrt(2.0 * row.beta))
 
     def test_row_support_is_neighbor_union(self):
         # Row i touches exactly the points it lists plus the points that
@@ -207,4 +234,13 @@ class TestBuildAffinityModel:
         x = np.array([[0.0, 0.0]] * 4 + [[5.0, 5.0]] * 4)
         model, rows = build_affinity_model(x, n_neighbors=3, perplexity=2)
         assert any(r.degenerate for r in rows)
+        assert all(r.sigma == np.inf for r in rows if r.degenerate)
+        assert abs(model.total() - 1.0) < 1e-9
+
+    def test_max_iter_two_leaves_rows_unconverged(self):
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(40, 3))
+        model, rows = build_affinity_model(x, n_neighbors=9, perplexity=4, max_iter=2)
+        assert not any(row.converged for row in rows)
+        assert all(abs(row.perplexity - 4.0) > 1e-5 for row in rows)
         assert abs(model.total() - 1.0) < 1e-9

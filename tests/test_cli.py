@@ -1,8 +1,12 @@
 """Command line behavior, driven in-process through main()."""
 
+import functools
+
 import numpy as np
 import pytest
 
+from gtsne import optimizer
+from gtsne.affinity import build_affinity_model
 from gtsne.cli import main
 from gtsne.io import read_csv, sniff_csv
 
@@ -131,6 +135,20 @@ class TestEmbed:
         text = report.read_text()
         assert "# perplexity = 6.0\n" in text   # flag wins
         assert "# n_iter = 20\n" in text        # file survives
+
+    def test_report_lists_unconverged_rows(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            optimizer, "build_affinity_model",
+            functools.partial(build_affinity_model, max_iter=2),
+        )
+        data = make_blobs_csv(tmp_path)
+        report = tmp_path / "report.csv"
+        code = main(["embed", "-i", str(data), "-o", str(tmp_path / "map.csv"),
+                     "--report", str(report)] + FAST_EMBED)
+        assert code == 0
+        capsys.readouterr()
+        ids = ",".join(str(i) for i in range(60))
+        assert f"# unconverged_rows = {ids}\n" in report.read_text()
 
     def test_pca_no_center_flag(self, tmp_path, capsys):
         data = make_blobs_csv(tmp_path)

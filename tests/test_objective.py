@@ -332,3 +332,14 @@ class TestGradientTree:
         _, p, macro, y, cfg = make_problem(8, 4, 3, seed=1)
         with pytest.raises(ValueError, match="gradient_mode"):
             gradient_bh(y, p, macro, dataclasses.replace(cfg, gradient_mode="frozen"))
+
+    def test_loss_p_sets_the_logged_losses_only(self):
+        _, p, macro, y, cfg = make_problem(30, 4, 3, seed=5)
+        g_scaled, ws_scaled = gradient_bh(y, p.scaled(4.0), macro, cfg)
+        g, ws = gradient_bh(y, p.scaled(4.0), macro, cfg, loss_p=p)
+        _, ws_plain = gradient_bh(y, p, macro, cfg)
+        np.testing.assert_array_equal(g, g_scaled)
+        assert (ws.loss_total, ws.loss_micro) == (ws_plain.loss_total, ws_plain.loss_micro)
+        other = AffinityModel(row=p.row[:-1], col=p.col[:-1], val=p.val[:-1], n=p.n)
+        with pytest.raises(ValueError, match="same pairs"):
+            gradient_bh(y, p, macro, cfg, loss_p=other)

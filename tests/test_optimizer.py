@@ -1,12 +1,16 @@
 """Descent mechanics and the end-to-end run loop."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
+from gtsne import optimizer
+from gtsne.affinity import build_affinity_model
 from gtsne.core import EmbedConfig
 from gtsne.datasets import gen_blobs
+from gtsne.objective import gradient_bh
 from gtsne.optimizer import (
     GAIN_FLOOR,
     OptimizerState,
@@ -163,6 +167,7 @@ class TestRun:
         assert report.iterations_run == SMALL_CFG.n_iter
         assert report.stop_reason == "max_iter"
         assert report.degenerate_rows == []
+        assert report.unconverged_rows == []
         assert report.config.n_neighbors == 15
         for key in ("pca", "kmeans", "macro", "affinity", "optimize", "total"):
             assert report.wall_times[key] >= 0.0
@@ -238,10 +243,56 @@ class TestRun:
         _, report = run(small_blobs(), cfg, verbose=False)
         plain = run(small_blobs(), dataclasses.replace(cfg, early_exaggeration=1.0),
                     verbose=False)[1]
-        # The first logged loss sees the scaled affinities, the final one
-        # is always evaluated against the unscaled ones.
-        assert report.loss_trace[0].micro != plain.loss_trace[0].micro
+        # Both runs start from the same map and log their losses against
+        # the same unscaled affinities; the scaled ones only steer.
+        assert report.loss_trace[0].micro == plain.loss_trace[0].micro
+        assert report.loss_trace[-1].micro != plain.loss_trace[-1].micro
         assert np.isfinite(report.loss_trace[-1].total)
+
+    def test_logged_loss_is_the_objective_under_exaggeration(self, monkeypatch):
+        cfg = dataclasses.replace(
+            SMALL_CFG, early_exaggeration=12.0, early_exaggeration_iter=20,
+            n_iter=3, log_every=1,
+        )
+        first = []
+
+        def spy(y, p, macro, cfg, **kwargs):
+            if not first:
+                first.append((y.copy(), macro))
+            return gradient_bh(y, p, macro, cfg, **kwargs)
+
+        monkeypatch.setattr(optimizer, "gradient_bh", spy)
+        data = small_blobs()
+        _, report = run(data, cfg, verbose=False)
+        resolved = report.config
+        p, _ = build_affinity_model(
+            data.x, resolved.n_neighbors, resolved.perplexity, tol=resolved.perplexity_tol
+        )
+        y0, macro = first[0]
+        _, ws = gradient_bh(y0, p, macro, resolved)
+        rec = report.loss_trace[0]
+        assert rec.iteration == 0
+        for got, want in (
+            (rec.total, ws.loss_total),
+            (rec.micro, ws.loss_micro),
+            (rec.macro, ws.loss_macro),
+            (rec.kmeans, ws.loss_kmeans),
+        ):
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+        # Against the scaled P the same map reads 12 KL + 12 ln 12.
+        _, scaled = gradient_bh(y0, p.scaled(12.0), macro, resolved)
+        assert scaled.loss_micro == pytest.approx(12.0 * ws.loss_micro + 12.0 * np.log(12.0))
+
+    def test_unconverged_rows_are_reported(self, monkeypatch, capsys):
+        monkeypatch.setattr(
+            optimizer, "build_affinity_model",
+            functools.partial(build_affinity_model, max_iter=2),
+        )
+        cfg = dataclasses.replace(SMALL_CFG, n_iter=2)
+        _, report = run(small_blobs(), cfg, verbose=True)
+        assert report.unconverged_rows == list(range(120))
+        assert report.degenerate_rows == []
+        assert "120 rows missed the target perplexity" in capsys.readouterr().err
 
     def test_verbose_progress_goes_to_stderr(self, capsys):
         cfg = dataclasses.replace(SMALL_CFG, n_iter=2, log_every=1)

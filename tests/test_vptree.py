@@ -1,89 +1,47 @@
-"""Vantage-point tree nearest-neighbor search."""
+"""Exact nearest-neighbor search, gtsne.affinity.exact_knn.
+
+The file keeps the name of the vantage-point tree search that exact_knn
+replaced, so that the tests carried over from it keep their ids.
+"""
 
 import numpy as np
 import pytest
 
-from gtsne import build_vptree, knn_all, knn_query
+from gtsne import affinity, exact_knn
 from oracles import brute_knn
 
 
-def test_single_point_is_one_leaf():
-    tree = build_vptree(np.array([[1.0, 2.0]]))
-    assert tree.n_nodes == 1
-    assert tree.left[0] == -1 and tree.right[0] == -1
-    assert tree.radius[0] == 0.0
-
-
-def test_node_count_and_vantage_permutation():
-    rng = np.random.default_rng(0)
-    pts = rng.normal(size=(37, 4))
-    tree = build_vptree(pts, seed=1)
-    assert tree.n_nodes == 37
-    assert sorted(tree.vantage) == list(range(37))
-
-
-def test_split_invariant_holds_everywhere():
-    # Every left-subtree point sits within the split radius of its
-    # node's vantage, every right-subtree point strictly outside.
-    rng = np.random.default_rng(2)
-    pts = rng.normal(size=(200, 3))
-    tree = build_vptree(pts, seed=0)
-
-    def subtree_points(node):
-        out = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if cur < 0:
-                continue
-            out.append(tree.vantage[cur])
-            stack.append(tree.left[cur])
-            stack.append(tree.right[cur])
-        return out
-
-    for node in range(tree.n_nodes):
-        v = pts[tree.vantage[node]]
-        mu = tree.radius[node]
-        for i in subtree_points(tree.left[node]):
-            assert np.linalg.norm(pts[i] - v) <= mu + 1e-12
-        for i in subtree_points(tree.right[node]):
-            assert np.linalg.norm(pts[i] - v) > mu
+def _hits(ids, sq, i):
+    return list(zip(ids[i].tolist(), sq[i].tolist()))
 
 
 def test_collinear_points_match_brute_force():
     pts = np.arange(10.0)[:, None]
-    tree = build_vptree(pts, seed=0)
-    for i in range(10):
-        for k in (1, 3, 9):
-            assert knn_query(tree, i, k) == brute_knn(pts, i, k)
-
-
-def test_height_bound_on_uniform_points():
-    rng = np.random.default_rng(0)
-    pts = rng.uniform(size=(1000, 3))
-    tree = build_vptree(pts, seed=0)
-    assert tree.height() <= 2 * np.log2(1000) + 4
+    for k in (1, 3, 9):
+        ids, sq = exact_knn(pts, k)
+        for i in range(10):
+            assert _hits(ids, sq, i) == brute_knn(pts, i, k)
 
 
 def test_equilateral_triangle_ties_resolve_by_index():
     # Basis-vector vertices form an exactly representable equilateral
     # triangle: every pairwise squared distance is exactly 2.
     pts = np.eye(3)
-    tree = build_vptree(pts, seed=0)
+    ids, sq = exact_knn(pts, 2)
     for q, others in ((0, [1, 2]), (1, [0, 2]), (2, [0, 1])):
-        hits = knn_query(tree, q, 2)
-        assert hits == [(others[0], 2.0), (others[1], 2.0)]
+        assert _hits(ids, sq, q) == [(others[0], 2.0), (others[1], 2.0)]
 
 
 def test_line_hand_case():
     pts = np.array([[0.0], [1.0], [3.0], [7.0]])
-    hits = knn_query(build_vptree(pts, seed=0), 1, 2)
-    assert hits == [(0, 1.0), (2, 4.0)]
+    ids, sq = exact_knn(pts, 2)
+    assert _hits(ids, sq, 1) == [(0, 1.0), (2, 4.0)]
 
 
 def _assert_same_hits(got, expected):
     # Indices must match exactly; squared distances only up to summation
-    # order (the oracle reduces with numpy, the tree with a scalar loop).
+    # order (the oracle reduces each pair with a sum, the search with
+    # einsum).
     assert [h[0] for h in got] == [h[0] for h in expected]
     np.testing.assert_allclose(
         [h[1] for h in got], [h[1] for h in expected], rtol=1e-12
@@ -93,55 +51,79 @@ def _assert_same_hits(got, expected):
 def test_random_queries_match_brute_force():
     rng = np.random.default_rng(11)
     pts = rng.normal(size=(500, 10))
-    tree = build_vptree(pts, seed=3)
     for k in (1, 10, 90):
+        ids, sq = exact_knn(pts, k)
         for i in range(0, 500, 37):
-            _assert_same_hits(knn_query(tree, i, k), brute_knn(pts, i, k))
+            _assert_same_hits(_hits(ids, sq, i), brute_knn(pts, i, k))
 
 
 def test_duplicates_match_brute_force():
     rng = np.random.default_rng(4)
     base = rng.normal(size=(10, 2))
     pts = base[rng.integers(0, 10, size=60)]
-    tree = build_vptree(pts, seed=0)
+    ids, sq = exact_knn(pts, 5)
     for i in range(60):
-        assert knn_query(tree, i, 5) == brute_knn(pts, i, 5)
+        assert _hits(ids, sq, i) == brute_knn(pts, i, 5)
 
 
-def test_same_seed_same_tree():
-    rng = np.random.default_rng(5)
-    pts = rng.normal(size=(50, 3))
-    a = build_vptree(pts, seed=7)
-    b = build_vptree(pts, seed=7)
-    assert np.array_equal(a.vantage, b.vantage)
-    assert np.array_equal(a.radius, b.radius)
-    assert np.array_equal(a.left, b.left)
-    assert np.array_equal(a.right, b.right)
-
-
-def test_knn_all_matches_single_queries():
+def test_knn_all_matches_single_queries(monkeypatch):
+    # The default blocks cover every query row at once; one-float blocks
+    # search one row, and re-rank one candidate, at a time.
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(40, 2))
-    tree = build_vptree(pts, seed=0)
-    ids, sq = knn_all(tree, 4)
-    for i in range(40):
-        hits = knn_query(tree, i, 4)
-        assert list(ids[i]) == [h[0] for h in hits]
-        np.testing.assert_allclose(sq[i], [h[1] for h in hits])
+    ids, sq = exact_knn(pts, 4)
+    monkeypatch.setattr(affinity, "KNN_BLOCK_FLOATS", 1)
+    one_ids, one_sq = exact_knn(pts, 4)
+    assert np.array_equal(ids, one_ids)
+    np.testing.assert_allclose(sq, one_sq)
+
+
+def test_cancellation_trap_keeps_exact_order():
+    # Two 10 x 10 grids with spacing 1e-3, one at +1e6 and one at -1e6 on
+    # both axes, so centering leaves every norm near 1.4e6. There the
+    # expanded form's rounding (about 1e-4 in squared distance) dwarfs the
+    # 1e-6 squared distance between grid neighbors.
+    g = np.arange(10) * 1e-3
+    grid = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    pts = np.concatenate([grid + 1e6, grid - 1e6])
+    k = 8
+    want = [brute_knn(pts, i, k) for i in range(len(pts))]
+    centered = pts - pts.mean(axis=0)
+    norms = (centered**2).sum(axis=1)
+    expanded = norms[:, None] + norms[None, :] - 2.0 * centered @ centered.T
+    np.fill_diagonal(expanded, np.inf)
+    naive = np.argsort(expanded, axis=1, kind="stable")[:, :k]
+    assert any(naive[i].tolist() != [h[0] for h in want[i]] for i in range(len(pts)))
+    ids, sq = exact_knn(pts, k)
+    for i in range(len(pts)):
+        assert _hits(ids, sq, i) == want[i]
+
+
+def test_far_outlier_matches_brute_force():
+    # One point 1e8 away: its pairs carry a huge rounding bound, which
+    # must not spoil the order among the rest or the outlier's own row.
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(300, 5))
+    pts[7] += 1e8
+    ids, sq = exact_knn(pts, 10)
+    for i in range(len(pts)):
+        _assert_same_hits(_hits(ids, sq, i), brute_knn(pts, i, 10))
 
 
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError, match="nonempty"):
-        build_vptree(np.zeros((0, 2)))
+        exact_knn(np.zeros((0, 2)), 1)
+    with pytest.raises(ValueError, match="nonempty"):
+        exact_knn(np.arange(4.0), 1)
     with pytest.raises(ValueError, match="non-finite"):
-        build_vptree(np.array([[np.nan, 0.0]]))
+        exact_knn(np.array([[np.nan, 0.0], [1.0, 1.0]]), 1)
 
 
 def test_query_rejects_bad_arguments():
-    tree = build_vptree(np.arange(6.0)[:, None])
+    pts = np.arange(6.0)[:, None]
     with pytest.raises(ValueError, match="k="):
-        knn_query(tree, 0, 0)
+        exact_knn(pts, 0)
     with pytest.raises(ValueError, match="k="):
-        knn_query(tree, 0, 6)
-    with pytest.raises(ValueError, match="query_index"):
-        knn_query(tree, 6, 2)
+        exact_knn(pts, 6)
+    with pytest.raises(ValueError, match="k="):
+        exact_knn(pts[:1], 1)
