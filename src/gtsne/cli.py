@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-
-import numpy as np
+from dataclasses import fields
+from typing import get_args, get_type_hints
 
 from .core import EmbedConfig, config_to_text, parse_config_items
 from .datasets import (
@@ -47,60 +47,27 @@ def _parse_segments(text: str):
     return out
 
 
-# CLI flag destination -> EmbedConfig field.
-_CONFIG_FLAGS = {
-    "perplexity": "perplexity",
-    "alpha": "alpha",
-    "beta": "beta",
-    "clusters": "n_clusters",
-    "pca_dims": "pca_dims",
-    "out_dims": "out_dims",
-    "neighbors": "n_neighbors",
-    "learning_rate": "learning_rate",
-    "momentum_initial": "momentum_initial",
-    "momentum_final": "momentum_final",
-    "momentum_switch": "momentum_switch_iter",
-    "n_iter": "n_iter",
-    "theta": "bh_theta",
-    "gradient_mode": "gradient_mode",
-    "seed": "seed",
-    "perplexity_tol": "perplexity_tol",
-    "init_stddev": "init_stddev",
-    "early_exaggeration": "early_exaggeration",
-    "early_exaggeration_iter": "early_exaggeration_iter",
-    "log_every": "log_every",
-}
-
-
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    # All default to None so explicitly passed flags can be told apart
-    # from absent ones when merging with a config file.
+    # One flag per EmbedConfig field, stored under the field's name. All
+    # default to None so explicitly passed flags can be told apart from
+    # absent ones when merging with a config file.
     p.add_argument("--config", metavar="FILE", help="key = value config file")
-    p.add_argument("--perplexity", type=float)
-    p.add_argument("--alpha", type=float, help="centroid-affinity loss weight")
-    p.add_argument("--beta", type=float, help="soft k-means loss weight")
-    p.add_argument("--clusters", type=int, help="macro centroid count")
-    p.add_argument("--pca-dims", type=int, help="spectral pre-reduction width")
-    p.add_argument("--out-dims", type=int, choices=(2, 3))
-    p.add_argument("--neighbors", type=int, help="neighbor list length")
-    p.add_argument("--learning-rate", type=float)
-    p.add_argument("--momentum-initial", type=float)
-    p.add_argument("--momentum-final", type=float)
-    p.add_argument("--momentum-switch", type=int)
-    p.add_argument("--n-iter", type=int)
-    p.add_argument("--theta", type=float, help="tree-force accuracy, 0 = exact")
-    p.add_argument("--gradient-mode", choices=("paper", "exact"))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--perplexity-tol", type=float)
-    p.add_argument("--init-stddev", type=float)
-    p.add_argument("--early-exaggeration", type=float)
-    p.add_argument("--early-exaggeration-iter", type=int)
-    p.add_argument("--log-every", type=int)
-    p.add_argument(
-        "--pca-no-center",
-        action="store_true",
-        help="project against raw second moments instead of the covariance",
-    )
+    kinds = get_type_hints(EmbedConfig)
+    for f in fields(EmbedConfig):
+        flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+        kind = kinds[f.name]
+        opts = {"dest": f.name, "help": f.metadata.get("help")}
+        if kind is bool:
+            opts.update(action="store_const", const=not f.default)
+        else:
+            choices = f.metadata.get("choices")
+            opts.update(
+                type=(get_args(kind) or (kind,))[0],  # Optional[int] -> int
+                choices=choices,
+                # The metavar argparse would spell from the flag.
+                metavar=None if choices else flag[2:].replace("-", "_").upper(),
+            )
+        p.add_argument(flag, **opts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,12 +172,9 @@ def cmd_embed(args) -> int:
     if args.config:
         with open(args.config) as fh:
             values.update(parse_config_items(fh.read()))
-    for dest, field_name in _CONFIG_FLAGS.items():
-        flag_value = getattr(args, dest)
-        if flag_value is not None:
-            values[field_name] = flag_value
-    if args.pca_no_center:
-        values["pca_center"] = False
+    for f in fields(EmbedConfig):
+        if getattr(args, f.name) is not None:
+            values[f.name] = getattr(args, f.name)
     cfg = EmbedConfig(**values)
     emb, report = run(ds, cfg, verbose=True)
     write_csv(emb, args.output, labels=ds.labels)

@@ -7,8 +7,8 @@ arrays; treat the arrays as read-only once constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, field, fields, replace
+from typing import Optional, get_type_hints
 
 import numpy as np
 
@@ -78,41 +78,47 @@ class Embedding:
         return self.y.shape[1]
 
 
+def _knob(default, **cli):
+    """A config field whose `embed` flag is not the derived one: cli may
+    set the flag's name ("flag"), its "help" text and its "choices"."""
+    return field(default=default, metadata=cli)
+
+
 @dataclass(frozen=True)
 class EmbedConfig:
     """All knobs of one embedding run.
 
     pca_dims and n_neighbors may be left as None and are then filled in by
     resolve_config once the data shape is known (min(50, D) and
-    3 * perplexity respectively).
+    3 * perplexity respectively). Each field is one 'key = value' line of
+    a config file, parsed by its annotation, and one `embed` flag, '--'
+    plus the name with dashes unless its metadata says otherwise.
     """
 
     perplexity: float = 30.0          # target effective neighbor count
-    alpha: float = 1e-2               # weight of the centroid-affinity loss
-    beta: float = 5e-2                # weight of the soft k-means loss
-    n_clusters: int = 90              # macro centroid count K
-    pca_dims: Optional[int] = None    # spectral pre-reduction width
-    out_dims: int = 2                 # map dimensionality (2 or 3)
-    n_neighbors: Optional[int] = None  # neighbor list length per point
+    alpha: float = _knob(1e-2, help="centroid-affinity loss weight")
+    beta: float = _knob(5e-2, help="soft k-means loss weight")
+    n_clusters: int = _knob(90, flag="--clusters", help="macro centroid count")
+    pca_dims: Optional[int] = _knob(None, help="spectral pre-reduction width")
+    out_dims: int = _knob(2, choices=(2, 3))
+    n_neighbors: Optional[int] = _knob(None, flag="--neighbors", help="neighbor list length")
     learning_rate: float = 200.0
     momentum_initial: float = 0.5
     momentum_final: float = 0.8
-    momentum_switch_iter: int = 250
+    momentum_switch_iter: int = _knob(250, flag="--momentum-switch")
     n_iter: int = 1000
-    bh_theta: float = 0.5             # tree-force accuracy, 0 means exact
-    gradient_mode: str = "exact"      # "paper" or "exact" centroid term
+    bh_theta: float = _knob(0.5, flag="--theta", help="tree-force accuracy, 0 = exact")
+    gradient_mode: str = _knob("exact", choices=GRADIENT_MODES)
     seed: int = 0
     perplexity_tol: float = 1e-5      # calibration tolerance on 2^H
     init_stddev: float = 1e-2         # spread of the random initial map
     early_exaggeration: float = 1.0   # multiplier on P, 1.0 disables
     early_exaggeration_iter: int = 250
-    pca_center: bool = True           # subtract column means before PCA
+    pca_center: bool = _knob(
+        True, flag="--pca-no-center",
+        help="project against raw second moments instead of the covariance",
+    )
     log_every: int = 50
-
-
-# How each config field is parsed back from text. Kept explicit so the
-# key = value file format stays stable even if annotations change.
-_NONE_WORDS = {"none", "null", ""}
 
 
 def _parse_bool(s: str) -> bool:
@@ -125,31 +131,13 @@ def _parse_bool(s: str) -> bool:
 
 
 def _parse_opt_int(s: str):
-    return None if s.strip().lower() in _NONE_WORDS else int(s)
+    return None if s.strip().lower() in ("none", "null", "") else int(s)
 
 
-_FIELD_PARSERS = {
-    "perplexity": float,
-    "alpha": float,
-    "beta": float,
-    "n_clusters": int,
-    "pca_dims": _parse_opt_int,
-    "out_dims": int,
-    "n_neighbors": _parse_opt_int,
-    "learning_rate": float,
-    "momentum_initial": float,
-    "momentum_final": float,
-    "momentum_switch_iter": int,
-    "n_iter": int,
-    "bh_theta": float,
-    "gradient_mode": str,
-    "seed": int,
-    "perplexity_tol": float,
-    "init_stddev": float,
-    "early_exaggeration": float,
-    "early_exaggeration_iter": int,
-    "pca_center": _parse_bool,
-    "log_every": int,
+# Field name -> text parser: float, int and str parse as themselves.
+_PARSERS = {
+    name: {bool: _parse_bool, Optional[int]: _parse_opt_int}.get(kind, kind)
+    for name, kind in get_type_hints(EmbedConfig).items()
 }
 
 
@@ -176,10 +164,12 @@ def config_to_text(cfg: EmbedConfig) -> str:
 def parse_config_items(text: str) -> dict:
     """Parse 'key = value' lines into a field dict.
 
-    Blank lines and lines starting with '#' are skipped. Unknown keys and
-    malformed lines raise ValueError with the offending line number.
+    Blank lines and lines starting with '#' are skipped. Unknown keys,
+    malformed lines and repeated keys raise ValueError with the offending
+    line numbers.
     """
     out = {}
+    first_line = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -189,9 +179,12 @@ def parse_config_items(text: str) -> dict:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        parser = _FIELD_PARSERS.get(key)
+        parser = _PARSERS.get(key)
         if parser is None:
             raise ValueError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ValueError(f"line {lineno}: key {key!r} repeats line {first_line[key]}")
+        first_line[key] = lineno
         try:
             out[key] = parser(value)
         except ValueError as exc:

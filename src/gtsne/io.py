@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import csv
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -137,10 +137,10 @@ def sniff_csv(path):
     return False, None
 
 
-def write_csv(obj, path, precision: int = 17, labels=None, header: bool = True) -> None:
+def write_csv(obj, path, labels=None, header: bool = True) -> None:
     """Write points (Dataset, Embedding, or matrix) as CSV.
 
-    Floats use '%.<precision>g'; the default 17 significant digits makes
+    Floats are written with 17 significant digits ('%.17g'), which makes
     write -> read an exact round trip. Columns are named x0.. for
     datasets, y0.. otherwise, plus a final 'label' column when labels are
     present. Lines end with a newline regardless of platform.
@@ -162,7 +162,6 @@ def write_csv(obj, path, precision: int = 17, labels=None, header: bool = True) 
         labels = np.asarray(labels)
         if len(labels) != len(mat):
             raise ValueError("labels length does not match row count")
-    fmt = f"%.{int(precision)}g"
     with open(path, "w", newline="") as fh:
         if header:
             cols = [f"{prefix}{j}" for j in range(mat.shape[1])]
@@ -170,7 +169,7 @@ def write_csv(obj, path, precision: int = 17, labels=None, header: bool = True) 
                 cols.append("label")
             fh.write(",".join(cols) + "\n")
         for i, row in enumerate(mat):
-            cells = [fmt % v for v in row]
+            cells = ["%.17g" % v for v in row]
             if labels is not None:
                 cells.append(str(int(labels[i])))
             fh.write(",".join(cells) + "\n")

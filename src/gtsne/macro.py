@@ -9,8 +9,7 @@ the embedding's own centroid affinities are pulled toward.
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -171,19 +170,3 @@ class MacroAffinity:
     def n_clusters(self) -> int:
         return len(self.r)
 
-
-def dump_centroids_csv(model: CentroidModel, path) -> None:
-    """Write centroid coordinates for debugging."""
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"t{j}" for j in range(model.t.shape[1])) + "\n")
-        for row in model.t:
-            fh.write(",".join(repr(v) for v in row) + "\n")
-
-
-def dump_responsibilities_csv(r: np.ndarray, path) -> None:
-    """Write the (k, n) responsibility matrix for debugging."""
-    r = np.asarray(r)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(f"p{i}" for i in range(r.shape[1])) + "\n")
-        for row in r:
-            fh.write(",".join(repr(v) for v in row) + "\n")

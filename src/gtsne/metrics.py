@@ -8,23 +8,12 @@ only on distance ranks.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .affinity import exact_knn
 from .core import Dataset, Embedding
 from .macro import pairwise_sq_dists
-
-
-@dataclass(frozen=True)
-class StructureScores:
-    """knn_preservation and centroid_distance_correlation grow with
-    quality; line_break_fraction shrinks."""
-
-    knn_preservation: float
-    line_break_fraction: float
-    centroid_distance_correlation: float
 
 
 def _coords(obj) -> np.ndarray:

@@ -33,12 +33,6 @@ _MAX_TREE_DEPTH = 80
 _IDENTICAL_CHECK_DEPTH = 8
 
 
-def lowdim_kernel(y_i, y_j) -> float:
-    """Heavy-tailed map affinity 1 / (1 + squared distance)."""
-    diff = np.asarray(y_i, dtype=np.float64) - np.asarray(y_j, dtype=np.float64)
-    return float(1.0 / (1.0 + diff @ diff))
-
-
 @dataclass
 class QuadTree:
     """Flat-array 2^d-ary subdivision of map points (d = 2 or 3).
@@ -227,7 +221,6 @@ class GradientWorkspace:
     z_y: float               # map-affinity normalizer (exact or estimated)
     c: np.ndarray            # (k, d) map centroids
     q_macro: np.ndarray      # (k, k) map centroid affinities
-    g: np.ndarray            # (n, d) full gradient
     loss_total: float
     loss_micro: float
     loss_macro: float
@@ -367,7 +360,6 @@ def _assemble(y, p, macro, cfg, att, rep, z_y, edge_kern, estimator):
         z_y=z_y,
         c=c,
         q_macro=q_macro,
-        g=g,
         loss_total=total,
         loss_micro=l_micro,
         loss_macro=l_macro,

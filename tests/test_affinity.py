@@ -5,12 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gtsne import (
-    AffinityModel,
-    build_affinity_model,
-    calibrate,
-    symmetrize,
-)
+from gtsne import build_affinity_model, calibrate, symmetrize
+from gtsne.affinity import AffinityModel
 from oracles import calibrate_row, dense_affinities, row_perplexity, solve_beta
 
 # d2 = (1, 4, 9) at effective neighbor count 2, solved independently by

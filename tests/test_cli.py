@@ -1,13 +1,15 @@
 """Command line behavior, driven in-process through main()."""
 
+import argparse
 import functools
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gtsne import optimizer
+from gtsne import EmbedConfig, optimizer
 from gtsne.affinity import build_affinity_model
-from gtsne.cli import main
+from gtsne.cli import build_parser, main
 from gtsne.io import read_csv, sniff_csv
 
 FAST_EMBED = [
@@ -50,6 +52,74 @@ class TestExitCodes:
                      "--segments", "nonsense"])
         assert code == 1
         capsys.readouterr()
+
+
+# Every `embed` config flag: flag -> (EmbedConfig field, type, choices, help).
+EMBED_FLAGS = {
+    "--perplexity": ("perplexity", float, None, None),
+    "--alpha": ("alpha", float, None, "centroid-affinity loss weight"),
+    "--beta": ("beta", float, None, "soft k-means loss weight"),
+    "--clusters": ("n_clusters", int, None, "macro centroid count"),
+    "--pca-dims": ("pca_dims", int, None, "spectral pre-reduction width"),
+    "--out-dims": ("out_dims", int, (2, 3), None),
+    "--neighbors": ("n_neighbors", int, None, "neighbor list length"),
+    "--learning-rate": ("learning_rate", float, None, None),
+    "--momentum-initial": ("momentum_initial", float, None, None),
+    "--momentum-final": ("momentum_final", float, None, None),
+    "--momentum-switch": ("momentum_switch_iter", int, None, None),
+    "--n-iter": ("n_iter", int, None, None),
+    "--theta": ("bh_theta", float, None, "tree-force accuracy, 0 = exact"),
+    "--gradient-mode": ("gradient_mode", str, ("paper", "exact"), None),
+    "--seed": ("seed", int, None, None),
+    "--perplexity-tol": ("perplexity_tol", float, None, None),
+    "--init-stddev": ("init_stddev", float, None, None),
+    "--early-exaggeration": ("early_exaggeration", float, None, None),
+    "--early-exaggeration-iter": ("early_exaggeration_iter", int, None, None),
+    "--log-every": ("log_every", int, None, None),
+    "--pca-no-center": (
+        "pca_center", None, None,
+        "project against raw second moments instead of the covariance",
+    ),
+}
+
+
+def embed_parser():
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices["embed"]
+
+
+class TestConfigFlags:
+    def test_flag_table_is_pinned(self):
+        own = {"help", "input", "output", "report", "label_col", "config"}
+        actual = {
+            a.option_strings[0]: (a.dest, a.type, a.choices and tuple(a.choices), a.help)
+            for a in embed_parser()._actions if a.dest not in own
+        }
+        assert actual == EMBED_FLAGS
+        assert sorted(v[0] for v in EMBED_FLAGS.values()) == sorted(
+            f.name for f in fields(EmbedConfig)
+        )
+
+    def test_metavars_follow_the_flag(self):
+        text = embed_parser().format_help()
+        for shown in ("--clusters CLUSTERS", "--neighbors NEIGHBORS",
+                      "--momentum-switch MOMENTUM_SWITCH", "--theta THETA",
+                      "--out-dims {2,3}", "--gradient-mode {paper,exact}"):
+            assert shown in text
+
+    def test_flags_default_to_unset(self):
+        args = embed_parser().parse_args(["-i", "a.csv", "-o", "b.csv"])
+        assert all(getattr(args, f.name) is None for f in fields(EmbedConfig))
+        args = embed_parser().parse_args(["-i", "a.csv", "-o", "b.csv", "--pca-no-center"])
+        assert args.pca_center is False
+
+    @pytest.mark.parametrize("flags", [["--out-dims", "4"], ["--gradient-mode", "fast"]])
+    def test_value_outside_choices_is_usage_error(self, flags, tmp_path, capsys):
+        code = main(["embed", "-i", str(tmp_path / "a.csv"), "-o",
+                     str(tmp_path / "b.csv")] + flags)
+        assert code == 1
+        assert "invalid choice" in capsys.readouterr().err
 
 
 class TestGenerate:

@@ -1,21 +1,19 @@
 """Data types, config serialization, and validation."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from gtsne import (
-    ConfigError,
-    Dataset,
-    EmbedConfig,
-    Embedding,
+from gtsne import ConfigError, Dataset, EmbedConfig, Embedding, resolve_config
+from gtsne.core import (
     center_columns,
     check_config,
     config_to_text,
+    parse_config_items,
     parse_config_text,
-    resolve_config,
     validate_config,
 )
-from gtsne.core import parse_config_items
 
 
 class TestDataset:
@@ -94,6 +92,37 @@ class TestConfigText:
         text = config_to_text(cfg)
         assert config_to_text(parse_config_text(text)) == text
 
+    def test_round_trip_every_field(self):
+        cfg = EmbedConfig(
+            perplexity=12.5,
+            alpha=0.1 + 0.2,
+            beta=0.07,
+            n_clusters=17,
+            pca_dims=7,
+            out_dims=3,
+            n_neighbors=12,
+            learning_rate=199.99,
+            momentum_initial=0.4,
+            momentum_final=0.85,
+            momentum_switch_iter=100,
+            n_iter=321,
+            bh_theta=0.25,
+            gradient_mode="paper",
+            seed=42,
+            perplexity_tol=1e-7,
+            init_stddev=1.0 / 3.0,
+            early_exaggeration=12.0,
+            early_exaggeration_iter=60,
+            pca_center=False,
+            log_every=7,
+        )
+        stock = EmbedConfig()
+        assert all(getattr(cfg, f.name) != getattr(stock, f.name) for f in fields(cfg))
+        text = config_to_text(cfg)
+        assert "pca_center = false\n" in text
+        assert parse_config_text(text) == cfg
+        assert config_to_text(parse_config_text(text)) == text
+
     def test_none_and_bool_spelling(self):
         text = config_to_text(EmbedConfig())
         assert "pca_dims = none" in text
@@ -110,6 +139,10 @@ class TestConfigText:
     def test_bad_value_names_line(self):
         with pytest.raises(ValueError, match="line 1"):
             parse_config_items("perplexity = thirty\n")
+
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ValueError, match="line 3: key 'seed' repeats line 1"):
+            parse_config_items("seed = 1\n# again\nseed = 2\n")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key = value"):

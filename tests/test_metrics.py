@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from gtsne.metrics import (
-    StructureScores,
     centroid_distance_correlation,
     knn_preservation,
     line_continuity,
@@ -156,15 +155,3 @@ class TestCentroidDistanceCorrelation:
             centroid_distance_correlation(np.zeros(4), np.zeros((4, 2)))
         with pytest.raises(ValueError):
             centroid_distance_correlation(np.zeros((4, 2)), np.zeros((5, 2)))
-
-
-class TestStructureScores:
-    def test_holds_the_three_numbers(self):
-        s = StructureScores(
-            knn_preservation=0.5,
-            line_break_fraction=0.1,
-            centroid_distance_correlation=0.9,
-        )
-        assert s.knn_preservation == 0.5
-        assert s.line_break_fraction == 0.1
-        assert s.centroid_distance_correlation == 0.9
