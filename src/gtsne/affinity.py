@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -271,12 +272,10 @@ class AffinityModel:
         """Sum over all ordered pairs (i != j)."""
         return float(2.0 * self.val.sum())
 
-    def expanded(self):
-        """Both-direction COO view (ii, jj, vv) for gradient sweeps."""
-        ii = np.concatenate([self.row, self.col])
-        jj = np.concatenate([self.col, self.row])
-        vv = np.concatenate([self.val, self.val])
-        return ii, jj, vv
+    @cached_property
+    def ends(self) -> np.ndarray:
+        """Both ends of every stored pair, rows then cols, for scatters."""
+        return np.concatenate([self.row, self.col])
 
     def scaled(self, factor: float) -> "AffinityModel":
         """Copy with every entry multiplied by factor (early exaggeration)."""

@@ -10,7 +10,7 @@ import sys
 from dataclasses import fields
 from typing import get_args, get_type_hints
 
-from .core import EmbedConfig, config_to_text, parse_config_items
+from .core import EmbedConfig, config_to_text, parse_config_items, resolve_config
 from .datasets import (
     ThreeLinesSpec,
     gen_blobs,
@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--knn-k", type=int, default=10)
     v.add_argument("--factor", type=float, default=5.0)
-    v.add_argument("--clusters", type=int, default=90)
-    v.add_argument("--pca-dims", type=int)
+    v.add_argument("--clusters", type=int, help="centroid count; embed's default if unset")
+    v.add_argument("--pca-dims", type=int, help="reduction width; embed's default if unset")
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("-o", "--output", help="also write the score row here")
     v.set_defaults(func=cmd_evaluate)
@@ -224,7 +224,13 @@ def cmd_evaluate(args) -> int:
         segments = [(thirds[i], thirds[i + 1]) for i in range(3)]
     break_fraction = line_continuity(y.x, segments, factor=args.factor)
 
-    d_z = args.pca_dims if args.pca_dims is not None else min(50, x.dim)
+    # The macro model is rebuilt as embed builds it: unset widths take
+    # embed's defaults.
+    given = {"n_clusters": args.clusters, "pca_dims": args.pca_dims}
+    cfg = resolve_config(
+        EmbedConfig(**{k: v for k, v in given.items() if v is not None}), n, x.dim
+    )
+    d_z = cfg.pca_dims
     out_dims = y.x.shape[1]
     if d_z <= out_dims:
         corr = float("nan")
@@ -235,7 +241,7 @@ def cmd_evaluate(args) -> int:
         )
     else:
         reduced = pca_fit(x.x, d_z)
-        km = kmeans_fit(reduced.z, min(args.clusters, n), seed=args.seed)
+        km = kmeans_fit(reduced.z, min(cfg.n_clusters, n), seed=args.seed)
         r = responsibility_matrix(reduced.z, km.t, d=out_dims, d_z=d_z)
         c = (r @ y.x) / r.sum(axis=1)[:, None]
         corr = centroid_distance_correlation(km.t, c)

@@ -16,6 +16,8 @@ Barnes-Hut tree sum; centroid and k-means terms stay exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,15 +42,19 @@ class QuadTree:
     Leaves hold one distinct position with a multiplicity count, so exact
     duplicates share a leaf whose center of mass is their exact position.
     Every cell stores the count and center of mass of the points below it;
-    a cell's count equals the sum of its children's counts.
+    a cell's count equals the sum of its children's counts. Siblings get
+    consecutive ids in child-code order, so a cell's children are the
+    n_child[i] ids from first_child[i] on.
     """
 
-    center: np.ndarray    # (m, d) geometric cell centers
-    half: np.ndarray      # (m,) half of the cell side length
-    com: np.ndarray       # (m, d) center of mass of contained points
-    count: np.ndarray     # (m,) contained point count
-    children: np.ndarray  # (m, 2^d) child node ids, -1 where absent
-    is_leaf: np.ndarray   # (m,) bool
+    center: np.ndarray       # (m, d) geometric cell centers
+    half: np.ndarray         # (m,) half of the cell side length
+    com: np.ndarray          # (m, d) center of mass of contained points
+    count: np.ndarray        # (m,) contained point count, as float
+    children: np.ndarray     # (m, 2^d) child node ids, -1 where absent
+    first_child: np.ndarray  # (m,) id of the first child, -1 at leaves
+    n_child: np.ndarray      # (m,) number of children, 0 at leaves
+    is_leaf: np.ndarray      # (m,) bool
     n_points: int
     dim: int
 
@@ -83,7 +89,7 @@ def build_quadtree(y: np.ndarray) -> QuadTree:
 
     centers = [root_center[None, :].copy()]
     halves = [np.array([root_half])]
-    counts = [np.array([n], dtype=np.int64)]
+    counts = [np.array([n], dtype=np.float64)]
     children = [np.full((1, n_children), -1, dtype=np.int64)]
 
     root_is_leaf = n == 1 or root_half == 0.0
@@ -144,7 +150,7 @@ def build_quadtree(y: np.ndarray) -> QuadTree:
         centers.append(child_center)
         halves.append(child_half)
         coms.append(child_com)
-        counts.append(cnts.astype(np.int64))
+        counts.append(cnts.astype(np.float64))
         leaves.append(child_leaf)
         children.append(np.full((m_new, n_children), -1, dtype=np.int64))
 
@@ -153,12 +159,16 @@ def build_quadtree(y: np.ndarray) -> QuadTree:
         level_base = total_nodes
         total_nodes += m_new
 
+    children = np.concatenate(children, axis=0)
+    has_child = children >= 0
     return QuadTree(
         center=np.concatenate(centers, axis=0),
         half=np.concatenate(halves),
         com=np.concatenate(coms, axis=0),
         count=np.concatenate(counts),
-        children=np.concatenate(children, axis=0),
+        children=children,
+        first_child=children[np.arange(total_nodes), has_child.argmax(axis=1)],
+        n_child=has_child.sum(axis=1),
         is_leaf=np.concatenate(leaves),
         n_points=n,
         dim=d,
@@ -177,56 +187,77 @@ def _tree_forces(tree: QuadTree, y: np.ndarray, theta: float):
     force = np.zeros((n, d))
     zsum = np.zeros(n)
     theta2 = theta * theta
+    # A leaf's squared side is -1 so the accept test always takes it. An
+    # inner cell is taken only at a positive distance, so a hit at
+    # distance 0 is a leaf holding the point itself.
+    side = 2.0 * tree.half
+    side2 = np.where(tree.is_leaf, -1.0, side * side)
 
+    # Row gathers go through take and masks through index lists: numpy's
+    # fancy indexing of (L, d) rows and boolean masks cost several times
+    # more and give the same values.
     pts = np.arange(n)
     nodes = np.zeros(n, dtype=np.int64)
     while len(pts):
-        com = tree.com[nodes]
-        diff = y[pts] - com
+        diff = y.take(pts, axis=0) - tree.com.take(nodes, axis=0)
         dist2 = np.einsum("ij,ij->i", diff, diff)
-        leaf = tree.is_leaf[nodes]
-        side = 2.0 * tree.half[nodes]
-        accept = leaf | (side * side < theta2 * dist2)
+        accept = side2[nodes] < theta2 * dist2
 
-        if np.any(accept):
-            apts = pts[accept]
-            mult = tree.count[nodes[accept]].astype(np.float64)
-            adist2 = dist2[accept]
-            self_hit = leaf[accept] & (adist2 == 0.0)
-            mult = np.where(self_hit, mult - 1.0, mult)
+        hit = np.flatnonzero(accept)
+        if len(hit):
+            apts = pts[hit]
+            adist2 = dist2[hit]
+            mult = tree.count[nodes[hit]]
+            mult = np.where(adist2 == 0.0, mult - 1.0, mult)
             w = 1.0 / (1.0 + adist2)
-            zsum += np.bincount(apts, weights=mult * w, minlength=n)
-            fw = mult * w * w
-            adiff = diff[accept]
+            mw = mult * w
+            zsum += np.bincount(apts, weights=mw, minlength=n)
+            fw = mw * w
+            adiff = diff.take(hit, axis=0)
             for ax in range(d):
                 force[:, ax] += np.bincount(
                     apts, weights=fw * adiff[:, ax], minlength=n
                 )
-
-        descend = ~accept
-        if not np.any(descend):
+        if len(hit) == len(pts):
             break
-        ch = tree.children[nodes[descend]]
-        valid = ch >= 0
-        pts = np.repeat(pts[descend], valid.sum(axis=1))
-        nodes = ch[valid]
+
+        # Each descending pair fans out to its cell's consecutive children.
+        down = np.flatnonzero(~accept)
+        parents = nodes[down]
+        fan = tree.n_child[parents]
+        pts = np.repeat(pts[down], fan)
+        offset = np.cumsum(fan) - fan
+        nodes = np.repeat(tree.first_child[parents] - offset, fan) + np.arange(len(pts))
 
     return force, zsum
 
 
-@dataclass
 class GradientWorkspace:
-    """Byproducts of one gradient evaluation, reused for logging."""
+    """Byproducts of one gradient evaluation, reused for logging.
 
-    z_y: float               # map-affinity normalizer (exact or estimated)
-    c: np.ndarray            # (k, d) map centroids
-    q_macro: np.ndarray      # (k, k) map centroid affinities
-    loss_total: float
-    loss_micro: float
-    loss_macro: float
-    loss_kmeans: float
-    z_estimator: str         # "exact" or "barnes_hut"
-    underflow_clamped: bool
+    z_y is the map-affinity normalizer (exact or estimated), c the (k, d)
+    map centroids, q_macro their (k, k) affinities and z_estimator
+    "exact" or "barnes_hut". The loss_* values and underflow_clamped are
+    worked out from the byproducts the first time one of them is read, so
+    an iteration that logs nothing never pays for them.
+    """
+
+    def __init__(self, z_y, c, q_macro, z_estimator, loss_inputs):
+        self.z_y = z_y
+        self.c = c
+        self.q_macro = q_macro
+        self.z_estimator = z_estimator
+        self._loss_inputs = loss_inputs
+
+    @cached_property
+    def _losses(self) -> Losses:
+        return _evaluate_losses(*self._loss_inputs)
+
+    loss_total = property(lambda ws: ws._losses.total)
+    loss_micro = property(lambda ws: ws._losses.micro)
+    loss_macro = property(lambda ws: ws._losses.macro)
+    loss_kmeans = property(lambda ws: ws._losses.kmeans)
+    underflow_clamped = property(lambda ws: ws._losses.clamped)
 
 
 def _as_y(y) -> np.ndarray:
@@ -270,21 +301,21 @@ def _kmeans_gradient(y, macro, c, beta):
     return (2.0 * beta / len(y)) * (y - macro.r.T @ c)
 
 
-def _micro_loss(p: AffinityModel, edge_kern: np.ndarray, z_y: float):
+def _micro_loss(val: np.ndarray, pair_kern: np.ndarray, z_y: float):
     """KL part between P and the map distribution.
 
-    edge_kern holds the map kernel on P's expanded (both-direction) edge
-    list. Map affinities below Q_FLOOR are clamped inside the log; the
-    second return value reports whether that happened.
+    val and pair_kern hold P and the map kernel on P's stored pairs; each
+    pair counts once in each direction. Map affinities below Q_FLOOR are
+    clamped inside the log; the second return value reports whether that
+    happened.
     """
-    _, _, vv = p.expanded()
-    mask = vv > 0
-    v = vv[mask]
+    mask = val > 0
+    v = val[mask]
     with np.errstate(divide="ignore"):
-        log_q = np.log(edge_kern[mask]) - np.log(z_y)
+        log_q = np.log(pair_kern[mask]) - np.log(z_y)
     clamped = bool(np.any(log_q < _LOG_Q_FLOOR))
     log_q = np.maximum(log_q, _LOG_Q_FLOOR)
-    return float(v @ (np.log(v) - log_q)), clamped
+    return 2.0 * float(v @ (np.log(v) - log_q)), clamped
 
 
 def _macro_loss(p_macro: np.ndarray, kern: np.ndarray, z_c: float):
@@ -298,24 +329,48 @@ def _macro_loss(p_macro: np.ndarray, kern: np.ndarray, z_c: float):
 
 
 def _kmeans_loss(y: np.ndarray, r: np.ndarray, c: np.ndarray) -> float:
-    total = 0.0
-    for k in range(len(c)):
-        total += float(r[k] @ ((y - c[k]) ** 2).sum(axis=1))
-    return total / len(y)
+    sq = np.zeros((len(c), len(y)))  # (k, n) squared map distances to centroids
+    for ax in range(y.shape[1]):
+        sq += (y[:, ax] - c[:, ax, None]) ** 2
+    return float(np.einsum("ki,ki->", r, sq)) / len(y)
+
+
+class Losses(NamedTuple):
+    """The objective's parts at one map position."""
+
+    total: float
+    micro: float
+    macro: float
+    kmeans: float
+    clamped: bool  # a map affinity fell below Q_FLOOR inside a log
+
+
+def _evaluate_losses(y, val, pair_kern, z_y, macro, centroid_kern, c, alpha, beta):
+    """The objective's parts from one evaluation's byproducts."""
+    l_micro, clamped_micro = _micro_loss(val, pair_kern, z_y)
+    l_macro, clamped_macro = _macro_loss(
+        macro.p_macro, centroid_kern, float(centroid_kern.sum())
+    )
+    l_kmeans = _kmeans_loss(y, macro.r, c)
+    total = l_micro + alpha * l_macro + beta * l_kmeans
+    return Losses(total, l_micro, l_macro, l_kmeans, clamped_micro or clamped_macro)
 
 
 def _attraction(y: np.ndarray, p: AffinityModel):
-    """Exact sparse attractive force and the map kernel on P's edges."""
+    """Exact sparse attractive force and the map kernel on P's pairs.
+
+    Each stored pair is evaluated once; its force reaches both ends with
+    opposite signs through one scatter over p.ends.
+    """
     n, d = y.shape
-    ii, jj, vv = p.expanded()
-    diff = y[ii] - y[jj]
-    ed2 = np.einsum("ij,ij->i", diff, diff)
-    edge_kern = 1.0 / (1.0 + ed2)
-    w = vv * edge_kern
-    att = np.zeros((n, d))
+    diff = y.take(p.row, axis=0) - y.take(p.col, axis=0)
+    pair_kern = 1.0 / (1.0 + np.einsum("ij,ij->i", diff, diff))
+    w = p.val * pair_kern
+    att = np.empty((n, d))
     for ax in range(d):
-        att[:, ax] = np.bincount(ii, weights=w * diff[:, ax], minlength=n)
-    return att, edge_kern
+        wd = w * diff[:, ax]
+        att[:, ax] = np.bincount(p.ends, weights=np.concatenate([wd, -wd]), minlength=n)
+    return att, pair_kern
 
 
 def _check_inputs(y, p, macro):
@@ -336,38 +391,22 @@ def loss(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
     """
     y = _as_y(y)
     _check_inputs(y, p, macro)
-    kern, z_y = _dense_map_kernel(y)
-    _, edge_kern = _attraction(y, p)  # kernel on P's edges, exact
-    l_micro, _ = _micro_loss(p, edge_kern, z_y)
-    c, _, mkern, _ = _macro_state(y, macro)
-    l_macro, _ = _macro_loss(macro.p_macro, mkern, float(mkern.sum()))
-    l_kmeans = _kmeans_loss(y, macro.r, c)
-    total = l_micro + cfg.alpha * l_macro + cfg.beta * l_kmeans
-    return total, l_micro, l_macro, l_kmeans
+    _, z_y = _dense_map_kernel(y)
+    _, pair_kern = _attraction(y, p)
+    c, _, centroid_kern, _ = _macro_state(y, macro)
+    parts = _evaluate_losses(
+        y, p.val, pair_kern, z_y, macro, centroid_kern, c, cfg.alpha, cfg.beta
+    )
+    return parts[:4]
 
 
-def _assemble(y, p, macro, cfg, att, rep, z_y, edge_kern, estimator):
+def _assemble(y, p, macro, cfg, att, rep, z_y, pair_kern, estimator):
     c, masses, mkern, q_macro = _macro_state(y, macro)
     g = 4.0 * (att - rep)
     g += _macro_gradient(y, macro, c, masses, mkern, q_macro, cfg.alpha, cfg.gradient_mode)
     g += _kmeans_gradient(y, macro, c, cfg.beta)
-
-    l_micro, clamped_micro = _micro_loss(p, edge_kern, z_y)
-    l_macro, clamped_macro = _macro_loss(macro.p_macro, mkern, float(mkern.sum()))
-    l_kmeans = _kmeans_loss(y, macro.r, c)
-    total = l_micro + cfg.alpha * l_macro + cfg.beta * l_kmeans
-    ws = GradientWorkspace(
-        z_y=z_y,
-        c=c,
-        q_macro=q_macro,
-        loss_total=total,
-        loss_micro=l_micro,
-        loss_macro=l_macro,
-        loss_kmeans=l_kmeans,
-        z_estimator=estimator,
-        underflow_clamped=clamped_micro or clamped_macro,
-    )
-    return g, ws
+    loss_inputs = (y, p.val, pair_kern, z_y, macro, mkern, c, cfg.alpha, cfg.beta)
+    return g, GradientWorkspace(z_y, c, q_macro, estimator, loss_inputs)
 
 
 def gradient_exact(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
@@ -381,10 +420,10 @@ def gradient_exact(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
     _check_inputs(y, p, macro)
     kern, z_y = _dense_map_kernel(y)
     z_y = max(z_y, Q_FLOOR)
-    att, edge_kern = _attraction(y, p)
+    att, pair_kern = _attraction(y, p)
     sq = kern * kern
     rep = (sq.sum(axis=1)[:, None] * y - sq @ y) / z_y
-    return _assemble(y, p, macro, cfg, att, rep, z_y, edge_kern, "exact")
+    return _assemble(y, p, macro, cfg, att, rep, z_y, pair_kern, "exact")
 
 
 def gradient_bh(
@@ -406,10 +445,10 @@ def gradient_bh(
     tree = build_quadtree(y)
     force, zsum = _tree_forces(tree, y, cfg.bh_theta)
     z_y = max(float(zsum.sum()), Q_FLOOR)
-    att, edge_kern = _attraction(y, p)
+    att, pair_kern = _attraction(y, p)
     rep = force / z_y
     if loss_p is None:
         loss_p = p
     elif not (np.array_equal(loss_p.row, p.row) and np.array_equal(loss_p.col, p.col)):
         raise ValueError("loss_p must have the same pairs as p")
-    return _assemble(y, loss_p, macro, cfg, att, rep, z_y, edge_kern, "barnes_hut")
+    return _assemble(y, loss_p, macro, cfg, att, rep, z_y, pair_kern, "barnes_hut")

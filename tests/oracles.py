@@ -236,3 +236,95 @@ def lloyd_best_of(z, k, n_restarts, seed):
         d2 = ((z[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         best = min(best, float(d2.min(axis=1).sum()))
     return best
+
+
+def tree_forces_by_table(tree, y, theta):
+    """Barnes-Hut sweep that descends through the (m, 2^d) children table.
+
+    This is the sweep the package ran before it descended with
+    first-child and child-count arrays: it gathers each descending cell's
+    table row and masks out absent children, tests leaves separately and
+    converts counts per accepted cell. tree is a package QuadTree (its
+    children, is_leaf, half, com and count fields). The accumulation order
+    matches the package's, so the two sweeps must agree bit for bit.
+    Returns (force, zsum).
+    """
+    n, d = y.shape
+    force = np.zeros((n, d))
+    zsum = np.zeros(n)
+    theta2 = theta * theta
+
+    pts = np.arange(n)
+    nodes = np.zeros(n, dtype=np.int64)
+    while len(pts):
+        com = tree.com[nodes]
+        diff = y[pts] - com
+        dist2 = np.einsum("ij,ij->i", diff, diff)
+        leaf = tree.is_leaf[nodes]
+        side = 2.0 * tree.half[nodes]
+        accept = leaf | (side * side < theta2 * dist2)
+
+        if np.any(accept):
+            apts = pts[accept]
+            mult = tree.count[nodes[accept]].astype(np.float64)
+            adist2 = dist2[accept]
+            self_hit = leaf[accept] & (adist2 == 0.0)
+            mult = np.where(self_hit, mult - 1.0, mult)
+            w = 1.0 / (1.0 + adist2)
+            zsum += np.bincount(apts, weights=mult * w, minlength=n)
+            fw = mult * w * w
+            adiff = diff[accept]
+            for ax in range(d):
+                force[:, ax] += np.bincount(
+                    apts, weights=fw * adiff[:, ax], minlength=n
+                )
+
+        descend = ~accept
+        if not np.any(descend):
+            break
+        ch = tree.children[nodes[descend]]
+        valid = ch >= 0
+        pts = np.repeat(pts[descend], valid.sum(axis=1))
+        nodes = ch[valid]
+
+    return force, zsum
+
+
+def attraction_both_directions(y, row, col, val):
+    """Attractive force over the both-direction edge list.
+
+    Lists every stored pair (i, j), i < j, once as (i, j) and once as
+    (j, i), evaluates each ordered pair separately and scatters by its
+    first index. Returns (att, kernel on the first len(row) entries),
+    the kernel on the stored pairs in storage order.
+    """
+    n, d = y.shape
+    ii = np.concatenate([row, col])
+    jj = np.concatenate([col, row])
+    vv = np.concatenate([val, val])
+    diff = y[ii] - y[jj]
+    kern = 1.0 / (1.0 + np.einsum("ij,ij->i", diff, diff))
+    w = vv * kern
+    att = np.zeros((n, d))
+    for ax in range(d):
+        att[:, ax] = np.bincount(ii, weights=w * diff[:, ax], minlength=n)
+    return att, kern[: len(row)]
+
+
+def use_reference_sweeps(monkeypatch, objective):
+    """Route the objective module's gradients through the two sweeps
+    above in place of its own tree sweep and attraction."""
+
+    def attraction(y, p):
+        return attraction_both_directions(y, p.row, p.col, p.val)
+
+    monkeypatch.setattr(objective, "_tree_forces", tree_forces_by_table)
+    monkeypatch.setattr(objective, "_attraction", attraction)
+
+
+def kmeans_loss_by_cluster(y, r, c):
+    """Soft k-means loss summed one cluster at a time, divided by n."""
+    total = 0.0
+    for k in range(len(c)):
+        total += float(r[k] @ ((y - c[k]) ** 2).sum(axis=1))
+    return total / len(y)

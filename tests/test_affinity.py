@@ -165,16 +165,6 @@ class TestAffinityModel:
         with pytest.raises(ValueError, match="out of range"):
             AffinityModel(row=[0], col=[5], val=[0.1], n=2)
 
-    def test_expanded_covers_both_directions(self):
-        model = AffinityModel(row=[0, 0], col=[1, 2], val=[0.2, 0.3], n=3)
-        ii, jj, vv = model.expanded()
-        assert sorted(zip(ii, jj, vv)) == [
-            (0, 1, 0.2),
-            (0, 2, 0.3),
-            (1, 0, 0.2),
-            (2, 0, 0.3),
-        ]
-
     def test_scaled_multiplies_total(self):
         model = AffinityModel(row=[0], col=[1], val=[0.5], n=2)
         assert model.scaled(4.0).total() == 4.0
@@ -218,8 +208,7 @@ class TestBuildAffinityModel:
             for j in row.neighbors:
                 support[i].add(int(j))
                 support[int(j)].add(i)
-        ii, _, _ = model.expanded()
-        per_row = np.bincount(ii, minlength=n)
+        per_row = np.bincount(np.concatenate([model.row, model.col]), minlength=n)
         assert [len(s) for s in support] == per_row.tolist()
         assert model.nnz <= n * k
         assert per_row.mean() <= 2 * k

@@ -1,16 +1,19 @@
 """Command line behavior, driven in-process through main()."""
 
 import argparse
+import dataclasses
 import functools
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from gtsne import EmbedConfig, optimizer
+from gtsne import EmbedConfig, cli, optimizer
 from gtsne.affinity import build_affinity_model
 from gtsne.cli import build_parser, main
+from gtsne.core import resolve_config
 from gtsne.io import read_csv, sniff_csv
+from gtsne.macro import kmeans_fit
 
 FAST_EMBED = [
     "--perplexity", "5", "--neighbors", "15", "--clusters", "5",
@@ -271,6 +274,32 @@ class TestEvaluateAndPlot:
         assert 0.0 <= breaks <= 1.0
         assert -1.0 <= corr <= 1.0
         assert scores.read_text().splitlines()[1] == lines[-1]
+
+    def test_evaluate_defaults_follow_embed_config(self, pipeline, monkeypatch, capsys):
+        # evaluate rebuilds the macro model embed would build, so unset
+        # widths must come from EmbedConfig and resolve_config, whatever
+        # their defaults are.
+        _, data, out = pipeline
+
+        @dataclasses.dataclass(frozen=True)
+        class FewerClusters(EmbedConfig):
+            n_clusters: int = 4
+
+        seen = []
+
+        def spy(z, k, **kwargs):
+            seen.append((z.shape[1], k))
+            return kmeans_fit(z, k, **kwargs)
+
+        monkeypatch.setattr(cli, "EmbedConfig", FewerClusters)
+        monkeypatch.setattr(cli, "kmeans_fit", spy)
+        assert main(["evaluate", "-x", str(data), "-y", str(out)]) == 0
+        assert seen == [(resolve_config(EmbedConfig(), 60, 5).pca_dims, 4)]
+        seen.clear()
+        args = ["--clusters", "3", "--pca-dims", "4"]
+        assert main(["evaluate", "-x", str(data), "-y", str(out)] + args) == 0
+        assert seen == [(4, 3)]
+        capsys.readouterr()
 
     def test_evaluate_custom_segments(self, pipeline, capsys):
         _, data, out = pipeline

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gtsne import objective
 from gtsne.affinity import AffinityModel, build_affinity_model
 from gtsne.core import Embedding, EmbedConfig
 from gtsne.macro import MacroAffinity, kmeans_fit, macro_affinity, responsibility_matrix
@@ -15,18 +16,24 @@ from gtsne.objective import (
     loss,
 )
 
-from oracles import central_differences, dense_objective
+from oracles import (
+    central_differences,
+    dense_objective,
+    kmeans_loss_by_cluster,
+    use_reference_sweeps,
+)
 
 
 def make_problem(n, d_in, k, seed, alpha=0.01, beta=0.05, y_scale=1.0, **cfg_kw):
     """Random instance with every piece the objective needs."""
+    out_dims = cfg_kw.get("out_dims", 2)
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, d_in))
     p, _ = build_affinity_model(x, n_neighbors=min(5, n - 1), perplexity=3.0, tol=1e-8)
     km = kmeans_fit(x, k, seed=seed)
-    r = responsibility_matrix(x, km.t, d=2, d_z=d_in)
+    r = responsibility_matrix(x, km.t, d=out_dims, d_z=d_in)
     macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
-    y = y_scale * rng.normal(size=(n, 2))
+    y = y_scale * rng.normal(size=(n, out_dims))
     cfg = EmbedConfig(alpha=alpha, beta=beta, **cfg_kw)
     return x, p, macro, y, cfg
 
@@ -65,6 +72,16 @@ class TestLoss:
         _, p, macro, y, cfg = make_problem(10, 4, 3, seed=1)
         with pytest.raises(ValueError, match="rows"):
             loss(y[:-1], p, macro, cfg)
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_kmeans_part_matches_the_per_cluster_loop(self, dims):
+        rng = np.random.default_rng(dims)
+        y = 5.0 + rng.normal(size=(400, dims))
+        r = rng.random(size=(9, 400))
+        r /= r.sum(axis=0)
+        c = (r @ y) / r.sum(axis=1)[:, None]
+        want = kmeans_loss_by_cluster(y, r, c)
+        assert abs(objective._kmeans_loss(y, r, c) - want) <= 1e-12 * want
 
 
 class TestQuadtree:
@@ -315,6 +332,16 @@ class TestGradientTree:
         assert np.abs(g_tree - g_ref).max() / scale < 1e-2
         assert abs(ws_tree.z_y - ws_ref.z_y) / ws_ref.z_y < 1e-3
 
+    def test_underflow_is_flagged_and_loss_stays_finite(self):
+        _, p, macro, y, cfg = make_problem(10, 4, 3, seed=6)
+        assert not gradient_bh(y, p, macro, cfg)[1].underflow_clamped
+        y = y.copy()
+        y[5:] += 1e151  # cross-gap kernel drops below the clamp floor
+        g, ws = gradient_bh(y, p, macro, cfg)
+        assert ws.underflow_clamped
+        assert np.isfinite(ws.loss_total)
+        assert np.all(np.isfinite(g))
+
     def test_unknown_mode_rejected(self):
         _, p, macro, y, cfg = make_problem(8, 4, 3, seed=1)
         with pytest.raises(ValueError, match="gradient_mode"):
@@ -330,3 +357,70 @@ class TestGradientTree:
         other = AffinityModel(row=p.row[:-1], col=p.col[:-1], val=p.val[:-1], n=p.n)
         with pytest.raises(ValueError, match="same pairs"):
             gradient_bh(y, p, macro, cfg, loss_p=other)
+
+
+def duplicate_heavy_map(n, dims, seed):
+    """A map where a third of the points sit on three shared positions."""
+    y = np.random.default_rng(seed).normal(size=(n, dims))
+    y[: n // 3] = y[n // 3 : n // 3 + 3][np.arange(n // 3) % 3]
+    return y
+
+
+class TestReferenceSweeps:
+    """gradient_bh equals the table-driven sweep and the both-direction
+    attraction it replaced, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "dims, theta, exaggeration, duplicates",
+        [
+            (2, 0.5, 1.0, False),
+            (3, 0.5, 1.0, False),
+            (2, 0.5, 1.0, True),
+            (3, 0.5, 1.0, True),
+            (2, 0.0, 1.0, True),
+            (3, 0.0, 1.0, False),
+            (2, 0.5, 12.0, False),
+            (3, 0.8, 12.0, True),
+        ],
+    )
+    def test_gradient_and_normalizer_are_unchanged(
+        self, monkeypatch, dims, theta, exaggeration, duplicates
+    ):
+        _, p, macro, y, cfg = make_problem(
+            240, 6, 5, seed=dims, out_dims=dims, bh_theta=theta
+        )
+        if duplicates:
+            y = duplicate_heavy_map(240, dims, seed=dims)
+        p = p.scaled(exaggeration)
+        g, ws = gradient_bh(y, p, macro, cfg)
+        with monkeypatch.context() as m:
+            use_reference_sweeps(m, objective)
+            g_ref, ws_ref = gradient_bh(y, p, macro, cfg)
+        assert np.array_equal(g, g_ref)
+        assert ws.z_y == ws_ref.z_y
+        assert ws.loss_total == ws_ref.loss_total
+
+    def test_children_are_consecutive_ids(self):
+        y = duplicate_heavy_map(300, 3, seed=4)
+        tree = build_quadtree(y)
+        for node in range(tree.n_nodes):
+            kids = tree.children[node][tree.children[node] >= 0]
+            first = tree.first_child[node]
+            assert kids.tolist() == list(range(first, first + tree.n_child[node]))
+        assert np.array_equal(tree.is_leaf, tree.n_child == 0)
+
+
+class TestLazyLosses:
+    def test_losses_wait_until_read(self, monkeypatch):
+        calls = []
+        real = objective._evaluate_losses
+        monkeypatch.setattr(
+            objective, "_evaluate_losses", lambda *a: calls.append(1) or real(*a)
+        )
+        _, p, macro, y, cfg = make_problem(30, 4, 3, seed=2)
+        _, ws = gradient_bh(y, p, macro, cfg)
+        assert calls == []
+        parts = (ws.loss_micro, ws.loss_macro, ws.loss_kmeans)
+        assert ws.loss_total == parts[0] + cfg.alpha * parts[1] + cfg.beta * parts[2]
+        assert not ws.underflow_clamped
+        assert len(calls) == 1

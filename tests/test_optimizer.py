@@ -6,7 +6,7 @@ import functools
 import numpy as np
 import pytest
 
-from gtsne import optimizer
+from gtsne import objective, optimizer
 from gtsne.affinity import build_affinity_model
 from gtsne.core import EmbedConfig
 from gtsne.datasets import gen_blobs
@@ -19,6 +19,8 @@ from gtsne.optimizer import (
     run,
     step,
 )
+
+from oracles import use_reference_sweeps
 
 SMALL_CFG = EmbedConfig(
     perplexity=5.0,
@@ -293,6 +295,31 @@ class TestRun:
         assert report.unconverged_rows == list(range(120))
         assert report.degenerate_rows == []
         assert "120 rows missed the target perplexity" in capsys.readouterr().err
+
+    def test_losses_are_evaluated_only_when_logged(self, monkeypatch):
+        calls = []
+        real = objective._evaluate_losses
+        monkeypatch.setattr(
+            objective, "_evaluate_losses", lambda *a: calls.append(1) or real(*a)
+        )
+        cfg = dataclasses.replace(SMALL_CFG, n_iter=10, log_every=5)
+        _, report = run(small_blobs(), cfg, verbose=False)
+        assert [rec.iteration for rec in report.loss_trace] == [0, 5, 10]
+        assert len(calls) == 3
+
+    def test_map_matches_the_reference_sweeps(self, monkeypatch):
+        # The descent through the table-driven sweep and the
+        # both-direction attraction of tests/oracles.py lands on the same
+        # map bit for bit, exaggeration phase included.
+        cfg = dataclasses.replace(
+            SMALL_CFG, n_iter=60, early_exaggeration=4.0, early_exaggeration_iter=20
+        )
+        emb, report = run(small_blobs(), cfg, verbose=False)
+        with monkeypatch.context() as m:
+            use_reference_sweeps(m, objective)
+            emb_ref, report_ref = run(small_blobs(), cfg, verbose=False)
+        assert np.array_equal(emb.y, emb_ref.y)
+        assert report.iterations_run == report_ref.iterations_run
 
     def test_verbose_progress_goes_to_stderr(self, capsys):
         cfg = dataclasses.replace(SMALL_CFG, n_iter=2, log_every=1)
