@@ -10,6 +10,7 @@ the embedding's own centroid affinities are pulled toward.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -97,8 +98,9 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
                 own[donor] = -1.0  # a point can rescue only one cluster
             counts = np.bincount(new_assignment, minlength=k)
 
-        for j in range(k):
-            centroids[j] = z[new_assignment == j].mean(axis=0)
+        for ax in range(z.shape[1]):
+            centroids[:, ax] = np.bincount(new_assignment, weights=z[:, ax], minlength=k)
+        centroids /= counts[:, None]
 
         within = ((z - centroids[new_assignment]) ** 2).sum(axis=1)
         trace.append(float(within.sum()))
@@ -131,7 +133,8 @@ def responsibility_matrix(z: np.ndarray, t: np.ndarray, d: int, d_z: int) -> np.
     if not (0 < d < d_z):
         raise ValueError(f"need 0 < d < d_z, got d={d}, d_z={d_z}")
     scale = (d * d) / float(d_z * d_z)
-    raw = 1.0 / (1.0 + scale * pairwise_sq_dists(t, z))
+    # Chunked over z; the C-ordered copy keeps column sums in centroid order.
+    raw = 1.0 / (1.0 + scale * np.ascontiguousarray(pairwise_sq_dists(z, t).T))
     return raw / raw.sum(axis=0, keepdims=True)
 
 
@@ -170,3 +173,12 @@ class MacroAffinity:
     def n_clusters(self) -> int:
         return len(self.r)
 
+    @cached_property
+    def masses(self) -> np.ndarray:
+        """(k,) cluster masses, the row sums of r."""
+        return self.r.sum(axis=1)
+
+    @cached_property
+    def r_by_mass(self) -> np.ndarray:
+        """(k, n) responsibilities divided by their cluster's mass."""
+        return self.r / self.masses[:, None]

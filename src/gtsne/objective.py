@@ -28,30 +28,24 @@ from .macro import MacroAffinity, pairwise_sq_dists
 Q_FLOOR = 1e-300  # clamp for underflowed map affinities inside logs
 _LOG_Q_FLOOR = np.log(Q_FLOOR)
 
-# Cells smaller than the root size times 2^-_MAX_TREE_DEPTH are closed as
-# leaves even if their points differ; the positional error this admits is
-# far below every tolerance used anywhere.
-_MAX_TREE_DEPTH = 80
-_IDENTICAL_CHECK_DEPTH = 8
-
 
 @dataclass
 class QuadTree:
-    """Flat-array 2^d-ary subdivision of map points (d = 2 or 3).
+    """Flat-array quadtree (octree for d = 3) of map points.
 
     Leaves hold one distinct position with a multiplicity count, so exact
     duplicates share a leaf whose center of mass is their exact position.
     Every cell stores the count and center of mass of the points below it;
-    a cell's count equals the sum of its children's counts. Siblings get
-    consecutive ids in child-code order, so a cell's children are the
-    n_child[i] ids from first_child[i] on.
+    a cell's count equals the sum of its children's counts. Cells are
+    numbered level by level, and siblings get consecutive ids in path
+    order, so a cell's children are the n_child[i] ids from
+    first_child[i] on. A cell of the finest grid that still holds distinct
+    points has one leaf child per position, possibly more than 2^d.
     """
 
-    center: np.ndarray       # (m, d) geometric cell centers
     half: np.ndarray         # (m,) half of the cell side length
     com: np.ndarray          # (m, d) center of mass of contained points
     count: np.ndarray        # (m,) contained point count, as float
-    children: np.ndarray     # (m, 2^d) child node ids, -1 where absent
     first_child: np.ndarray  # (m,) id of the first child, -1 at leaves
     n_child: np.ndarray      # (m,) number of children, 0 at leaves
     is_leaf: np.ndarray      # (m,) bool
@@ -64,12 +58,16 @@ class QuadTree:
 
 
 def build_quadtree(y: np.ndarray) -> QuadTree:
-    """Build the subdivision level by level.
+    """Build the subdivision from one sort of path keys.
 
-    Cells split at their geometric center; a cell closes as a leaf when it
-    holds one point, when all its points coincide exactly, or at the depth
-    cap. Construction is fully vectorized across each level and
-    deterministic for a given y.
+    The root is the cube around the points' bounding box, and cells split
+    at their geometric center. A point's key is its cell on the finest
+    grid, 2^(63 // d) cells per axis, with the d child-code bits of each
+    level (axis 0 least significant) interleaved from the root down.
+    Sorted by (key, coordinates), each level's cells are the runs of equal
+    key prefix among the points in open cells; a cell closes as a leaf
+    when its first and last points coincide. Below the finest grid, cells
+    split by exact position. Deterministic for a given y.
     """
     y = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
     if y.ndim != 2:
@@ -79,97 +77,88 @@ def build_quadtree(y: np.ndarray) -> QuadTree:
         raise ValueError(f"tree forces support 2-D or 3-D maps, got d={d}")
     if not np.all(np.isfinite(y)):
         raise ValueError("y contains non-finite entries")
-    n_children = 1 << d
-    axis_bits = np.arange(d)
+    grid_levels = 63 // d
 
     lo = y.min(axis=0)
     hi = y.max(axis=0)
-    root_center = 0.5 * (lo + hi)
-    root_half = float((hi - lo).max()) / 2.0
+    half = float((hi - lo).max()) / 2.0
 
-    centers = [root_center[None, :].copy()]
-    halves = [np.array([root_half])]
-    counts = [np.array([n], dtype=np.float64)]
-    children = [np.full((1, n_children), -1, dtype=np.int64)]
-
-    root_is_leaf = n == 1 or root_half == 0.0
-    coms = [y[0][None, :].copy() if root_is_leaf else y.mean(axis=0)[None, :]]
-    leaves = [np.array([root_is_leaf])]
-
-    pt_node = np.zeros(n, dtype=np.int64)
-    active = np.arange(n) if not root_is_leaf else np.arange(0)
-    level_base = 0  # global id of the first node in the previous level
-    total_nodes = 1
-    depth = 0
-
-    while len(active):
-        depth += 1
-        if depth > _MAX_TREE_DEPTH:
-            # Close every still-open cell; they keep their mean COM.
-            for node in np.unique(pt_node[active]):
-                leaves[-1][node - level_base] = True
-            break
-
-        parents_local = pt_node[active] - level_base
-        coords = y[active]
-        code = ((coords >= centers[-1][parents_local]) << axis_bits).sum(axis=1)
-        key = parents_local * n_children + code
-        uniq, inverse, cnts = np.unique(key, return_inverse=True, return_counts=True)
-        m_new = len(uniq)
-        new_ids = total_nodes + np.arange(m_new)
-
-        par_local = uniq // n_children
-        ccode = uniq % n_children
-        children[-1][par_local, ccode] = new_ids
-
-        bits = (ccode[:, None] >> axis_bits[None, :]) & 1
-        parent_half = halves[-1][par_local]
-        child_center = centers[-1][par_local] + (2 * bits - 1) * (
-            parent_half[:, None] / 2.0
-        )
-        child_half = parent_half / 2.0
-
-        sums = np.empty((m_new, d))
+    # The key bits repeat the float center updates of a level-by-level
+    # split, so a point lands on the side of every center that such a
+    # split would put it on.
+    key = np.zeros(n, dtype=np.int64)
+    center = np.repeat(0.5 * (lo + hi)[None, :], n, axis=0)
+    h = half
+    for _ in range(grid_levels):
+        h /= 2.0
+        above = y >= center
+        key <<= d
         for ax in range(d):
-            sums[:, ax] = np.bincount(inverse, weights=coords[:, ax], minlength=m_new)
-        child_com = sums / cnts[:, None]
+            key |= above[:, ax] << ax
+        center += above * (2.0 * h) - h
 
-        child_leaf = cnts == 1
-        if depth >= _IDENTICAL_CHECK_DEPTH:
-            order = np.argsort(inverse, kind="stable")
-            starts = np.concatenate(([0], np.cumsum(cnts)[:-1]))
-            sorted_pts = coords[order]
-            mins = np.minimum.reduceat(sorted_pts, starts, axis=0)
-            maxs = np.maximum.reduceat(sorted_pts, starts, axis=0)
-            identical = np.all(mins == maxs, axis=1) & (cnts > 1)
-            if np.any(identical):
-                # Give duplicate groups their exact shared position.
-                child_com[identical] = coords[order[starts[identical]]]
-                child_leaf = child_leaf | identical
+    order = np.lexsort((*y.T[::-1], key))
+    skey = key[order]
+    sy = y[order]
+    # Sorted points share a position id exactly when they coincide.
+    position = np.concatenate(([0], np.cumsum(np.any(sy[1:] != sy[:-1], axis=1))))
 
-        centers.append(child_center)
-        halves.append(child_half)
-        coms.append(child_com)
-        counts.append(cnts.astype(np.float64))
-        leaves.append(child_leaf)
-        children.append(np.full((m_new, n_children), -1, dtype=np.int64))
+    root_is_leaf = position[-1] == 0
+    leaves = [np.array([root_is_leaf])]
+    parents = [np.zeros(0, dtype=np.int64)]  # per level: each cell's parent id
+    # Every (cell, point) membership, level by level in input-point order.
+    cells = [np.zeros(n, dtype=np.int64)]
+    points = [np.arange(n)]
 
-        pt_node[active] = new_ids[inverse]
-        active = active[~child_leaf[inverse]]
-        level_base = total_nodes
-        total_nodes += m_new
+    pos = np.arange(0 if root_is_leaf else n)  # sorted points in open cells
+    parent = np.zeros(len(pos), dtype=np.int64)
+    total_nodes = 1
+    while len(pos):
+        shift = d * (grid_levels - len(leaves))  # this level's unread key bits
+        prefix = skey[pos] >> shift if shift >= 0 else position[pos]
+        head = np.concatenate(([True], prefix[1:] != prefix[:-1]))
+        starts = np.flatnonzero(head)
+        local = np.cumsum(head) - 1
+        last = np.append(starts[1:], len(pos)) - 1
+        is_leaf = position[pos[starts]] == position[pos[last]]
 
-    children = np.concatenate(children, axis=0)
-    has_child = children >= 0
+        cell_of = np.full(n, -1)
+        cell_of[order[pos]] = total_nodes + local
+        points.append(np.flatnonzero(cell_of >= 0))
+        cells.append(cell_of[points[-1]])
+        parents.append(parent[starts])
+        leaves.append(is_leaf)
+
+        stay = ~is_leaf[local]
+        pos = pos[stay]
+        parent = total_nodes + local[stay]
+        total_nodes += len(starts)
+
+    # Children follow their parents' order, so each parent's first child
+    # id is one past the children of all cells before it.
+    n_child = np.bincount(np.concatenate(parents), minlength=total_nodes)
+    first_child = np.where(n_child > 0, np.cumsum(n_child) - n_child + 1, -1)
+    is_leaf = np.concatenate(leaves)
+
+    # Each cell's mass sums over its points in input order.
+    cells = np.concatenate(cells)
+    at = y.take(np.concatenate(points), axis=0)
+    count = np.bincount(cells, minlength=total_nodes).astype(np.float64)
+    sums = [np.bincount(cells, weights=w, minlength=total_nodes) for w in at.T]
+    com = np.stack(sums, axis=1) / count[:, None]
+    if not root_is_leaf:
+        com[0] = y.mean(axis=0)
+    # A leaf's points coincide, so its center of mass is their position.
+    at_leaf = is_leaf[cells]
+    com[cells[at_leaf]] = at[at_leaf]
+
     return QuadTree(
-        center=np.concatenate(centers, axis=0),
-        half=np.concatenate(halves),
-        com=np.concatenate(coms, axis=0),
-        count=np.concatenate(counts),
-        children=children,
-        first_child=children[np.arange(total_nodes), has_child.argmax(axis=1)],
-        n_child=has_child.sum(axis=1),
-        is_leaf=np.concatenate(leaves),
+        half=np.repeat(half / 2.0 ** np.arange(len(leaves)), [len(c) for c in leaves]),
+        com=com,
+        count=count,
+        first_child=first_child,
+        n_child=n_child,
+        is_leaf=is_leaf,
         n_points=n,
         dim=d,
     )
@@ -272,22 +261,20 @@ def _dense_map_kernel(y: np.ndarray):
 
 def _macro_state(y: np.ndarray, macro: MacroAffinity):
     """Map centroids and their affinity distribution."""
-    r = macro.r
-    masses = r.sum(axis=1)
-    c = (r @ y) / masses[:, None]
+    c = (macro.r @ y) / macro.masses[:, None]
     kern = 1.0 / (1.0 + pairwise_sq_dists(c, c))
     np.fill_diagonal(kern, 0.0)
     z_c = float(kern.sum())
     q_macro = kern / z_c if z_c > 0.0 else np.zeros_like(kern)
-    return c, masses, kern, q_macro
+    return c, kern, q_macro
 
 
-def _macro_gradient(y, macro, c, masses, kern, q_macro, alpha, mode):
+def _macro_gradient(y, macro, c, kern, q_macro, alpha, mode):
     if alpha == 0.0 or macro.n_clusters < 2:
         return np.zeros_like(y)
     w = (macro.p_macro - q_macro) * kern
     b = w.sum(axis=1)[:, None] * c - w @ c
-    a = macro.r / masses[:, None] if mode == "exact" else macro.r
+    a = macro.r_by_mass if mode == "exact" else macro.r
     return 4.0 * alpha * (a.T @ b)
 
 
@@ -393,7 +380,7 @@ def loss(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
     _check_inputs(y, p, macro)
     _, z_y = _dense_map_kernel(y)
     _, pair_kern = _attraction(y, p)
-    c, _, centroid_kern, _ = _macro_state(y, macro)
+    c, centroid_kern, _ = _macro_state(y, macro)
     parts = _evaluate_losses(
         y, p.val, pair_kern, z_y, macro, centroid_kern, c, cfg.alpha, cfg.beta
     )
@@ -401,9 +388,9 @@ def loss(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
 
 
 def _assemble(y, p, macro, cfg, att, rep, z_y, pair_kern, estimator):
-    c, masses, mkern, q_macro = _macro_state(y, macro)
+    c, mkern, q_macro = _macro_state(y, macro)
     g = 4.0 * (att - rep)
-    g += _macro_gradient(y, macro, c, masses, mkern, q_macro, cfg.alpha, cfg.gradient_mode)
+    g += _macro_gradient(y, macro, c, mkern, q_macro, cfg.alpha, cfg.gradient_mode)
     g += _kmeans_gradient(y, macro, c, cfg.beta)
     loss_inputs = (y, p.val, pair_kern, z_y, macro, mkern, c, cfg.alpha, cfg.beta)
     return g, GradientWorkspace(z_y, c, q_macro, estimator, loss_inputs)

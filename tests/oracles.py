@@ -5,6 +5,8 @@ brackets. Nothing is shared with the package beyond numpy, so agreement
 between an oracle and the fast path is meaningful evidence.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 
 
@@ -238,21 +240,137 @@ def lloyd_best_of(z, k, n_restarts, seed):
     return best
 
 
+def build_quadtree_by_level(y, max_depth=80, identical_check_depth=8):
+    """The level-by-level tree build the package ran before it sorted
+    path keys once, with its (m, 2^d) children table.
+
+    Each level takes the points in open cells, computes every point's
+    child code against its cell's float center and numbers the new cells
+    with np.unique, in (parent, code) order. A cell closes as a leaf when
+    it holds one point, from identical_check_depth on when all its points
+    coincide, and at max_depth. Returns a namespace with the package
+    QuadTree's fields plus center and children.
+    """
+    y = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
+    n, d = y.shape
+    n_children = 1 << d
+    axis_bits = np.arange(d)
+
+    lo = y.min(axis=0)
+    hi = y.max(axis=0)
+    root_center = 0.5 * (lo + hi)
+    root_half = float((hi - lo).max()) / 2.0
+
+    centers = [root_center[None, :].copy()]
+    halves = [np.array([root_half])]
+    counts = [np.array([n], dtype=np.float64)]
+    children = [np.full((1, n_children), -1, dtype=np.int64)]
+
+    root_is_leaf = n == 1 or root_half == 0.0
+    coms = [y[0][None, :].copy() if root_is_leaf else y.mean(axis=0)[None, :]]
+    leaves = [np.array([root_is_leaf])]
+
+    pt_node = np.zeros(n, dtype=np.int64)
+    active = np.arange(n) if not root_is_leaf else np.arange(0)
+    level_base = 0
+    total_nodes = 1
+    depth = 0
+
+    while len(active):
+        depth += 1
+        if depth > max_depth:
+            for node in np.unique(pt_node[active]):
+                leaves[-1][node - level_base] = True
+            break
+
+        parents_local = pt_node[active] - level_base
+        coords = y[active]
+        code = ((coords >= centers[-1][parents_local]) << axis_bits).sum(axis=1)
+        key = parents_local * n_children + code
+        uniq, inverse, cnts = np.unique(key, return_inverse=True, return_counts=True)
+        m_new = len(uniq)
+        new_ids = total_nodes + np.arange(m_new)
+
+        par_local = uniq // n_children
+        ccode = uniq % n_children
+        children[-1][par_local, ccode] = new_ids
+
+        bits = (ccode[:, None] >> axis_bits[None, :]) & 1
+        parent_half = halves[-1][par_local]
+        child_center = centers[-1][par_local] + (2 * bits - 1) * (
+            parent_half[:, None] / 2.0
+        )
+        child_half = parent_half / 2.0
+
+        sums = np.empty((m_new, d))
+        for ax in range(d):
+            sums[:, ax] = np.bincount(inverse, weights=coords[:, ax], minlength=m_new)
+        child_com = sums / cnts[:, None]
+
+        child_leaf = cnts == 1
+        if depth >= identical_check_depth:
+            order = np.argsort(inverse, kind="stable")
+            starts = np.concatenate(([0], np.cumsum(cnts)[:-1]))
+            sorted_pts = coords[order]
+            mins = np.minimum.reduceat(sorted_pts, starts, axis=0)
+            maxs = np.maximum.reduceat(sorted_pts, starts, axis=0)
+            identical = np.all(mins == maxs, axis=1) & (cnts > 1)
+            if np.any(identical):
+                child_com[identical] = coords[order[starts[identical]]]
+                child_leaf = child_leaf | identical
+
+        centers.append(child_center)
+        halves.append(child_half)
+        coms.append(child_com)
+        counts.append(cnts.astype(np.float64))
+        leaves.append(child_leaf)
+        children.append(np.full((m_new, n_children), -1, dtype=np.int64))
+
+        pt_node[active] = new_ids[inverse]
+        active = active[~child_leaf[inverse]]
+        level_base = total_nodes
+        total_nodes += m_new
+
+    children = np.concatenate(children, axis=0)
+    has_child = children >= 0
+    return SimpleNamespace(
+        center=np.concatenate(centers, axis=0),
+        half=np.concatenate(halves),
+        com=np.concatenate(coms, axis=0),
+        count=np.concatenate(counts),
+        children=children,
+        first_child=children[np.arange(total_nodes), has_child.argmax(axis=1)],
+        n_child=has_child.sum(axis=1),
+        is_leaf=np.concatenate(leaves),
+        n_points=n,
+        dim=d,
+    )
+
+
+def children_table(first_child, n_child):
+    """(m, widest fan-out) table of child ids, -1 where absent, expanded
+    from each cell's first child id and child count."""
+    width = max(int(n_child.max()), 1)
+    slot = np.arange(width)
+    return np.where(slot < n_child[:, None], first_child[:, None] + slot, -1)
+
+
 def tree_forces_by_table(tree, y, theta):
-    """Barnes-Hut sweep that descends through the (m, 2^d) children table.
+    """Barnes-Hut sweep that descends through a full children table.
 
     This is the sweep the package ran before it descended with
     first-child and child-count arrays: it gathers each descending cell's
     table row and masks out absent children, tests leaves separately and
-    converts counts per accepted cell. tree is a package QuadTree (its
-    children, is_leaf, half, com and count fields). The accumulation order
-    matches the package's, so the two sweeps must agree bit for bit.
+    converts counts per accepted cell. tree is a package QuadTree; its
+    table is expanded from first_child and n_child. The accumulation
+    order matches the package's, so the two sweeps must agree bit for bit.
     Returns (force, zsum).
     """
     n, d = y.shape
     force = np.zeros((n, d))
     zsum = np.zeros(n)
     theta2 = theta * theta
+    children = children_table(tree.first_child, tree.n_child)
 
     pts = np.arange(n)
     nodes = np.zeros(n, dtype=np.int64)
@@ -282,7 +400,7 @@ def tree_forces_by_table(tree, y, theta):
         descend = ~accept
         if not np.any(descend):
             break
-        ch = tree.children[nodes[descend]]
+        ch = children[nodes[descend]]
         valid = ch >= 0
         pts = np.repeat(pts[descend], valid.sum(axis=1))
         nodes = ch[valid]
@@ -328,3 +446,37 @@ def kmeans_loss_by_cluster(y, r, c):
     for k in range(len(c)):
         total += float(r[k] @ ((y - c[k]) ** 2).sum(axis=1))
     return total / len(y)
+
+
+def lloyd_by_cluster(z, centroids, max_iter=300):
+    """Lloyd iteration from the given start, each centroid the mean of its
+    members, taken one cluster at a time.
+
+    Assignment ties and empty clusters follow the package's kmeans_fit: an
+    empty cluster takes the point farthest from its own centroid, one
+    point per empty cluster in cluster order. Returns (centroids,
+    assignment, inertia trace).
+    """
+    z = np.asarray(z, dtype=np.float64)
+    centroids = np.array(centroids, dtype=np.float64)
+    n, k = len(z), len(centroids)
+    assignment = None
+    trace = []
+    for _ in range(max_iter):
+        diff = z[:, None, :] - centroids[None, :, :]
+        d2 = np.einsum("ijk,ijk->ij", diff, diff)
+        new_assignment = d2.argmin(axis=1)
+        own = d2[np.arange(n), new_assignment].copy()
+        empties = [j for j in range(k) if not np.any(new_assignment == j)]
+        for empty in empties:
+            donor = int(own.argmax())
+            new_assignment[donor] = empty
+            own[donor] = -1.0
+        for j in range(k):
+            centroids[j] = z[new_assignment == j].mean(axis=0)
+        within = ((z - centroids[new_assignment]) ** 2).sum(axis=1)
+        trace.append(float(within.sum()))
+        if assignment is not None and np.array_equal(new_assignment, assignment):
+            break
+        assignment = new_assignment
+    return centroids, new_assignment, np.asarray(trace)

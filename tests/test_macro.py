@@ -1,11 +1,17 @@
 """k-means centroids, responsibilities, and centroid affinities."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from gtsne import (
     MacroAffinity,
+    ThreeLinesSpec,
+    gen_swiss_roll,
+    gen_three_lines,
     kmeans_fit,
+    macro,
     macro_affinity,
     responsibility_matrix,
 )
@@ -14,6 +20,7 @@ from oracles import (
     dense_centroid_affinity,
     dense_responsibilities,
     lloyd_best_of,
+    lloyd_by_cluster,
 )
 
 
@@ -89,6 +96,23 @@ class TestKmeans:
         assert np.all(np.diff(km.inertia_trace) <= 1e-9)
         assert np.all(np.isfinite(km.t))
 
+    @pytest.mark.parametrize(
+        "z, k",
+        [
+            (gen_swiss_roll(n=1000, seed=0).x, 90),
+            (gen_three_lines(ThreeLinesSpec(n_s=500, dims=10, seed=0)).x, 90),
+            (np.array([[0.0, 0.0]] * 6 + [[10.0, 0.0]] * 6 + [[0.0, 10.0], [0.1, 9.9]]), 4),
+        ],
+        ids=["swiss-roll", "three-lines", "empty-clusters"],
+    )
+    def test_centroids_match_the_per_cluster_loop(self, z, k):
+        km = kmeans_fit(z, k=k, seed=0)
+        start = macro._plus_plus_init(z, k, np.random.default_rng(0))
+        t, assignment, trace = lloyd_by_cluster(z, start)
+        assert np.array_equal(km.t, t)
+        assert np.array_equal(km.assignment, assignment)
+        assert np.array_equal(km.inertia_trace, trace)
+
     def test_single_cluster_is_global_mean(self):
         rng = np.random.default_rng(6)
         z = rng.normal(size=(30, 2))
@@ -142,6 +166,20 @@ class TestResponsibilities:
         r = responsibility_matrix(z, t, d=2, d_z=6)
         np.testing.assert_allclose(r.sum(axis=0), np.ones(40), atol=1e-12)
         assert np.all(r > 0) and np.all(r <= 1)
+
+    def test_temporary_stays_bounded(self):
+        # The result is 1.4 MB; a whole (k, n, d_z) difference array
+        # would be 72 MB.
+        rng = np.random.default_rng(12)
+        z = rng.normal(size=(2000, 50))
+        t = rng.normal(size=(90, 50))
+        tracemalloc.start()
+        try:
+            responsibility_matrix(z, t, d=2, d_z=50)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
     def test_width_ratio_validated(self):
         with pytest.raises(ValueError, match="d < d_z"):

@@ -17,6 +17,7 @@ from gtsne.objective import (
 )
 
 from oracles import (
+    build_quadtree_by_level,
     central_differences,
     dense_objective,
     kmeans_loss_by_cluster,
@@ -84,6 +85,9 @@ class TestLoss:
         assert abs(objective._kmeans_loss(y, r, c) - want) <= 1e-12 * want
 
 
+TREE_FIELDS = ("half", "com", "count", "is_leaf", "first_child", "n_child")
+
+
 class TestQuadtree:
     def test_counts_and_masses_are_consistent(self):
         rng = np.random.default_rng(11)
@@ -93,8 +97,8 @@ class TestQuadtree:
         assert tree.count[0] == 200
         internal = ~tree.is_leaf
         for node in np.flatnonzero(internal):
-            kids = tree.children[node]
-            kids = kids[kids >= 0]
+            first = tree.first_child[node]
+            kids = np.arange(first, first + tree.n_child[node])
             assert len(kids) > 0
             assert tree.count[node] == tree.count[kids].sum()
             blended = (tree.com[kids] * tree.count[kids, None]).sum(axis=0)
@@ -143,7 +147,7 @@ class TestQuadtree:
         y = rng.normal(size=(64, 3))
         tree = build_quadtree(y)
         assert tree.dim == 3
-        assert tree.children.shape[1] == 8
+        assert tree.n_child.max() <= 8
         assert tree.count[tree.is_leaf].sum() == 64
 
     def test_deterministic(self):
@@ -151,8 +155,58 @@ class TestQuadtree:
         y = rng.normal(size=(100, 2))
         a = build_quadtree(y)
         b = build_quadtree(y)
-        np.testing.assert_array_equal(a.com, b.com)
-        np.testing.assert_array_equal(a.children, b.children)
+        for field in TREE_FIELDS:
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 40, 1000])
+    def test_matches_the_level_by_level_build(self, dims, n):
+        rng = np.random.default_rng(n + dims)
+        for scale in (1e-3, 1.0, 1e3):
+            y = scale * rng.normal(size=(n, dims)) + rng.normal(size=dims)
+            tree = build_quadtree(y)
+            ref = build_quadtree_by_level(y)
+            for field in TREE_FIELDS:
+                got, want = getattr(tree, field), getattr(ref, field)
+                assert got.dtype == want.dtype, field
+                assert np.array_equal(got, want), field
+
+    def test_children_are_consecutive_and_split_their_parent(self):
+        y = duplicate_heavy_map(300, 3, seed=4)
+        tree = build_quadtree(y)
+        assert np.array_equal(tree.is_leaf, tree.n_child == 0)
+        assert np.all(tree.first_child[tree.is_leaf] == -1)
+        kids = np.flatnonzero(~tree.is_leaf)
+        # Every cell but the root is the child of exactly one cell, and the
+        # ids run level by level in parent order.
+        firsts = tree.first_child[kids]
+        assert firsts[0] == 1
+        assert np.array_equal(firsts[1:], (firsts + tree.n_child[kids])[:-1])
+        assert firsts[-1] + tree.n_child[kids[-1]] == tree.n_nodes
+        assert np.all(tree.half[firsts] == tree.half[kids] / 2.0)
+
+    def test_points_closer_than_the_finest_cell_get_their_own_leaves(self):
+        # At extent about 1 the finest 3-D cell is 2^-21 of the root side,
+        # about 4.8e-7; these points are 1e-9 apart, eleven in a row.
+        rng = np.random.default_rng(13)
+        x = rng.normal(size=(30, 5))
+        p, _ = build_affinity_model(x, n_neighbors=5, perplexity=3.0, tol=1e-8)
+        km = kmeans_fit(x, 4, seed=0)
+        r = responsibility_matrix(x, km.t, d=3, d_z=5)
+        macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
+        y = rng.uniform(-0.5, 0.5, size=(30, 3))
+        y[20:] = y[3] + np.outer(np.arange(1, 11), [1e-9, 0.0, 0.0])
+        tree = build_quadtree(y)
+        for i in [3, *range(20, 30)]:
+            hits = np.flatnonzero(tree.is_leaf & np.all(tree.com == y[i], axis=1))
+            assert len(hits) == 1 and tree.count[hits[0]] == 1
+        assert tree.n_child.max() == 11  # one finest cell, a leaf per point
+        cfg = EmbedConfig(alpha=0.01, beta=0.05, out_dims=3, bh_theta=0.0)
+        g_tree, ws_tree = gradient_bh(y, p, macro, cfg)
+        g_ref, ws_ref = gradient_exact(y, p, macro, cfg)
+        norms = np.linalg.norm(g_ref, axis=1)
+        assert (np.linalg.norm(g_tree - g_ref, axis=1) / norms).max() <= 1e-10
+        assert abs(ws_tree.z_y - ws_ref.z_y) / ws_ref.z_y <= 1e-10
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -399,15 +453,6 @@ class TestReferenceSweeps:
         assert np.array_equal(g, g_ref)
         assert ws.z_y == ws_ref.z_y
         assert ws.loss_total == ws_ref.loss_total
-
-    def test_children_are_consecutive_ids(self):
-        y = duplicate_heavy_map(300, 3, seed=4)
-        tree = build_quadtree(y)
-        for node in range(tree.n_nodes):
-            kids = tree.children[node][tree.children[node] >= 0]
-            first = tree.first_child[node]
-            assert kids.tolist() == list(range(first, first + tree.n_child[node]))
-        assert np.array_equal(tree.is_leaf, tree.n_child == 0)
 
 
 class TestLazyLosses:
