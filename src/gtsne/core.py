@@ -107,7 +107,9 @@ class EmbedConfig:
     momentum_final: float = 0.8
     momentum_switch_iter: int = _knob(250, flag="--momentum-switch")
     n_iter: int = 1000
-    bh_theta: float = _knob(0.5, flag="--theta", help="tree-force accuracy, 0 = exact")
+    bh_theta: float = _knob(
+        0.5, flag="--theta", help="0 = exact; the tree's opening angle where the tree runs"
+    )
     gradient_mode: str = _knob("exact", choices=GRADIENT_MODES)
     seed: int = 0
     perplexity_tol: float = 1e-5      # calibration tolerance on 2^H
@@ -244,7 +246,7 @@ def validate_config(cfg: EmbedConfig, n: int, d_in: int) -> list[str]:
     want(cfg.pca_dims <= d_in, f"pca_dims={cfg.pca_dims}: must be <= input dim {d_in}")
     want(
         cfg.out_dims in (2, 3),
-        f"out_dims={cfg.out_dims}: map dimension must be 2 or 3 (tree forces)",
+        f"out_dims={cfg.out_dims}: map dimension must be 2 or 3 (repulsion engines)",
     )
     want(
         cfg.out_dims < cfg.pca_dims,
@@ -309,8 +311,9 @@ class LossRecord:
     """One logged optimizer step: loss split plus step diagnostics.
 
     total always equals micro + alpha * macro + beta * kmeans for the run's
-    weights; z_estimator names which normalizer estimate (exact or
-    barnes_hut) produced the micro term.
+    weights; z_estimator names the engine whose normalizer estimate
+    produced the micro term: exact, interpolation (the 2-D grid) or
+    barnes_hut (the tree).
     """
 
     iteration: int

@@ -440,6 +440,16 @@ def use_reference_sweeps(monkeypatch, objective):
     monkeypatch.setattr(objective, "_attraction", attraction)
 
 
+def dense_repulsion(y):
+    """Exact repulsion sums over all pairs, as (force, zsum) like the
+    package's engines: force[i] = sum_j k_ij^2 (y_i - y_j) and zsum[i] =
+    sum_j k_ij, with k_ij = 1 / (1 + |y_i - y_j|^2) and j != i."""
+    diff = y[:, None, :] - y[None, :, :]
+    kern = 1.0 / (1.0 + (diff**2).sum(axis=2))
+    np.fill_diagonal(kern, 0.0)
+    return np.einsum("ij,ijd->id", kern**2, diff), kern.sum(axis=1)
+
+
 def kmeans_loss_by_cluster(y, r, c):
     """Soft k-means loss summed one cluster at a time, divided by n."""
     total = 0.0

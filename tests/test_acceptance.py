@@ -21,6 +21,7 @@ import time
 import numpy as np
 import pytest
 
+from gtsne import objective
 from gtsne.affinity import build_affinity_model, exact_knn
 from gtsne.cli import main
 from gtsne.core import EmbedConfig
@@ -170,7 +171,7 @@ def test_02_gradient_modes_agree_only_under_equal_masses():
     assert ok, line
 
 
-def test_03_tree_gradient_tracks_exact_gradient():
+def test_03_tree_gradient_tracks_exact_gradient(monkeypatch):
     start = time.perf_counter()
     data = gen_blobs()
     p, _ = build_affinity_model(data.x, n_neighbors=90, perplexity=30.0)
@@ -183,23 +184,36 @@ def test_03_tree_gradient_tracks_exact_gradient():
     y = init_embedding(len(data.x), 2, 1e-2, seed=0)
     g_exact, ws_exact = gradient_exact(y, p, macro, cfg)
     g_zero, ws_zero = gradient_bh(y, p, macro, dataclasses.replace(cfg, bh_theta=0.0))
-    g_half, ws_half = gradient_bh(y, p, macro, dataclasses.replace(cfg, bh_theta=0.5))
+    # At theta = 0.5 this small map runs on the interpolation grid; the
+    # tree must meet the same bounds where it runs, so it is forced once.
+    half = dataclasses.replace(cfg, bh_theta=0.5)
+    g_grid, ws_grid = gradient_bh(y, p, macro, half)
+    with monkeypatch.context() as m:
+        m.setattr(objective, "_GRID_NODES_PER_POINT", 0)
+        g_tree, ws_tree = gradient_bh(y, p, macro, half)
+    engines = (ws_zero.z_estimator, ws_grid.z_estimator, ws_tree.z_estimator)
+    assert engines == ("barnes_hut", "interpolation", "barnes_hut")
 
     norms = np.linalg.norm(g_exact, axis=1)
-    rel_zero = float((np.linalg.norm(g_zero - g_exact, axis=1) / norms).max())
-    rel_half = float((np.linalg.norm(g_half - g_exact, axis=1) / norms).max())
-    z_zero = abs(ws_zero.z_y - ws_exact.z_y) / ws_exact.z_y
-    z_half = abs(ws_half.z_y - ws_exact.z_y) / ws_exact.z_y
+
+    def errors(g, ws):
+        per_point = float((np.linalg.norm(g - g_exact, axis=1) / norms).max())
+        return per_point, abs(ws.z_y - ws_exact.z_y) / ws_exact.z_y
+
+    rel_zero, z_zero = errors(g_zero, ws_zero)
+    rel_grid, z_grid = errors(g_grid, ws_grid)
+    rel_tree, z_tree = errors(g_tree, ws_tree)
     seconds = time.perf_counter() - start
 
-    ok = rel_zero <= 1e-10 and z_zero <= 1e-10 and rel_half < 1e-2 and z_half < 1e-3
+    ok = rel_zero <= 1e-10 and z_zero <= 1e-10
+    ok = ok and max(rel_grid, rel_tree) < 1e-2 and max(z_grid, z_tree) < 1e-3
     ok = ok and seconds < 10.0
     line = gate(
         3,
         ok,
         f"theta=0 rel err {rel_zero:.2e} (<= 1e-10), theta=0.5 per-point "
-        f"{rel_half:.2e} (< 1e-2), normalizer rel {z_half:.2e} (< 1e-3), "
-        f"{seconds:.2f} s (< 10 s)",
+        f"grid {rel_grid:.2e} / tree {rel_tree:.2e} (< 1e-2), normalizer rel "
+        f"grid {z_grid:.2e} / tree {z_tree:.2e} (< 1e-3), {seconds:.2f} s (< 10 s)",
     )
     assert ok, line
 
@@ -270,13 +284,15 @@ def test_05_exact_knn_matches_brute_force():
 
 def test_06_desk_runs_descend_within_time_budget(paired_runs):
     descended = sum(r["gtsne"]["final"] < r["gtsne"]["initial"] for r in paired_runs)
-    slowest = max(r["gtsne"]["seconds"] for r in paired_runs)
+    # Both arms run on the same budget: a slow repulsion engine on the
+    # baseline's wide-spread maps must not hide behind the full objective.
+    slowest = max(r[arm]["seconds"] for r in paired_runs for arm in ("gtsne", "baseline"))
     ok = descended == N_PAIRS and slowest < 60.0
     line = gate(
         6,
         ok,
         f"final loss below initial in {descended}/{N_PAIRS} runs, "
-        f"slowest {slowest:.1f} s (< 60 s)",
+        f"slowest run of either arm {slowest:.1f} s (< 60 s)",
     )
     assert ok, line
 

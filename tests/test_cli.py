@@ -71,7 +71,9 @@ EMBED_FLAGS = {
     "--momentum-final": ("momentum_final", float, None, None),
     "--momentum-switch": ("momentum_switch_iter", int, None, None),
     "--n-iter": ("n_iter", int, None, None),
-    "--theta": ("bh_theta", float, None, "tree-force accuracy, 0 = exact"),
+    "--theta": (
+        "bh_theta", float, None, "0 = exact; the tree's opening angle where the tree runs"
+    ),
     "--gradient-mode": ("gradient_mode", str, ("paper", "exact"), None),
     "--seed": ("seed", int, None, None),
     "--perplexity-tol": ("perplexity_tol", float, None, None),

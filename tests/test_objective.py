@@ -8,6 +8,7 @@ import pytest
 from gtsne import objective
 from gtsne.affinity import AffinityModel, build_affinity_model
 from gtsne.core import Embedding, EmbedConfig
+from gtsne.datasets import gen_swiss_roll
 from gtsne.macro import MacroAffinity, kmeans_fit, macro_affinity, responsibility_matrix
 from gtsne.objective import (
     build_quadtree,
@@ -15,11 +16,13 @@ from gtsne.objective import (
     gradient_exact,
     loss,
 )
+from gtsne.optimizer import run
 
 from oracles import (
     build_quadtree_by_level,
     central_differences,
     dense_objective,
+    dense_repulsion,
     kmeans_loss_by_cluster,
     use_reference_sweeps,
 )
@@ -207,6 +210,21 @@ class TestQuadtree:
         norms = np.linalg.norm(g_ref, axis=1)
         assert (np.linalg.norm(g_tree - g_ref, axis=1) / norms).max() <= 1e-10
         assert abs(ws_tree.z_y - ws_ref.z_y) / ws_ref.z_y <= 1e-10
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_points_in_one_finest_cell_are_ordered_by_coordinates(self, dims):
+        # Thirteen points within 1e-12 of each other share a finest cell
+        # in random input order; the cell's leaves follow their coordinates.
+        rng = np.random.default_rng(dims)
+        y = rng.uniform(-0.5, 0.5, size=(40, dims))
+        y[28:] = y[5] + 1e-12 * rng.normal(size=(12, dims))
+        tree = build_quadtree(y)
+        cell = int(np.argmax(tree.n_child))
+        assert tree.n_child[cell] == 13
+        first = tree.first_child[cell]
+        com = tree.com[first : first + 13]
+        assert np.array_equal(np.lexsort(com.T[::-1]), np.arange(13))
+        assert sorted(map(tuple, com)) == sorted(map(tuple, y[[5, *range(28, 40)]]))
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
@@ -440,6 +458,8 @@ class TestReferenceSweeps:
     def test_gradient_and_normalizer_are_unchanged(
         self, monkeypatch, dims, theta, exaggeration, duplicates
     ):
+        # The comparison is of tree sweeps, so the grid stays out.
+        monkeypatch.setattr(objective, "_GRID_NODES_PER_POINT", 0)
         _, p, macro, y, cfg = make_problem(
             240, 6, 5, seed=dims, out_dims=dims, bh_theta=theta
         )
@@ -453,6 +473,91 @@ class TestReferenceSweeps:
         assert np.array_equal(g, g_ref)
         assert ws.z_y == ws_ref.z_y
         assert ws.loss_total == ws_ref.loss_total
+
+
+def relative_errors(force, zsum, y):
+    """Per-point force error and normalizer error against the dense sums."""
+    want_force, want_zsum = dense_repulsion(y)
+    err = np.linalg.norm(force - want_force, axis=1)
+    per_point = err / np.linalg.norm(want_force, axis=1)
+    return per_point, abs(zsum.sum() - want_zsum.sum()) / want_zsum.sum()
+
+
+class TestRepulsionEngines:
+    """gradient_bh runs the interpolation grid on 2-D maps with at most
+    _GRID_NODES_PER_POINT grid nodes per point, the tree otherwise."""
+
+    def engine(self, y, bh_theta=0.5):
+        n, dims = y.shape
+        _, p, macro, _, cfg = make_problem(
+            n, 4, 3, seed=n, out_dims=dims, bh_theta=bh_theta
+        )
+        return gradient_bh(y, p, macro, cfg)[1].z_estimator
+
+    def test_size_rule_picks_the_engine(self):
+        rng = np.random.default_rng(0)
+        assert self.engine(rng.uniform(0, 10, size=(1000, 2))) == "interpolation"
+        # 160 intervals of 3 nodes per axis: 256 nodes per point.
+        assert self.engine(rng.uniform(0, 80, size=(300, 2))) == "barnes_hut"
+        # Below 192 points even the floor of 16 intervals is too many.
+        assert self.engine(rng.uniform(0, 1, size=(191, 2))) == "barnes_hut"
+        assert self.engine(rng.uniform(0, 1, size=(192, 2))) == "interpolation"
+
+    def test_three_dimensional_maps_and_zero_angle_use_the_tree(self):
+        rng = np.random.default_rng(1)
+        y3 = rng.uniform(0, 1, size=(1000, 3))
+        assert self.engine(y3) == "barnes_hut"
+        y2 = rng.uniform(0, 10, size=(1000, 2))
+        assert self.engine(y2, bh_theta=0.0) == "barnes_hut"
+
+    def test_spread_map_is_no_worse_than_the_tree(self, monkeypatch):
+        # A swiss roll map after 100 iterations spans about 10 units.
+        data = gen_swiss_roll(n=1000, seed=3)
+        cfg = EmbedConfig(n_iter=100, seed=3)
+        emb, report = run(data, cfg, verbose=False)
+        y = emb.y
+        assert 8.0 < np.ptp(y, axis=0).max() < 12.0
+        assert {rec.z_estimator for rec in report.loss_trace} == {"interpolation"}
+        p, _ = build_affinity_model(data.x, n_neighbors=90, perplexity=cfg.perplexity)
+        macro = MacroAffinity(
+            r=np.full((2, len(y)), 0.5), p_macro=np.array([[0.0, 0.5], [0.5, 0.0]])
+        )
+        cfg = EmbedConfig(alpha=0.0, beta=0.0)
+        g_exact, ws_exact = gradient_exact(y, p, macro, cfg)
+        g_grid, ws_grid = gradient_bh(y, p, macro, cfg)
+        monkeypatch.setattr(objective, "_GRID_NODES_PER_POINT", 0)
+        g_tree, ws_tree = gradient_bh(y, p, macro, cfg)
+        assert (ws_grid.z_estimator, ws_tree.z_estimator) == ("interpolation", "barnes_hut")
+        norms = np.linalg.norm(g_exact, axis=1)
+        grid = np.linalg.norm(g_grid - g_exact, axis=1) / norms
+        tree = np.linalg.norm(g_tree - g_exact, axis=1) / norms
+        assert np.median(grid) <= np.median(tree)
+        assert np.quantile(grid, 0.99) <= np.quantile(tree, 0.99)
+        assert abs(ws_grid.z_y - ws_exact.z_y) / ws_exact.z_y < 1e-3
+
+    def test_coincident_points(self):
+        y = np.tile([0.3, -0.7], (300, 1))
+        force, zsum, engine = objective._repulsion(y, 0.5)
+        assert engine == "interpolation"
+        assert np.array_equal(force, np.zeros_like(y))
+        np.testing.assert_allclose(zsum, 299.0, rtol=1e-5)
+
+    def test_points_on_the_far_edge(self):
+        rng = np.random.default_rng(2)
+        y = rng.uniform(0, 10, size=(1000, 2))
+        y[:4] = [[0.0, 0.0], [10.0, 10.0], [10.0, 3.0], [4.0, 10.0]]
+        force, zsum, engine = objective._repulsion(y, 0.5)
+        assert engine == "interpolation"
+        per_point, z_err = relative_errors(force, zsum, y)
+        assert per_point[:4].max() < 1e-2 and z_err < 1e-3
+
+    @pytest.mark.parametrize("gap", [1e-3, 1.0, 7.0])
+    def test_two_points(self, gap):
+        y = np.array([[0.5, 0.25], [0.5 + gap, 0.25 - gap]])
+        force, zsum = objective._grid_forces(y, 16)
+        per_point, z_err = relative_errors(force, zsum, y)
+        assert per_point.max() < 1e-2 and z_err < 1e-3
+        np.testing.assert_allclose(force[0], -force[1], rtol=1e-12)
 
 
 class TestLazyLosses:

@@ -196,6 +196,7 @@ class TestRun:
         last = report.loss_trace[-1]
         assert last.iteration == report.iterations_run
         assert last.max_update == 0.0
+        # 120 points are too few for the grid's floor of 16 intervals.
         assert last.z_estimator == "barnes_hut"
 
     def test_logging_cadence(self, result):
