@@ -89,7 +89,7 @@ class EmbedConfig:
     """All knobs of one embedding run.
 
     pca_dims and n_neighbors may be left as None and are then filled in by
-    resolve_config once the data shape is known (min(50, D) and
+    resolve_config once the data shape is known (min(50, D, n) and
     3 * perplexity respectively). Each field is one 'key = value' line of
     a config file, parsed by its annotation, and one `embed` flag, '--'
     plus the name with dashes unless its metadata says otherwise.
@@ -211,7 +211,7 @@ def resolve_config(cfg: EmbedConfig, n: int, d_in: int) -> EmbedConfig:
     """Fill data-dependent defaults from the dataset shape.
 
     n_neighbors defaults to 3 * perplexity (capped at n - 1), pca_dims to
-    min(50, d_in). Explicitly set fields are never touched; in particular
+    min(50, d_in, n). Explicitly set fields are never touched; in particular
     an oversized n_clusters stays as given and is reported by
     validate_config rather than silently adjusted.
     """
@@ -219,7 +219,7 @@ def resolve_config(cfg: EmbedConfig, n: int, d_in: int) -> EmbedConfig:
     if cfg.n_neighbors is None:
         updates["n_neighbors"] = max(1, min(int(round(3 * cfg.perplexity)), n - 1))
     if cfg.pca_dims is None:
-        updates["pca_dims"] = max(1, min(50, d_in))
+        updates["pca_dims"] = max(1, min(50, d_in, n))
     return replace(cfg, **updates) if updates else cfg
 
 
@@ -244,6 +244,7 @@ def validate_config(cfg: EmbedConfig, n: int, d_in: int) -> list[str]:
     want(cfg.n_clusters <= n, f"n_clusters={cfg.n_clusters}: must be <= n={n}")
     want(cfg.pca_dims >= 1, f"pca_dims={cfg.pca_dims}: must be positive")
     want(cfg.pca_dims <= d_in, f"pca_dims={cfg.pca_dims}: must be <= input dim {d_in}")
+    want(cfg.pca_dims <= n, f"pca_dims={cfg.pca_dims}: must be <= n={n}")
     want(
         cfg.out_dims in (2, 3),
         f"out_dims={cfg.out_dims}: map dimension must be 2 or 3 (repulsion engines)",
@@ -338,14 +339,3 @@ class RunReport:
     unconverged_rows: list  # rows whose perplexity search missed the tolerance
     iterations_run: int
     stop_reason: str
-
-
-def center_columns(x: np.ndarray):
-    """Subtract column means. Returns (centered, means)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 1:
-        raise ValueError("x must be a nonempty 2-D matrix")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x contains non-finite entries")
-    means = x.mean(axis=0)
-    return x - means, means

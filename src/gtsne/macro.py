@@ -32,6 +32,16 @@ def pairwise_sq_dists(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> np.ndar
     return out
 
 
+def student_t_kernel(points: np.ndarray):
+    """Heavy-tailed kernel 1 / (1 + |a - b|^2) between all rows of points.
+
+    Returns the (m, m) kernel with a zero diagonal and its sum.
+    """
+    kern = 1.0 / (1.0 + pairwise_sq_dists(points, points))
+    np.fill_diagonal(kern, 0.0)
+    return kern, float(kern.sum())
+
+
 @dataclass
 class CentroidModel:
     """Fitted k-means state on the reduced coordinates."""
@@ -147,9 +157,8 @@ def macro_affinity(t: np.ndarray) -> np.ndarray:
     t = np.asarray(t, dtype=np.float64)
     if t.ndim != 2 or len(t) < 2:
         raise ValueError("need at least 2 centroids")
-    kern = 1.0 / (1.0 + pairwise_sq_dists(t, t))
-    np.fill_diagonal(kern, 0.0)
-    return kern / kern.sum()
+    kern, total = student_t_kernel(t)
+    return kern / total
 
 
 @dataclass

@@ -28,7 +28,7 @@ import numpy as np
 
 from .affinity import AffinityModel
 from .core import Embedding, EmbedConfig, GRADIENT_MODES
-from .macro import MacroAffinity, pairwise_sq_dists
+from .macro import MacroAffinity, student_t_kernel
 
 Q_FLOOR = 1e-300  # clamp for underflowed map affinities inside logs
 _LOG_Q_FLOOR = np.log(Q_FLOOR)
@@ -365,18 +365,10 @@ def _as_y(y) -> np.ndarray:
     return y.y if isinstance(y, Embedding) else np.asarray(y, dtype=np.float64)
 
 
-def _dense_map_kernel(y: np.ndarray):
-    kern = 1.0 / (1.0 + pairwise_sq_dists(y, y))
-    np.fill_diagonal(kern, 0.0)
-    return kern, float(kern.sum())
-
-
 def _macro_state(y: np.ndarray, macro: MacroAffinity):
     """Map centroids and their affinity distribution."""
     c = (macro.r @ y) / macro.masses[:, None]
-    kern = 1.0 / (1.0 + pairwise_sq_dists(c, c))
-    np.fill_diagonal(kern, 0.0)
-    z_c = float(kern.sum())
+    kern, z_c = student_t_kernel(c)
     q_macro = kern / z_c if z_c > 0.0 else np.zeros_like(kern)
     return c, kern, q_macro
 
@@ -400,31 +392,19 @@ def _kmeans_gradient(y, macro, c, beta):
     return (2.0 * beta / len(y)) * (y - macro.r.T @ c)
 
 
-def _micro_loss(val: np.ndarray, pair_kern: np.ndarray, z_y: float):
-    """KL part between P and the map distribution.
+def _clamped_kl(p: np.ndarray, kern: np.ndarray, z: float):
+    """KL(p || kern / z) over the entries where p is positive.
 
-    val and pair_kern hold P and the map kernel on P's stored pairs; each
-    pair counts once in each direction. Map affinities below Q_FLOOR are
-    clamped inside the log; the second return value reports whether that
-    happened.
+    Map affinities below Q_FLOOR (all of them when z <= 0) are clamped
+    inside the log; the second return value reports whether that happened.
     """
-    mask = val > 0
-    v = val[mask]
+    mask = p > 0
+    v = p[mask]
     with np.errstate(divide="ignore"):
-        log_q = np.log(pair_kern[mask]) - np.log(z_y)
+        log_q = np.log(kern[mask]) - np.log(z) if z > 0 else np.full(v.shape, -np.inf)
     clamped = bool(np.any(log_q < _LOG_Q_FLOOR))
     log_q = np.maximum(log_q, _LOG_Q_FLOOR)
-    return 2.0 * float(v @ (np.log(v) - log_q)), clamped
-
-
-def _macro_loss(p_macro: np.ndarray, kern: np.ndarray, z_c: float):
-    mask = p_macro > 0
-    pm = p_macro[mask]
-    with np.errstate(divide="ignore"):
-        log_qm = np.log(kern[mask]) - np.log(z_c) if z_c > 0 else np.full(pm.shape, -np.inf)
-    clamped = bool(np.any(log_qm < _LOG_Q_FLOOR))
-    log_qm = np.maximum(log_qm, _LOG_Q_FLOOR)
-    return float(pm @ (np.log(pm) - log_qm)), clamped
+    return float(v @ (np.log(v) - log_q)), clamped
 
 
 def _kmeans_loss(y: np.ndarray, r: np.ndarray, c: np.ndarray) -> float:
@@ -446,8 +426,10 @@ class Losses(NamedTuple):
 
 def _evaluate_losses(y, val, pair_kern, z_y, macro, centroid_kern, c, alpha, beta):
     """The objective's parts from one evaluation's byproducts."""
-    l_micro, clamped_micro = _micro_loss(val, pair_kern, z_y)
-    l_macro, clamped_macro = _macro_loss(
+    # P's pairs are stored once, and each counts in both directions.
+    kl_micro, clamped_micro = _clamped_kl(val, pair_kern, z_y)
+    l_micro = 2.0 * kl_micro
+    l_macro, clamped_macro = _clamped_kl(
         macro.p_macro, centroid_kern, float(centroid_kern.sum())
     )
     l_kmeans = _kmeans_loss(y, macro.r, c)
@@ -490,7 +472,7 @@ def loss(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
     """
     y = _as_y(y)
     _check_inputs(y, p, macro)
-    _, z_y = _dense_map_kernel(y)
+    _, z_y = student_t_kernel(y)
     _, pair_kern = _attraction(y, p)
     c, centroid_kern, _ = _macro_state(y, macro)
     parts = _evaluate_losses(
@@ -517,7 +499,7 @@ def gradient_exact(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
         raise ValueError(f"unknown gradient_mode {cfg.gradient_mode!r}")
     y = _as_y(y)
     _check_inputs(y, p, macro)
-    kern, z_y = _dense_map_kernel(y)
+    kern, z_y = student_t_kernel(y)
     z_y = max(z_y, Q_FLOOR)
     att, pair_kern = _attraction(y, p)
     sq = kern * kern

@@ -2,8 +2,9 @@
 
 The macro model (k-means centroids and responsibilities) works on a
 d_z-dimensional spectral projection z of the input rather than on raw
-coordinates. Columns are mean-centered by default; centering can be turned
-off to project against the raw second-moment matrix instead.
+coordinates. The projection comes from one thin SVD of the data matrix.
+Columns are mean-centered by default; centering can be turned off to
+project against the raw second-moment matrix instead.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, center_columns
+from .core import Dataset
 
 
 @dataclass(frozen=True)
@@ -36,7 +37,7 @@ class PcaEmbedding:
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
-    # Eigenvectors are only defined up to sign; pin each column so its
+    # Singular vectors are only defined up to sign; pin each column so its
     # largest-magnitude entry is positive to make runs reproducible.
     flipped = components.copy()
     for j in range(flipped.shape[1]):
@@ -46,57 +47,28 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
     return flipped
 
 
-def pca_fit(data, d_z: int, center: bool = True, method: str = "auto") -> PcaEmbedding:
+def pca_fit(data, d_z: int, center: bool = True) -> PcaEmbedding:
     """Project data onto its top d_z variance directions.
 
-    data may be a Dataset or a plain (n, d_in) matrix. When d_in <= n the
-    d_in x d_in covariance is decomposed directly; otherwise the n x n Gram
-    matrix is used and eigenvectors are mapped back. method forces one of
-    the two routes ("cov" or "gram") which must agree; "auto" picks by
-    shape. The Gram route only recovers directions with nonzero variance,
-    so it requires d_z <= n and full numerical rank on the kept block.
+    data may be a Dataset or a plain (n, d_in) matrix. The components are
+    the first d_z right singular vectors of the (centered) data, so they
+    are orthonormal even where the data has lower rank; the eigenvalues
+    are the squared singular values over n. A thin SVD has min(n, d_in)
+    directions, so d_z must lie in [1, min(n, d_in)].
     """
     x = data.x if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("data must be a 2-D matrix")
     n, d_in = x.shape
-    if not (1 <= d_z <= d_in):
-        raise ValueError(f"d_z={d_z} must lie in [1, {d_in}]")
+    if not (1 <= d_z <= min(n, d_in)):
+        raise ValueError(f"d_z={d_z} must lie in [1, min(n={n}, d_in={d_in})]")
     if not np.all(np.isfinite(x)):
         raise ValueError("data contains non-finite entries")
-    if method not in ("auto", "cov", "gram"):
-        raise ValueError(f"unknown method {method!r}")
 
-    if center:
-        xc, means = center_columns(x)
-    else:
-        xc, means = x, np.zeros(d_in)
-
-    if method == "auto":
-        method = "cov" if d_in <= n else "gram"
-
-    if method == "cov":
-        cov = (xc.T @ xc) / n
-        evals, evecs = np.linalg.eigh(cov)
-        evals = evals[::-1][:d_z]
-        components = evecs[:, ::-1][:, :d_z]
-    else:
-        if d_z > n:
-            raise ValueError(
-                f"gram route cannot recover d_z={d_z} directions from n={n} rows"
-            )
-        gram = (xc @ xc.T) / n
-        gvals, gvecs = np.linalg.eigh(gram)
-        evals = gvals[::-1][:d_z]
-        top = gvecs[:, ::-1][:, :d_z]
-        scale = n * np.clip(evals, 0.0, None)
-        if np.any(scale <= 0):
-            raise ValueError(
-                "gram route hit a zero-variance direction; lower d_z or use method='cov'"
-            )
-        components = (xc.T @ top) / np.sqrt(scale)
-
-    evals = np.clip(evals, 0.0, None)
-    components = _fix_signs(np.ascontiguousarray(components))
+    means = x.mean(axis=0) if center else np.zeros(d_in)
+    xc = x - means
+    _, s, vt = np.linalg.svd(xc, full_matrices=False)
+    components = _fix_signs(vt[:d_z].T)
     z = xc @ components
+    evals = s[:d_z] ** 2 / n
     return PcaEmbedding(z=z, components=components, eigenvalues=evals, means=means)

@@ -7,7 +7,6 @@ import pytest
 
 from gtsne import ConfigError, Dataset, EmbedConfig, Embedding, resolve_config
 from gtsne.core import (
-    center_columns,
     check_config,
     config_to_text,
     parse_config_items,
@@ -161,6 +160,7 @@ class TestResolve:
     def test_pca_default_is_min_50_d(self):
         assert resolve_config(EmbedConfig(), n=100, d_in=3).pca_dims == 3
         assert resolve_config(EmbedConfig(), n=1000, d_in=80).pca_dims == 50
+        assert resolve_config(EmbedConfig(), n=30, d_in=100).pca_dims == 30
 
     def test_explicit_values_kept(self):
         cfg = resolve_config(
@@ -207,28 +207,14 @@ class TestValidate:
         with pytest.raises(ConfigError) as exc:
             check_config(EmbedConfig(n_clusters=1), n=100, d_in=5)
         assert any("n_clusters" in v for v in exc.value.violations)
+        # a reduction wider than the point count fails here, not in pca_fit
+        cfg = EmbedConfig(pca_dims=40, n_clusters=5, perplexity=5.0)
+        with pytest.raises(ConfigError) as exc:
+            check_config(cfg, n=30, d_in=100)
+        assert exc.value.violations == ["pca_dims=40: must be <= n=30"]
 
     def test_check_config_returns_resolved(self):
         cfg = check_config(EmbedConfig(), n=2100, d_in=3)
         assert cfg.pca_dims == 3
         assert cfg.n_neighbors == 90
 
-
-class TestCenterColumns:
-    def test_zero_matrix_unchanged(self):
-        centered, means = center_columns(np.zeros((4, 3)))
-        assert np.all(centered == 0) and np.all(means == 0)
-
-    def test_single_row_centers_to_zero(self):
-        centered, means = center_columns(np.array([[2.0, -3.0, 7.0]]))
-        assert np.all(centered == 0)
-        assert np.array_equal(means, [2.0, -3.0, 7.0])
-
-    def test_two_row_hand_case(self):
-        centered, means = center_columns(np.array([[1.0, 2.0], [3.0, 4.0]]))
-        assert np.array_equal(centered, [[-1.0, -1.0], [1.0, 1.0]])
-        assert np.array_equal(means, [2.0, 3.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError, match="non-finite"):
-            center_columns(np.array([[1.0, np.inf]]))

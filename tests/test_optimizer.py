@@ -8,7 +8,7 @@ import pytest
 
 from gtsne import objective, optimizer
 from gtsne.affinity import build_affinity_model
-from gtsne.core import EmbedConfig
+from gtsne.core import Dataset, EmbedConfig
 from gtsne.datasets import gen_blobs
 from gtsne.objective import gradient_bh
 from gtsne.optimizer import (
@@ -321,6 +321,15 @@ class TestRun:
             emb_ref, report_ref = run(small_blobs(), cfg, verbose=False)
         assert np.array_equal(emb.y, emb_ref.y)
         assert report.iterations_run == report_ref.iterations_run
+
+    def test_fewer_points_than_default_reduction_width(self):
+        # 30 points in 100-D: the reduction defaults to 30 directions,
+        # one per point, instead of 50.
+        x = np.random.default_rng(0).normal(size=(30, 100))
+        cfg = EmbedConfig(n_clusters=5, perplexity=5.0, n_iter=3)
+        emb, report = run(Dataset(x=x), cfg, verbose=False)
+        assert report.config.pca_dims == 30
+        assert emb.y.shape == (30, 2) and np.all(np.isfinite(emb.y))
 
     def test_verbose_progress_goes_to_stderr(self, capsys):
         cfg = dataclasses.replace(SMALL_CFG, n_iter=2, log_every=1)

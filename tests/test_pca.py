@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gtsne import Dataset, pca_fit
+from gtsne import Dataset, ThreeLinesSpec, gen_three_lines, pca_fit
 
 
 def _axis_variance_data():
@@ -50,11 +50,14 @@ def test_embedded_line_concentrates_variance():
 
 def test_matches_independent_dense_eigensolver():
     rng = np.random.default_rng(7)
-    x = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 5))
-    red = pca_fit(x, d_z=5)
-    xc = x - x.mean(axis=0)
-    ref_vals = np.sort(np.linalg.eigvalsh((xc.T @ xc) / len(x)))[::-1]
-    np.testing.assert_allclose(red.eigenvalues, ref_vals, rtol=1e-10, atol=1e-12)
+    tall = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 5))
+    # More dimensions than points: 10 points in 40-D.
+    wide = np.random.default_rng(6).normal(size=(10, 40))
+    for x, d_z in ((tall, 5), (wide, 4)):
+        red = pca_fit(x, d_z=d_z)
+        xc = x - x.mean(axis=0)
+        ref_vals = np.sort(np.linalg.eigvalsh((xc.T @ xc) / len(x)))[::-1][:d_z]
+        np.testing.assert_allclose(red.eigenvalues, ref_vals, rtol=1e-10, atol=1e-12)
 
 
 def test_components_orthonormal():
@@ -63,6 +66,13 @@ def test_components_orthonormal():
     red = pca_fit(x, d_z=5)
     gram = red.components.T @ red.components
     np.testing.assert_allclose(gram, np.eye(5), atol=1e-8)
+    # n=90 points in 200-D whose centered rank is 30: directions 31-50
+    # carry no variance but must still be orthonormal basis columns.
+    wide = gen_three_lines(ThreeLinesSpec(n_s=30, dims=200)).x
+    red = pca_fit(wide, d_z=50)
+    gram = red.components.T @ red.components
+    np.testing.assert_allclose(gram, np.eye(50), atol=1e-8)
+    assert np.all(red.eigenvalues[30:] < 1e-8 * red.eigenvalues[0])
 
 
 def test_eigenvalues_sorted_and_nonnegative():
@@ -71,23 +81,6 @@ def test_eigenvalues_sorted_and_nonnegative():
     red = pca_fit(x, d_z=6)
     assert np.all(np.diff(red.eigenvalues) <= 1e-12)
     assert np.all(red.eigenvalues >= 0)
-
-
-def test_cov_and_gram_routes_agree():
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(30, 8))
-    a = pca_fit(x, d_z=5, method="cov")
-    b = pca_fit(x, d_z=5, method="gram")
-    np.testing.assert_allclose(a.z, b.z, rtol=1e-7, atol=1e-7)
-    np.testing.assert_allclose(a.eigenvalues, b.eigenvalues, rtol=1e-7, atol=1e-9)
-
-
-def test_wide_matrix_auto_uses_gram():
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(10, 40))
-    auto = pca_fit(x, d_z=4)
-    forced = pca_fit(x, d_z=4, method="cov")
-    np.testing.assert_allclose(auto.z, forced.z, rtol=1e-7, atol=1e-7)
 
 
 def test_sign_convention_deterministic():
@@ -122,17 +115,8 @@ def test_rejects_bad_width():
         pca_fit(np.ones((5, 3)), d_z=4)
     with pytest.raises(ValueError, match="d_z"):
         pca_fit(np.ones((5, 3)), d_z=0)
-
-
-def test_gram_route_needs_enough_rows():
-    rng = np.random.default_rng(8)
-    x = rng.normal(size=(3, 10))
-    with pytest.raises(ValueError, match="gram route"):
-        pca_fit(x, d_z=5, method="gram")
-
-
-def test_gram_route_rejects_zero_variance_direction():
-    x = np.zeros((4, 10))
-    x[:, 0] = [1.0, 2.0, 3.0, 4.0]
-    with pytest.raises(ValueError, match="zero-variance"):
-        pca_fit(x, d_z=3, method="gram")
+    # more directions than rows
+    with pytest.raises(ValueError, match="d_z"):
+        pca_fit(np.random.default_rng(8).normal(size=(3, 10)), d_z=5)
+    with pytest.raises(ValueError, match="non-finite"):
+        pca_fit(np.array([[1.0, 2.0], [3.0, np.inf]]), d_z=1)
