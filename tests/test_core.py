@@ -5,7 +5,14 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from gtsne import ConfigError, Dataset, EmbedConfig, Embedding, resolve_config
+from gtsne import (
+    ConfigError,
+    Dataset,
+    EmbedConfig,
+    Embedding,
+    pca_fit,
+    resolve_config,
+)
 from gtsne.core import (
     check_config,
     config_to_text,
@@ -218,3 +225,9 @@ class TestValidate:
         assert cfg.pca_dims == 3
         assert cfg.n_neighbors == 90
 
+
+class TestCenterColumns:
+    # Column centring happens inside pca_fit, which guards its input.
+    def test_rejects_non_finite(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            pca_fit(np.array([[1.0, 2.0], [3.0, np.inf]]), d_z=1)

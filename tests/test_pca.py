@@ -50,14 +50,22 @@ def test_embedded_line_concentrates_variance():
 
 def test_matches_independent_dense_eigensolver():
     rng = np.random.default_rng(7)
-    tall = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 5))
-    # More dimensions than points: 10 points in 40-D.
-    wide = np.random.default_rng(6).normal(size=(10, 40))
-    for x, d_z in ((tall, 5), (wide, 4)):
-        red = pca_fit(x, d_z=d_z)
-        xc = x - x.mean(axis=0)
-        ref_vals = np.sort(np.linalg.eigvalsh((xc.T @ xc) / len(x)))[::-1][:d_z]
-        np.testing.assert_allclose(red.eigenvalues, ref_vals, rtol=1e-10, atol=1e-12)
+    x = rng.normal(size=(60, 5)) @ rng.normal(size=(5, 5))
+    red = pca_fit(x, d_z=5)
+    xc = x - x.mean(axis=0)
+    ref_vals = np.sort(np.linalg.eigvalsh((xc.T @ xc) / len(x)))[::-1]
+    np.testing.assert_allclose(red.eigenvalues, ref_vals, rtol=1e-10, atol=1e-12)
+
+
+def test_wide_matrix_auto_uses_gram():
+    # More dimensions than points: 10 points in 40-D. (The name dates from
+    # a separate Gram route for wide inputs; the one SVD now covers them.)
+    x = np.random.default_rng(6).normal(size=(10, 40))
+    red = pca_fit(x, d_z=4)
+    xc = x - x.mean(axis=0)
+    ref_vals = np.sort(np.linalg.eigvalsh((xc.T @ xc) / len(x)))[::-1][:4]
+    np.testing.assert_allclose(red.eigenvalues, ref_vals, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(red.z, xc @ red.components, rtol=1e-12, atol=1e-12)
 
 
 def test_components_orthonormal():
@@ -115,8 +123,10 @@ def test_rejects_bad_width():
         pca_fit(np.ones((5, 3)), d_z=4)
     with pytest.raises(ValueError, match="d_z"):
         pca_fit(np.ones((5, 3)), d_z=0)
-    # more directions than rows
-    with pytest.raises(ValueError, match="d_z"):
-        pca_fit(np.random.default_rng(8).normal(size=(3, 10)), d_z=5)
-    with pytest.raises(ValueError, match="non-finite"):
-        pca_fit(np.array([[1.0, 2.0], [3.0, np.inf]]), d_z=1)
+
+
+def test_gram_route_needs_enough_rows():
+    # A thin SVD of 3 rows has 3 directions, so d_z=5 is rejected.
+    x = np.random.default_rng(8).normal(size=(3, 10))
+    with pytest.raises(ValueError, match="d_z=5"):
+        pca_fit(x, d_z=5)
