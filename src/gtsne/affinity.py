@@ -277,10 +277,6 @@ class AffinityModel:
         """Both ends of every stored pair, rows then cols, for scatters."""
         return np.concatenate([self.row, self.col])
 
-    def scaled(self, factor: float) -> "AffinityModel":
-        """Copy with every entry multiplied by factor (early exaggeration)."""
-        return AffinityModel(row=self.row, col=self.col, val=self.val * factor, n=self.n)
-
     def dense(self) -> np.ndarray:
         """Materialize the full symmetric matrix (small-n debugging)."""
         p = np.zeros((self.n, self.n))

@@ -82,14 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
         "kind", choices=("three-lines", "blobs", "sphere", "swiss-roll")
     )
     g.add_argument("-o", "--output", required=True)
-    g.add_argument("--seed", type=int, default=0)
+    # Unset flags take the generator's own defaults; each kind ignores the
+    # flags of the others.
+    g.add_argument("--seed", type=int)
     g.add_argument("--n", type=int, help="total points (blobs, sphere, swiss-roll)")
-    g.add_argument("--ns", type=int, default=700, help="points per line (three-lines)")
+    g.add_argument("--ns", type=int, help="points per line (three-lines)")
     g.add_argument("--dims", type=int, help="input dimension (three-lines, blobs)")
-    g.add_argument("--velocity-std", type=float, default=6.0)
-    g.add_argument("--classes", type=int, default=5, help="blob count")
-    g.add_argument("--cluster-std", type=float, default=1.0)
-    g.add_argument("--noise", type=float, default=0.0, help="swiss-roll noise stddev")
+    g.add_argument("--velocity-std", type=float, help="step stddev (three-lines)")
+    g.add_argument("--classes", type=int, help="blob count")
+    g.add_argument("--cluster-std", type=float, help="blob stddev")
+    g.add_argument("--noise", type=float, help="swiss-roll noise stddev")
     g.set_defaults(func=cmd_generate)
 
     e = sub.add_parser("embed", help="embed a CSV dataset")
@@ -119,10 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plot", help="render an embedding CSV to SVG")
     p.add_argument("-y", "--embedding", required=True)
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--width", type=float, default=800.0)
-    p.add_argument("--height", type=float, default=800.0)
-    p.add_argument("--radius", type=float, default=3.0)
-    p.add_argument("--margin", type=float, default=0.05)
+    # Unset flags take PlotSpec's defaults.
+    p.add_argument("--width", type=float)
+    p.add_argument("--height", type=float)
+    p.add_argument("--radius", type=float)
+    p.add_argument("--margin", type=float)
     p.set_defaults(func=cmd_plot)
 
     return parser
@@ -137,31 +140,25 @@ def _read_points(path, label_col=None):
     )
 
 
+def _given(**values) -> dict:
+    """The keyword arguments whose flags were passed (not None)."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def cmd_generate(args) -> int:
     if args.kind == "three-lines":
-        spec = ThreeLinesSpec(
-            n_s=args.ns,
-            dims=args.dims if args.dims is not None else 3,
-            velocity_std=args.velocity_std,
-            seed=args.seed,
-        )
-        ds = gen_three_lines(spec)
+        ds = gen_three_lines(ThreeLinesSpec(**_given(
+            n_s=args.ns, dims=args.dims, velocity_std=args.velocity_std, seed=args.seed
+        )))
     elif args.kind == "blobs":
-        ds = gen_blobs(
-            n=args.n if args.n is not None else 500,
-            dims=args.dims if args.dims is not None else 10,
-            n_classes=args.classes,
-            seed=args.seed,
+        ds = gen_blobs(**_given(
+            n=args.n, dims=args.dims, n_classes=args.classes, seed=args.seed,
             cluster_std=args.cluster_std,
-        )
+        ))
     elif args.kind == "sphere":
-        ds = gen_sphere(n=args.n if args.n is not None else 600, seed=args.seed)
+        ds = gen_sphere(**_given(n=args.n, seed=args.seed))
     else:
-        ds = gen_swiss_roll(
-            n=args.n if args.n is not None else 1000,
-            noise=args.noise,
-            seed=args.seed,
-        )
+        ds = gen_swiss_roll(**_given(n=args.n, noise=args.noise, seed=args.seed))
     write_csv(ds, args.output)
     return 0
 
@@ -197,11 +194,15 @@ def _write_report(report, path) -> None:
         if report.unconverged_rows:
             ids = ",".join(str(i) for i in report.unconverged_rows)
             fh.write(f"# unconverged_rows = {ids}\n")
-        fh.write("iteration,loss,micro,macro,kmeans,gamma,z_estimator,max_update\n")
+        fh.write(
+            "iteration,loss,micro,macro,kmeans,gamma,z_estimator,max_update,"
+            "underflow_clamped\n"
+        )
         for rec in report.loss_trace:
             fh.write(
                 f"{rec.iteration},{rec.total!r},{rec.micro!r},{rec.macro!r},"
-                f"{rec.kmeans!r},{rec.gamma!r},{rec.z_estimator},{rec.max_update!r}\n"
+                f"{rec.kmeans!r},{rec.gamma!r},{rec.z_estimator},{rec.max_update!r},"
+                f"{int(rec.underflow_clamped)}\n"
             )
 
 
@@ -226,10 +227,8 @@ def cmd_evaluate(args) -> int:
 
     # The macro model is rebuilt as embed builds it: unset widths take
     # embed's defaults.
-    given = {"n_clusters": args.clusters, "pca_dims": args.pca_dims}
-    cfg = resolve_config(
-        EmbedConfig(**{k: v for k, v in given.items() if v is not None}), n, x.dim
-    )
+    given = _given(n_clusters=args.clusters, pca_dims=args.pca_dims)
+    cfg = resolve_config(EmbedConfig(**given), n, x.dim)
     d_z = cfg.pca_dims
     out_dims = y.x.shape[1]
     if d_z <= out_dims:
@@ -258,12 +257,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_plot(args) -> int:
     y = _read_points(args.embedding)
-    spec = PlotSpec(
-        width=args.width,
-        height=args.height,
-        point_radius=args.radius,
-        margin=args.margin,
-    )
+    spec = PlotSpec(**_given(
+        width=args.width, height=args.height, point_radius=args.radius, margin=args.margin
+    ))
     render_svg(y.x, args.output, labels=y.labels, spec=spec)
     return 0
 

@@ -19,8 +19,9 @@ GRADIENT_MODES = ("paper", "exact")
 class Dataset:
     """N points in R^D with optional integer class labels.
 
-    x is coerced to a float64 matrix. Invariants: N >= 2, D >= 1, all
-    entries finite, labels (when present) one per row.
+    x is coerced to a float64 matrix and labels to int64; float labels must
+    be whole numbers. Invariants: N >= 2, D >= 1, all entries finite,
+    labels (when present) one per row.
     """
 
     x: np.ndarray
@@ -39,7 +40,13 @@ class Dataset:
             raise ValueError("x contains non-finite entries")
         object.__setattr__(self, "x", x)
         if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=np.int64)
+            labels = np.asarray(self.labels)
+            if labels.dtype.kind == "f":
+                whole = (np.abs(labels) < 2.0**63) & (labels == np.trunc(labels))
+                if not np.all(whole):
+                    bad = labels[~whole][:3].tolist()
+                    raise ValueError(f"labels must be integers, got {bad}")
+            labels = labels.astype(np.int64)
             if labels.shape != (x.shape[0],):
                 raise ValueError(
                     f"labels must have length {x.shape[0]}, got shape {labels.shape}"
@@ -114,7 +121,7 @@ class EmbedConfig:
     seed: int = 0
     perplexity_tol: float = 1e-5      # calibration tolerance on 2^H
     init_stddev: float = 1e-2         # spread of the random initial map
-    early_exaggeration: float = 1.0   # multiplier on P, 1.0 disables
+    early_exaggeration: float = 1.0   # multiplier on the attraction, 1.0 disables
     early_exaggeration_iter: int = 250
     pca_center: bool = _knob(
         True, flag="--pca-no-center",
@@ -314,7 +321,8 @@ class LossRecord:
     total always equals micro + alpha * macro + beta * kmeans for the run's
     weights; z_estimator names the engine whose normalizer estimate
     produced the micro term: exact, interpolation (the 2-D grid) or
-    barnes_hut (the tree).
+    barnes_hut (the tree). underflow_clamped is set when a map affinity
+    fell below the log clamp, so a KL part is a lower bound, not exact.
     """
 
     iteration: int
@@ -325,6 +333,7 @@ class LossRecord:
     gamma: float
     z_estimator: str
     max_update: float
+    underflow_clamped: bool
 
 
 @dataclass

@@ -437,16 +437,17 @@ def _evaluate_losses(y, val, pair_kern, z_y, macro, centroid_kern, c, alpha, bet
     return Losses(total, l_micro, l_macro, l_kmeans, clamped_micro or clamped_macro)
 
 
-def _attraction(y: np.ndarray, p: AffinityModel):
+def _attraction(y: np.ndarray, p: AffinityModel, exaggeration: float = 1.0):
     """Exact sparse attractive force and the map kernel on P's pairs.
 
-    Each stored pair is evaluated once; its force reaches both ends with
-    opposite signs through one scatter over p.ends.
+    Each stored pair is evaluated once, weighted by its affinity times
+    exaggeration; its force reaches both ends with opposite signs through
+    one scatter over p.ends.
     """
     n, d = y.shape
     diff = y.take(p.row, axis=0) - y.take(p.col, axis=0)
     pair_kern = 1.0 / (1.0 + np.einsum("ij,ij->i", diff, diff))
-    w = p.val * pair_kern
+    w = p.val * exaggeration * pair_kern
     att = np.empty((n, d))
     for ax in range(d):
         wd = w * diff[:, ax]
@@ -508,7 +509,7 @@ def gradient_exact(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
 
 
 def gradient_bh(
-    y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig, loss_p=None
+    y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig, exaggeration=1.0
 ):
     """Fast gradient. Returns (g, GradientWorkspace).
 
@@ -518,21 +519,17 @@ def gradient_bh(
     _GRID_NODES_PER_POINT grid nodes per point, the Barnes-Hut tree with
     opening angle cfg.bh_theta otherwise (0 recovers the exact sums).
     Attraction, centroid, and k-means terms are exact. The map must be
-    2-D or 3-D. The workspace's
-    losses are measured against loss_p when given, a P with p's pairs:
-    under early exaggeration p is the scaled P, and the plain P gives
-    the objective's value.
+    2-D or 3-D. Early exaggeration is a factor on the attraction only;
+    the workspace's losses are always measured on p itself.
     """
     if cfg.gradient_mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient_mode {cfg.gradient_mode!r}")
+    if not (math.isfinite(exaggeration) and exaggeration >= 0.0):
+        raise ValueError(f"exaggeration={exaggeration}: must be finite and nonnegative")
     y = _as_y(y)
     _check_inputs(y, p, macro)
     force, zsum, estimator = _repulsion(y, cfg.bh_theta)
     z_y = max(float(zsum.sum()), Q_FLOOR)
-    att, pair_kern = _attraction(y, p)
+    att, pair_kern = _attraction(y, p, exaggeration)
     rep = force / z_y
-    if loss_p is None:
-        loss_p = p
-    elif not (np.array_equal(loss_p.row, p.row) and np.array_equal(loss_p.col, p.col)):
-        raise ValueError("loss_p must have the same pairs as p")
-    return _assemble(y, loss_p, macro, cfg, att, rep, z_y, pair_kern, estimator)
+    return _assemble(y, p, macro, cfg, att, rep, z_y, pair_kern, estimator)

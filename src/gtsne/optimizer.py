@@ -95,7 +95,9 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
     responsibilities and centroid affinities, exact neighbor search plus
     perplexity calibration, then n_iter descent steps (or fewer once the
     largest per-point update stays under 1e-7 for 50 straight iterations).
-    Progress lines go to stderr when verbose.
+    The first early_exaggeration_iter steps multiply the attraction by
+    early_exaggeration; the one P stays as built, so every logged loss is
+    the objective's value. Progress lines go to stderr when verbose.
     """
     cfg = check_config(cfg, data.n, data.dim)
     n, d = data.n, cfg.out_dims
@@ -146,9 +148,6 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
     y = init_embedding(n, d, cfg.init_stddev, seed_init).y
     state = OptimizerState(velocity=np.zeros_like(y), gains=np.ones_like(y))
 
-    exaggerating = cfg.early_exaggeration != 1.0
-    p_train = p.scaled(cfg.early_exaggeration) if exaggerating else p
-
     trace: list = []
     still_streak = 0
     stop_reason = "max_iter"
@@ -164,6 +163,7 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
             gamma=gamma,
             z_estimator=ws.z_estimator,
             max_update=max_update,
+            underflow_clamped=ws.underflow_clamped,
         )
         trace.append(rec)
         if verbose:
@@ -173,17 +173,16 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
                 file=sys.stderr,
             )
 
+    def momentum(it):
+        return (
+            cfg.momentum_initial if it < cfg.momentum_switch_iter else cfg.momentum_final
+        )
+
     t0 = time.perf_counter()
     for it in range(cfg.n_iter):
-        if exaggerating and it == cfg.early_exaggeration_iter:
-            p_train = p
-            exaggerating = False
-        gamma = (
-            cfg.momentum_initial
-            if it < cfg.momentum_switch_iter
-            else cfg.momentum_final
-        )
-        g, ws = gradient_bh(y, p_train, macro, cfg, loss_p=p)
+        gamma = momentum(it)
+        exaggeration = cfg.early_exaggeration if it < cfg.early_exaggeration_iter else 1.0
+        g, ws = gradient_bh(y, p, macro, cfg, exaggeration=exaggeration)
         y = step(y, state, g, cfg.learning_rate, gamma)
         if not np.all(np.isfinite(y)):
             raise RuntimeError(
@@ -207,12 +206,7 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
 
     # Final loss at the final position, one extra evaluation.
     _, ws = gradient_bh(y, p, macro, cfg)
-    final_gamma = (
-        cfg.momentum_initial
-        if iterations_run < cfg.momentum_switch_iter
-        else cfg.momentum_final
-    )
-    record(ws, iterations_run, final_gamma, 0.0)
+    record(ws, iterations_run, momentum(iterations_run), 0.0)
     times["total"] = time.perf_counter() - t_start
 
     report = RunReport(

@@ -433,8 +433,8 @@ def use_reference_sweeps(monkeypatch, objective):
     """Route the objective module's gradients through the two sweeps
     above in place of its own tree sweep and attraction."""
 
-    def attraction(y, p):
-        return attraction_both_directions(y, p.row, p.col, p.val)
+    def attraction(y, p, exaggeration=1.0):
+        return attraction_both_directions(y, p.row, p.col, p.val * exaggeration)
 
     monkeypatch.setattr(objective, "_tree_forces", tree_forces_by_table)
     monkeypatch.setattr(objective, "_attraction", attraction)

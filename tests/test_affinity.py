@@ -165,10 +165,6 @@ class TestAffinityModel:
         with pytest.raises(ValueError, match="out of range"):
             AffinityModel(row=[0], col=[5], val=[0.1], n=2)
 
-    def test_scaled_multiplies_total(self):
-        model = AffinityModel(row=[0], col=[1], val=[0.5], n=2)
-        assert model.scaled(4.0).total() == 4.0
-
     def test_dense_is_symmetric_zero_diagonal(self):
         rng = np.random.default_rng(3)
         x = rng.normal(size=(20, 3))

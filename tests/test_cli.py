@@ -179,7 +179,10 @@ class TestEmbed:
         assert "# perplexity = 5.0\n" in text
         assert "# n_clusters = 5\n" in text
         assert "# stop_reason = max_iter\n" in text
-        assert "iteration,loss,micro,macro,kmeans,gamma,z_estimator,max_update\n" in text
+        assert (
+            "iteration,loss,micro,macro,kmeans,gamma,z_estimator,max_update,"
+            "underflow_clamped\n"
+        ) in text
 
     def test_defaults_reach_the_run(self, tmp_path, capsys):
         data = make_blobs_csv(tmp_path)

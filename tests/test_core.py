@@ -46,6 +46,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="labels"):
             Dataset(x=np.ones((3, 2)), labels=[0, 1])
 
+    def test_labels_must_be_integers(self):
+        for bad in ([0.7, 1.9, 2.0], [0.0, float("nan"), 1.0], [0.0, 1e30, 1.0]):
+            with pytest.raises(ValueError, match="labels must be integers"):
+                Dataset(x=np.ones((3, 2)), labels=bad)
+
     def test_labels_coerced_to_int64(self):
         ds = Dataset(x=np.ones((3, 2)), labels=[0.0, 1.0, 2.0])
         assert ds.labels.dtype == np.int64

@@ -420,15 +420,21 @@ class TestGradientTree:
             gradient_bh(y, p, macro, dataclasses.replace(cfg, gradient_mode="frozen"))
 
     def test_loss_p_sets_the_logged_losses_only(self):
+        # Exaggeration scales the attraction only: the gradient is the one
+        # of a 4x-valued P bit for bit, the losses stay those of p.
         _, p, macro, y, cfg = make_problem(30, 4, 3, seed=5)
-        g_scaled, ws_scaled = gradient_bh(y, p.scaled(4.0), macro, cfg)
-        g, ws = gradient_bh(y, p.scaled(4.0), macro, cfg, loss_p=p)
+        p4 = AffinityModel(row=p.row, col=p.col, val=p.val * 4.0, n=p.n)
+        g_scaled, _ = gradient_bh(y, p4, macro, cfg)
+        g, ws = gradient_bh(y, p, macro, cfg, exaggeration=4.0)
         _, ws_plain = gradient_bh(y, p, macro, cfg)
         np.testing.assert_array_equal(g, g_scaled)
-        assert (ws.loss_total, ws.loss_micro) == (ws_plain.loss_total, ws_plain.loss_micro)
-        other = AffinityModel(row=p.row[:-1], col=p.col[:-1], val=p.val[:-1], n=p.n)
-        with pytest.raises(ValueError, match="same pairs"):
-            gradient_bh(y, p, macro, cfg, loss_p=other)
+        assert (ws.loss_total, ws.loss_micro, ws.loss_macro, ws.loss_kmeans) == (
+            ws_plain.loss_total, ws_plain.loss_micro, ws_plain.loss_macro,
+            ws_plain.loss_kmeans,
+        )
+        for bad in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="exaggeration"):
+                gradient_bh(y, p, macro, cfg, exaggeration=bad)
 
 
 def duplicate_heavy_map(n, dims, seed):
@@ -465,11 +471,10 @@ class TestReferenceSweeps:
         )
         if duplicates:
             y = duplicate_heavy_map(240, dims, seed=dims)
-        p = p.scaled(exaggeration)
-        g, ws = gradient_bh(y, p, macro, cfg)
+        g, ws = gradient_bh(y, p, macro, cfg, exaggeration=exaggeration)
         with monkeypatch.context() as m:
             use_reference_sweeps(m, objective)
-            g_ref, ws_ref = gradient_bh(y, p, macro, cfg)
+            g_ref, ws_ref = gradient_bh(y, p, macro, cfg, exaggeration=exaggeration)
         assert np.array_equal(g, g_ref)
         assert ws.z_y == ws_ref.z_y
         assert ws.loss_total == ws_ref.loss_total

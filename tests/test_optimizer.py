@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gtsne import objective, optimizer
-from gtsne.affinity import build_affinity_model
+from gtsne.affinity import AffinityModel, build_affinity_model
 from gtsne.core import Dataset, EmbedConfig
 from gtsne.datasets import gen_blobs
 from gtsne.objective import gradient_bh
@@ -247,7 +247,7 @@ class TestRun:
         plain = run(small_blobs(), dataclasses.replace(cfg, early_exaggeration=1.0),
                     verbose=False)[1]
         # Both runs start from the same map and log their losses against
-        # the same unscaled affinities; the scaled ones only steer.
+        # the same P; exaggeration only scales the attraction.
         assert report.loss_trace[0].micro == plain.loss_trace[0].micro
         assert report.loss_trace[-1].micro != plain.loss_trace[-1].micro
         assert np.isfinite(report.loss_trace[-1].total)
@@ -282,9 +282,29 @@ class TestRun:
             (rec.kmeans, ws.loss_kmeans),
         ):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
-        # Against the scaled P the same map reads 12 KL + 12 ln 12.
-        _, scaled = gradient_bh(y0, p.scaled(12.0), macro, resolved)
+        # Against a 12x-valued P the same map reads 12 KL + 12 ln 12.
+        p12 = AffinityModel(row=p.row, col=p.col, val=12 * p.val, n=p.n)
+        _, scaled = gradient_bh(y0, p12, macro, resolved)
         assert scaled.loss_micro == pytest.approx(12.0 * ws.loss_micro + 12.0 * np.log(12.0))
+
+    def test_records_report_clamped_underflow(self, monkeypatch):
+        # The workspace's flag reaches the record it was logged in; a spy
+        # sets it on the third call (iteration 2) instead of building a
+        # map that underflows.
+        cfg = dataclasses.replace(SMALL_CFG, n_iter=4, log_every=2)
+        calls = []
+
+        def spy(y, p, macro, cfg, **kwargs):
+            g, ws = gradient_bh(y, p, macro, cfg, **kwargs)
+            calls.append(1)
+            if len(calls) == 3:
+                ws._losses = ws._losses._replace(clamped=True)
+            return g, ws
+
+        monkeypatch.setattr(optimizer, "gradient_bh", spy)
+        _, report = run(small_blobs(), cfg, verbose=False)
+        assert [rec.iteration for rec in report.loss_trace] == [0, 2, 4]
+        assert [rec.underflow_clamped for rec in report.loss_trace] == [False, True, False]
 
     def test_unconverged_rows_are_reported(self, monkeypatch, capsys):
         monkeypatch.setattr(
