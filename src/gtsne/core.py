@@ -115,7 +115,9 @@ class EmbedConfig:
     momentum_switch_iter: int = _knob(250, flag="--momentum-switch")
     n_iter: int = 1000
     bh_theta: float = _knob(
-        0.5, flag="--theta", help="0 = exact; the tree's opening angle where the tree runs"
+        0.5,
+        flag="--theta",
+        help="0 = exact sums; the tree's opening angle on large maps the grid does not take",
     )
     gradient_mode: str = _knob("exact", choices=GRADIENT_MODES)
     seed: int = 0

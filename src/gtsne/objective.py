@@ -9,12 +9,13 @@ Two gradient paths are provided. gradient_exact evaluates every pair and
 supports two centroid-term conventions: "paper" treats the responsibility
 rows as constants, "exact" (the default) differentiates through the
 centroid positions, which divides each responsibility by its cluster mass.
-gradient_bh replaces the micro repulsion and its normalizer with an
-estimate from one of two engines, picked per call from the map: an
-interpolation grid (Linderman et al., Nature Methods 2019) for 2-D maps
-whose grid is small for their point count, and a Barnes-Hut tree for
-3-D maps, for exact sums at bh_theta = 0 and for maps spread wide for
-their size. Centroid and k-means terms stay exact.
+gradient_bh takes the micro repulsion and its normalizer from one of
+three engines, picked per call from the map: exact all-pairs sums in row
+blocks at bh_theta = 0 and for maps of up to _EXACT_MAX_POINTS points
+that the grid does not take, an interpolation grid (Linderman et al.,
+Nature Methods 2019) for 2-D maps whose grid is small for their point
+count, and a Barnes-Hut tree for the larger maps left. Centroid and
+k-means terms stay exact.
 """
 
 from __future__ import annotations
@@ -175,13 +176,19 @@ def build_quadtree(y: np.ndarray) -> QuadTree:
     )
 
 
+# Starting points per pass of the tree sweep. A pass keeps every (point,
+# cell) pair of one level at once, which at theta = 0 grows as n^2.
+_SWEEP_BLOCK = 512
+
+
 def _tree_forces(tree: QuadTree, y: np.ndarray, theta: float):
-    """Barnes-Hut sweep for every point at once.
+    """Barnes-Hut sweep, level by level for _SWEEP_BLOCK points at a time.
 
     Returns (force, zsum): force[i] approximates the kernel-squared
     weighted displacement sum over all other points, zsum[i] the kernel
     sum, with a cell accepted when side / distance < theta. Each point's
-    own contribution is removed exactly via leaf multiplicities.
+    own contribution is removed exactly via leaf multiplicities. A
+    point's terms add up in the same order whatever block it is in.
     """
     n, d = y.shape
     force = np.zeros((n, d))
@@ -196,39 +203,92 @@ def _tree_forces(tree: QuadTree, y: np.ndarray, theta: float):
     # Row gathers go through take and masks through index lists: numpy's
     # fancy indexing of (L, d) rows and boolean masks cost several times
     # more and give the same values.
-    pts = np.arange(n)
-    nodes = np.zeros(n, dtype=np.int64)
-    while len(pts):
-        diff = y.take(pts, axis=0) - tree.com.take(nodes, axis=0)
-        dist2 = np.einsum("ij,ij->i", diff, diff)
-        accept = side2[nodes] < theta2 * dist2
+    for start in range(0, n, _SWEEP_BLOCK):
+        stop = min(start + _SWEEP_BLOCK, n)
+        pts = np.arange(start, stop)
+        nodes = np.zeros(len(pts), dtype=np.int64)
+        while len(pts):
+            diff = y.take(pts, axis=0) - tree.com.take(nodes, axis=0)
+            dist2 = np.einsum("ij,ij->i", diff, diff)
+            accept = side2[nodes] < theta2 * dist2
 
-        hit = np.flatnonzero(accept)
-        if len(hit):
-            apts = pts[hit]
-            adist2 = dist2[hit]
-            mult = tree.count[nodes[hit]]
-            mult = np.where(adist2 == 0.0, mult - 1.0, mult)
-            w = 1.0 / (1.0 + adist2)
-            mw = mult * w
-            zsum += np.bincount(apts, weights=mw, minlength=n)
-            fw = mw * w
-            adiff = diff.take(hit, axis=0)
-            for ax in range(d):
-                force[:, ax] += np.bincount(
-                    apts, weights=fw * adiff[:, ax], minlength=n
-                )
-        if len(hit) == len(pts):
-            break
+            hit = np.flatnonzero(accept)
+            if len(hit):
+                apts = pts[hit] - start
+                adist2 = dist2[hit]
+                mult = tree.count[nodes[hit]]
+                mult = np.where(adist2 == 0.0, mult - 1.0, mult)
+                w = 1.0 / (1.0 + adist2)
+                mw = mult * w
+                zsum[start:stop] += np.bincount(apts, weights=mw, minlength=stop - start)
+                fw = mw * w
+                adiff = diff.take(hit, axis=0)
+                for ax in range(d):
+                    force[start:stop, ax] += np.bincount(
+                        apts, weights=fw * adiff[:, ax], minlength=stop - start
+                    )
+            if len(hit) == len(pts):
+                break
 
-        # Each descending pair fans out to its cell's consecutive children.
-        down = np.flatnonzero(~accept)
-        parents = nodes[down]
-        fan = tree.n_child[parents]
-        pts = np.repeat(pts[down], fan)
-        offset = np.cumsum(fan) - fan
-        nodes = np.repeat(tree.first_child[parents] - offset, fan) + np.arange(len(pts))
+            # Each descending pair fans out to its cell's consecutive children.
+            down = np.flatnonzero(~accept)
+            parents = nodes[down]
+            fan = tree.n_child[parents]
+            pts = np.repeat(pts[down], fan)
+            offset = np.cumsum(fan) - fan
+            nodes = np.repeat(tree.first_child[parents] - offset, fan) + np.arange(len(pts))
 
+    return force, zsum
+
+
+# Maps of up to this many points that the grid does not take get the exact
+# sums, which cost n^2 against the tree's n log n build and sweep. Means
+# over the maps of a three-lines descent in 3-D on a 2-core machine: 8.1
+# against 25 ms at n=1500, 38 against 66 ms at n=3000, 114 against 107 ms
+# at n=5100.
+_EXACT_MAX_POINTS = 4096
+# Kernel entries per block of the exact sums, about 1 MB per block array.
+_EXACT_BLOCK_ENTRIES = 2**17
+
+
+def _exact_forces(y: np.ndarray):
+    """Exact repulsion sums over all pairs, a block of rows at a time.
+
+    Returns (force, zsum) like _tree_forces. Each block of rows meets the
+    columns from its first row on; its squared distances come from one
+    BLAS product, sq_i + sq_j - 2 y_i . y_j, on the centred map. Their
+    roundoff grows with the squared radius about the mean, which is why
+    the map is centred (an offset of 1e3 would cost 1e-10 relative
+    accuracy). Pairs with later columns reach both ends, so each kernel
+    is computed once, and coincident points add 1 to each other's zsum
+    and nothing to force.
+    """
+    n, d = y.shape
+    y = y - y.mean(axis=0)
+    sq = np.einsum("ij,ij->i", y, y)
+    force = np.zeros((n, d))
+    zsum = np.zeros(n)
+    rows = max(1, _EXACT_BLOCK_ENTRIES // n)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        yi, cols = y[i0:i1], y[i0:]
+        k = yi @ cols.T
+        k *= -2.0
+        k += sq[i0:]
+        k += sq[i0:i1, None]
+        # Roundoff can leave a coincident pair's distance a little below 0;
+        # the clamp keeps every kernel within (0, 1].
+        np.maximum(k, 0.0, out=k)
+        k += 1.0
+        np.reciprocal(k, out=k)
+        own = np.arange(i1 - i0)
+        k[own, own] = 0.0
+        later = k[:, i1 - i0 :]
+        zsum[i0:i1] += k.sum(axis=1)
+        zsum[i1:] += later.sum(axis=0)
+        k *= k
+        force[i0:i1] += k.sum(axis=1)[:, None] * yi - k @ cols
+        force[i1:] += later.sum(axis=0)[:, None] * y[i1:] - later.T @ yi
     return force, zsum
 
 
@@ -239,8 +299,9 @@ _GRID_NODES = 3
 _GRID_MIN_INTERVALS = 16
 _GRID_INTERVALS_PER_UNIT = 2
 # The grid runs only while it has at most this many nodes per point: its
-# cost follows the node count, the tree's the point count. At n=300 and
-# extent 80 (256 nodes per point) the grid takes about 50x the tree's time.
+# cost follows the node count, the other engines' the point count. At
+# n=300 and extent 80 (256 nodes per point) the grid takes 210-250 ms,
+# the exact sums 0.7 ms.
 _GRID_NODES_PER_POINT = 12
 
 
@@ -313,22 +374,31 @@ def _grid_forces(y: np.ndarray, intervals: int):
 def _repulsion(y: np.ndarray, theta: float):
     """(force, zsum, engine) from the engine that is cheaper for this map.
 
-    A 2-D map with theta > 0 goes to the interpolation grid while the
-    grid has at most _GRID_NODES_PER_POINT nodes per point. Everything
-    else goes to the Barnes-Hut tree: theta = 0 asks for exact sums, maps
-    spread wide for their size are cheaper there, and so are 3-D maps,
-    whose grid grows as the cube of the intervals (about 100 times the
-    tree's time on a converged n=1500 map of three lines). A map with
-    non-finite entries reaches the tree, which rejects it.
+    theta = 0 asks for the exact sums. A 2-D map goes to the
+    interpolation grid while the grid has at most _GRID_NODES_PER_POINT
+    nodes per point. Any other map of at most _EXACT_MAX_POINTS points
+    gets the exact sums, and only larger ones go to the Barnes-Hut tree:
+    3-D maps, whose grid grows as the cube of the intervals (about 100
+    times the tree's time on a converged n=1500 map of three lines), and
+    2-D maps spread wide for their size. Maps that are not 2-D or 3-D,
+    or that have non-finite entries, are rejected.
     """
     n, d = y.shape
-    if d == 2 and theta > 0.0:
+    if d not in (2, 3):
+        raise ValueError(f"tree forces support 2-D or 3-D maps, got d={d}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("y contains non-finite entries")
+    if theta == 0.0:
+        return (*_exact_forces(y), "exact")
+    if d == 2:
         extent = float(np.ptp(y, axis=0).max())
         if math.isfinite(extent):
             intervals = math.ceil(_GRID_INTERVALS_PER_UNIT * extent)
             intervals = max(_GRID_MIN_INTERVALS, intervals)
             if (_GRID_NODES * intervals) ** 2 <= _GRID_NODES_PER_POINT * n:
                 return (*_grid_forces(y, intervals), "interpolation")
+    if n <= _EXACT_MAX_POINTS:
+        return (*_exact_forces(y), "exact")
     return (*_tree_forces(build_quadtree(y), y, theta), "barnes_hut")
 
 
@@ -513,13 +583,14 @@ def gradient_bh(
 ):
     """Fast gradient. Returns (g, GradientWorkspace).
 
-    The micro repulsion and the normalizer are estimates from the engine
-    the map calls for, which ws.z_estimator names: the interpolation grid
-    for a 2-D map with cfg.bh_theta > 0 and at most
-    _GRID_NODES_PER_POINT grid nodes per point, the Barnes-Hut tree with
-    opening angle cfg.bh_theta otherwise (0 recovers the exact sums).
-    Attraction, centroid, and k-means terms are exact. The map must be
-    2-D or 3-D. Early exaggeration is a factor on the attraction only;
+    The micro repulsion and the normalizer come from the engine the map
+    calls for, which ws.z_estimator names (see _repulsion): exact sums
+    at cfg.bh_theta = 0, the interpolation grid for a 2-D map with at
+    most _GRID_NODES_PER_POINT grid nodes per point, exact sums for
+    other maps of at most _EXACT_MAX_POINTS points, and the Barnes-Hut
+    tree with opening angle cfg.bh_theta for larger ones. Attraction,
+    centroid, and k-means terms are exact. The map must be 2-D or 3-D
+    and finite. Early exaggeration is a factor on the attraction only;
     the workspace's losses are always measured on p itself.
     """
     if cfg.gradient_mode not in GRADIENT_MODES:

@@ -2,9 +2,9 @@
 
 run() wires the whole pipeline: spectral reduction, k-means macro model,
 neighbor affinities, then momentum descent on the map with adaptive gains.
-The descent uses gradient_bh, whose repulsion comes from an interpolation
-grid or a Barnes-Hut tree (exact when bh_theta is 0), and logs a loss
-record every log_every iterations plus the final state.
+The descent uses gradient_bh, whose repulsion comes from exact blocked
+sums, an interpolation grid or a Barnes-Hut tree, and logs a loss record
+every log_every iterations plus the final state.
 """
 
 from __future__ import annotations

@@ -431,11 +431,17 @@ def attraction_both_directions(y, row, col, val):
 
 def use_reference_sweeps(monkeypatch, objective):
     """Route the objective module's gradients through the two sweeps
-    above in place of its own tree sweep and attraction."""
+    above in place of its own tree sweep and attraction.
+
+    Small maps would otherwise take the exact sums and never reach the
+    tree, so the exact engine's size limit is set to 0; the comparison
+    run must set it too. theta = 0 still takes the exact sums.
+    """
 
     def attraction(y, p, exaggeration=1.0):
         return attraction_both_directions(y, p.row, p.col, p.val * exaggeration)
 
+    monkeypatch.setattr(objective, "_EXACT_MAX_POINTS", 0)
     monkeypatch.setattr(objective, "_tree_forces", tree_forces_by_table)
     monkeypatch.setattr(objective, "_attraction", attraction)
 

@@ -184,15 +184,17 @@ def test_03_tree_gradient_tracks_exact_gradient(monkeypatch):
     y = init_embedding(len(data.x), 2, 1e-2, seed=0)
     g_exact, ws_exact = gradient_exact(y, p, macro, cfg)
     g_zero, ws_zero = gradient_bh(y, p, macro, dataclasses.replace(cfg, bh_theta=0.0))
-    # At theta = 0.5 this small map runs on the interpolation grid; the
-    # tree must meet the same bounds where it runs, so it is forced once.
+    # theta = 0 takes the exact sums. At theta = 0.5 this small map runs
+    # on the interpolation grid; the tree must meet the same bounds where
+    # it runs, so it is forced once.
     half = dataclasses.replace(cfg, bh_theta=0.5)
     g_grid, ws_grid = gradient_bh(y, p, macro, half)
     with monkeypatch.context() as m:
         m.setattr(objective, "_GRID_NODES_PER_POINT", 0)
+        m.setattr(objective, "_EXACT_MAX_POINTS", 0)
         g_tree, ws_tree = gradient_bh(y, p, macro, half)
     engines = (ws_zero.z_estimator, ws_grid.z_estimator, ws_tree.z_estimator)
-    assert engines == ("barnes_hut", "interpolation", "barnes_hut")
+    assert engines == ("exact", "interpolation", "barnes_hut")
 
     norms = np.linalg.norm(g_exact, axis=1)
 

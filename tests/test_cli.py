@@ -72,7 +72,10 @@ EMBED_FLAGS = {
     "--momentum-switch": ("momentum_switch_iter", int, None, None),
     "--n-iter": ("n_iter", int, None, None),
     "--theta": (
-        "bh_theta", float, None, "0 = exact; the tree's opening angle where the tree runs"
+        "bh_theta",
+        float,
+        None,
+        "0 = exact sums; the tree's opening angle on large maps the grid does not take",
     ),
     "--gradient-mode": ("gradient_mode", str, ("paper", "exact"), None),
     "--seed": ("seed", int, None, None),

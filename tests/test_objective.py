@@ -1,6 +1,8 @@
-"""Loss values, tree construction, and both gradient paths."""
+"""Loss values, tree construction, both gradient paths and the three
+repulsion engines."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from oracles import (
     dense_objective,
     dense_repulsion,
     kmeans_loss_by_cluster,
+    tree_forces_by_table,
     use_reference_sweeps,
 )
 
@@ -89,6 +92,15 @@ class TestLoss:
 
 
 TREE_FIELDS = ("half", "com", "count", "is_leaf", "first_child", "n_child")
+
+
+def assert_tree_sums_are_exact(y):
+    """At theta = 0 the tree sweep reproduces the dense sums. gradient_bh
+    sends theta = 0 to the exact engine, so the sweep is called directly."""
+    force, zsum = objective._tree_forces(build_quadtree(y), y, 0.0)
+    want_force, want_zsum = dense_repulsion(y)
+    assert np.abs(force - want_force).max() <= 1e-12 * np.abs(want_force).max()
+    np.testing.assert_allclose(zsum, want_zsum, rtol=1e-12)
 
 
 class TestQuadtree:
@@ -204,12 +216,13 @@ class TestQuadtree:
             hits = np.flatnonzero(tree.is_leaf & np.all(tree.com == y[i], axis=1))
             assert len(hits) == 1 and tree.count[hits[0]] == 1
         assert tree.n_child.max() == 11  # one finest cell, a leaf per point
+        assert_tree_sums_are_exact(y)
         cfg = EmbedConfig(alpha=0.01, beta=0.05, out_dims=3, bh_theta=0.0)
-        g_tree, ws_tree = gradient_bh(y, p, macro, cfg)
+        g_bh, ws_bh = gradient_bh(y, p, macro, cfg)
         g_ref, ws_ref = gradient_exact(y, p, macro, cfg)
         norms = np.linalg.norm(g_ref, axis=1)
-        assert (np.linalg.norm(g_tree - g_ref, axis=1) / norms).max() <= 1e-10
-        assert abs(ws_tree.z_y - ws_ref.z_y) / ws_ref.z_y <= 1e-10
+        assert (np.linalg.norm(g_bh - g_ref, axis=1) / norms).max() <= 1e-10
+        assert abs(ws_bh.z_y - ws_ref.z_y) / ws_ref.z_y <= 1e-10
 
     @pytest.mark.parametrize("dims", [2, 3])
     def test_points_in_one_finest_cell_are_ordered_by_coordinates(self, dims):
@@ -335,14 +348,15 @@ class TestGradientExact:
 class TestGradientTree:
     def test_zero_angle_matches_exact(self):
         _, p, macro, y, cfg = make_problem(40, 4, 4, seed=3, y_scale=0.5, bh_theta=0.0)
-        g_tree, ws_tree = gradient_bh(y, p, macro, cfg)
+        assert_tree_sums_are_exact(y)
+        g_bh, ws_bh = gradient_bh(y, p, macro, cfg)
         g_ref, ws_ref = gradient_exact(y, p, macro, cfg)
-        assert ws_tree.z_estimator == "barnes_hut"
-        assert abs(ws_tree.z_y - ws_ref.z_y) <= 1e-12 * ws_ref.z_y
-        rel = np.abs(g_tree - g_ref) / np.maximum(1.0, np.abs(g_ref))
+        assert ws_bh.z_estimator == "exact"
+        assert abs(ws_bh.z_y - ws_ref.z_y) <= 1e-12 * ws_ref.z_y
+        rel = np.abs(g_bh - g_ref) / np.maximum(1.0, np.abs(g_ref))
         assert rel.max() <= 1e-10
         for name in ("loss_total", "loss_micro", "loss_macro", "loss_kmeans"):
-            a, b = getattr(ws_tree, name), getattr(ws_ref, name)
+            a, b = getattr(ws_bh, name), getattr(ws_ref, name)
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     def test_zero_angle_matches_exact_in_three_dims(self):
@@ -353,10 +367,11 @@ class TestGradientTree:
         r = responsibility_matrix(x, km.t, d=3, d_z=5)
         macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
         y = rng.normal(size=(30, 3))
+        assert_tree_sums_are_exact(y)
         cfg = EmbedConfig(alpha=0.01, beta=0.05, out_dims=3, bh_theta=0.0)
-        g_tree, _ = gradient_bh(y, p, macro, cfg)
+        g_bh, _ = gradient_bh(y, p, macro, cfg)
         g_ref, _ = gradient_exact(y, p, macro, cfg)
-        rel = np.abs(g_tree - g_ref) / np.maximum(1.0, np.abs(g_ref))
+        rel = np.abs(g_bh - g_ref) / np.maximum(1.0, np.abs(g_ref))
         assert rel.max() <= 1e-10
 
     def test_duplicate_map_points_sum_exactly(self):
@@ -365,16 +380,18 @@ class TestGradientTree:
         _, p, macro, y, cfg = make_problem(12, 4, 3, seed=4, bh_theta=0.0)
         y = y.copy()
         y[3] = y[7] = y[9]
-        g_tree, ws_tree = gradient_bh(y, p, macro, cfg)
+        assert_tree_sums_are_exact(y)
+        g_bh, ws_bh = gradient_bh(y, p, macro, cfg)
         g_ref, ws_ref = gradient_exact(y, p, macro, cfg)
-        assert abs(ws_tree.z_y - ws_ref.z_y) <= 1e-12 * ws_ref.z_y
-        rel = np.abs(g_tree - g_ref) / np.maximum(1.0, np.abs(g_ref))
+        assert abs(ws_bh.z_y - ws_ref.z_y) <= 1e-12 * ws_ref.z_y
+        rel = np.abs(g_bh - g_ref) / np.maximum(1.0, np.abs(g_ref))
         assert rel.max() <= 1e-10
 
-    def test_two_points_exact_at_default_angle(self):
+    def test_two_points_exact_at_default_angle(self, monkeypatch):
         # At the default opening angle a cell containing the query point
         # is never accepted, so a two-point sweep always reaches the
         # leaves and reproduces the dense sums exactly.
+        monkeypatch.setattr(objective, "_EXACT_MAX_POINTS", 0)
         x = np.arange(8.0).reshape(2, 4)
         p = AffinityModel(row=[0], col=[1], val=[0.5], n=2)
         km = kmeans_fit(x, 2, seed=0)
@@ -382,14 +399,16 @@ class TestGradientTree:
         macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
         y = np.array([[0.0, 0.0], [1.0, 2.0]])
         cfg = EmbedConfig(alpha=0.01, beta=0.05, bh_theta=0.5)
-        g_tree, _ = gradient_bh(y, p, macro, cfg)
+        g_tree, ws_tree = gradient_bh(y, p, macro, cfg)
         g_ref, _ = gradient_exact(y, p, macro, cfg)
+        assert ws_tree.z_estimator == "barnes_hut"
         np.testing.assert_allclose(g_tree, g_ref, atol=1e-14)
 
-    def test_default_angle_near_init_scale(self):
+    def test_default_angle_near_init_scale(self, monkeypatch):
         # Micro-only comparison on a map still at its initial spread: the
         # tree estimate should track the dense gradient to a percent and
         # the normalizer to a tenth of that.
+        monkeypatch.setattr(objective, "_EXACT_MAX_POINTS", 0)
         rng = np.random.default_rng(21)
         x = rng.normal(size=(100, 5))
         p, _ = build_affinity_model(x, n_neighbors=10, perplexity=5.0, tol=1e-8)
@@ -400,6 +419,7 @@ class TestGradientTree:
         cfg = EmbedConfig(alpha=0.0, beta=0.0, bh_theta=0.5)
         g_tree, ws_tree = gradient_bh(y, p, macro, cfg)
         g_ref, ws_ref = gradient_exact(y, p, macro, cfg)
+        assert ws_tree.z_estimator == "barnes_hut"
         scale = np.abs(g_ref).max()
         assert np.abs(g_tree - g_ref).max() / scale < 1e-2
         assert abs(ws_tree.z_y - ws_ref.z_y) / ws_ref.z_y < 1e-3
@@ -464,8 +484,11 @@ class TestReferenceSweeps:
     def test_gradient_and_normalizer_are_unchanged(
         self, monkeypatch, dims, theta, exaggeration, duplicates
     ):
-        # The comparison is of tree sweeps, so the grid stays out.
+        # The comparison is of tree sweeps, so the grid and the exact sums
+        # stay out. theta = 0 always takes the exact sums, so the two
+        # sweeps are also compared directly.
         monkeypatch.setattr(objective, "_GRID_NODES_PER_POINT", 0)
+        monkeypatch.setattr(objective, "_EXACT_MAX_POINTS", 0)
         _, p, macro, y, cfg = make_problem(
             240, 6, 5, seed=dims, out_dims=dims, bh_theta=theta
         )
@@ -475,9 +498,25 @@ class TestReferenceSweeps:
         with monkeypatch.context() as m:
             use_reference_sweeps(m, objective)
             g_ref, ws_ref = gradient_bh(y, p, macro, cfg, exaggeration=exaggeration)
+        engine = "barnes_hut" if theta > 0 else "exact"
+        assert ws.z_estimator == ws_ref.z_estimator == engine
         assert np.array_equal(g, g_ref)
         assert ws.z_y == ws_ref.z_y
         assert ws.loss_total == ws_ref.loss_total
+        tree = build_quadtree(y)
+        got = objective._tree_forces(tree, y, theta)
+        want = tree_forces_by_table(tree, y, theta)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("dims, theta", [(2, 0.5), (3, 0.5), (3, 0.0)])
+    def test_blocked_sweep_matches_the_table_sweep(self, dims, theta):
+        # 1300 points sweep in three blocks, the last one partial, and
+        # every point's terms still add up in the table sweep's order.
+        y = duplicate_heavy_map(1300, dims, seed=dims)
+        tree = build_quadtree(y)
+        got = objective._tree_forces(tree, y, theta)
+        want = tree_forces_by_table(tree, y, theta)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
 
 def relative_errors(force, zsum, y):
@@ -489,8 +528,10 @@ def relative_errors(force, zsum, y):
 
 
 class TestRepulsionEngines:
-    """gradient_bh runs the interpolation grid on 2-D maps with at most
-    _GRID_NODES_PER_POINT grid nodes per point, the tree otherwise."""
+    """gradient_bh takes the exact sums at bh_theta = 0, runs the
+    interpolation grid on 2-D maps with at most _GRID_NODES_PER_POINT grid
+    nodes per point, the exact sums on other maps of at most
+    _EXACT_MAX_POINTS points and the tree on larger ones."""
 
     def engine(self, y, bh_theta=0.5):
         n, dims = y.shape
@@ -499,7 +540,9 @@ class TestRepulsionEngines:
         )
         return gradient_bh(y, p, macro, cfg)[1].z_estimator
 
-    def test_size_rule_picks_the_engine(self):
+    def test_size_rule_picks_the_engine(self, monkeypatch):
+        # The grid's side of the rule, with the tree as the other side.
+        monkeypatch.setattr(objective, "_EXACT_MAX_POINTS", 0)
         rng = np.random.default_rng(0)
         assert self.engine(rng.uniform(0, 10, size=(1000, 2))) == "interpolation"
         # 160 intervals of 3 nodes per axis: 256 nodes per point.
@@ -508,12 +551,42 @@ class TestRepulsionEngines:
         assert self.engine(rng.uniform(0, 1, size=(191, 2))) == "barnes_hut"
         assert self.engine(rng.uniform(0, 1, size=(192, 2))) == "interpolation"
 
-    def test_three_dimensional_maps_and_zero_angle_use_the_tree(self):
+    def test_three_dimensional_maps_and_zero_angle_use_the_tree(self, monkeypatch):
+        # 3-D maps beyond the exact sums' size limit use the tree; zero
+        # angle asks for exact sums, which the exact engine gives at any size.
+        monkeypatch.setattr(objective, "_EXACT_MAX_POINTS", 0)
         rng = np.random.default_rng(1)
         y3 = rng.uniform(0, 1, size=(1000, 3))
         assert self.engine(y3) == "barnes_hut"
         y2 = rng.uniform(0, 10, size=(1000, 2))
-        assert self.engine(y2, bh_theta=0.0) == "barnes_hut"
+        assert self.engine(y2, bh_theta=0.0) == "exact"
+
+    def test_exact_sums_below_the_size_limit(self):
+        rng = np.random.default_rng(3)
+        assert objective._EXACT_MAX_POINTS == 4096
+        assert objective._repulsion(rng.normal(size=(5000, 2)), 0.0)[2] == "exact"
+        assert objective._repulsion(rng.normal(size=(4096, 3)), 0.5)[2] == "exact"
+        assert objective._repulsion(rng.normal(size=(4097, 3)), 0.5)[2] == "barnes_hut"
+        # Too wide for the grid and small enough for the exact sums.
+        assert self.engine(rng.uniform(0, 80, size=(300, 2))) == "exact"
+        # A roll-1k-like map: 1000 points over about 10 units.
+        roll = gen_swiss_roll(n=1000, seed=1).x[:, [0, 2]]
+        roll = 10.0 * (roll - roll.min(axis=0)) / np.ptp(roll, axis=0).max()
+        assert self.engine(roll) == "interpolation"
+
+    @pytest.mark.parametrize("bad", ["four_dims", "nan"])
+    def test_maps_the_engines_cannot_take_are_rejected(self, bad):
+        _, p, macro, y, cfg = make_problem(50, 4, 3, seed=4)
+        if bad == "four_dims":
+            y = np.random.default_rng(4).normal(size=(50, 4))
+            match = "2-D or 3-D"
+        else:
+            y = y.copy()
+            y[7, 1] = np.nan
+            match = "non-finite"
+        for theta in (0.0, 0.5):
+            with pytest.raises(ValueError, match=match):
+                gradient_bh(y, p, macro, dataclasses.replace(cfg, bh_theta=theta))
 
     def test_spread_map_is_no_worse_than_the_tree(self, monkeypatch):
         # A swiss roll map after 100 iterations spans about 10 units.
@@ -531,6 +604,7 @@ class TestRepulsionEngines:
         g_exact, ws_exact = gradient_exact(y, p, macro, cfg)
         g_grid, ws_grid = gradient_bh(y, p, macro, cfg)
         monkeypatch.setattr(objective, "_GRID_NODES_PER_POINT", 0)
+        monkeypatch.setattr(objective, "_EXACT_MAX_POINTS", 0)
         g_tree, ws_tree = gradient_bh(y, p, macro, cfg)
         assert (ws_grid.z_estimator, ws_tree.z_estimator) == ("interpolation", "barnes_hut")
         norms = np.linalg.norm(g_exact, axis=1)
@@ -563,6 +637,57 @@ class TestRepulsionEngines:
         per_point, z_err = relative_errors(force, zsum, y)
         assert per_point.max() < 1e-2 and z_err < 1e-3
         np.testing.assert_allclose(force[0], -force[1], rtol=1e-12)
+
+
+class TestExactForces:
+    """The blocked exact sums against the dense oracle."""
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 37, 1000])
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    def test_matches_the_dense_sums(self, dims, n, offset):
+        # 1000 points run in blocks of 131 rows, the last one partial.
+        y = offset + np.random.default_rng(n).normal(scale=3.0, size=(n, dims))
+        force, zsum = objective._exact_forces(y)
+        want_force, want_zsum = dense_repulsion(y)
+        scale = max(np.abs(want_force).max(), 1e-300)
+        assert np.abs(force - want_force).max() <= 1e-12 * scale
+        assert np.abs(zsum - want_zsum).max() <= 1e-12 * max(want_zsum.max(), 1e-300)
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_coincident_points(self, dims):
+        y = np.tile([0.3, -0.7, 0.1][:dims], (700, 1))
+        force, zsum = objective._exact_forces(y)
+        assert np.array_equal(force, np.zeros_like(y))
+        np.testing.assert_allclose(zsum, 699.0, rtol=1e-15)
+        # Coincident pairs among other points add 1 and no force.
+        y = np.random.default_rng(dims).normal(size=(500, dims))
+        y[:40] = y[40]
+        force, zsum = objective._exact_forces(y)
+        want_force, want_zsum = dense_repulsion(y)
+        assert np.abs(force - want_force).max() <= 1e-12 * np.abs(want_force).max()
+        np.testing.assert_allclose(zsum, want_zsum, rtol=1e-12)
+
+    def test_memory_stays_bounded(self):
+        # Blocks of rows keep the exact sums at a few MB; the tree sweep
+        # at theta = 0 held every (point, cell) pair of a level (240 MB
+        # here), and a pass of 512 points keeps its sweep small too.
+        rng = np.random.default_rng(5)
+        y = rng.normal(size=(2000, 2))
+        tracemalloc.start()
+        try:
+            objective._repulsion(y, 0.0)
+            exact_peak = tracemalloc.get_traced_memory()[1]
+            y3 = rng.normal(size=(6000, 3))
+            tree = build_quadtree(y3)
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            objective._tree_forces(tree, y3, 0.5)
+            tree_peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert exact_peak < 16e6
+        assert tree_peak < 64e6
 
 
 class TestLazyLosses:

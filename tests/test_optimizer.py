@@ -196,8 +196,9 @@ class TestRun:
         last = report.loss_trace[-1]
         assert last.iteration == report.iterations_run
         assert last.max_update == 0.0
-        # 120 points are too few for the grid's floor of 16 intervals.
-        assert last.z_estimator == "barnes_hut"
+        # 120 points are too few for the grid's floor of 16 intervals and
+        # few enough for the exact sums.
+        assert last.z_estimator == "exact"
 
     def test_logging_cadence(self, result):
         _, report = result
@@ -331,14 +332,18 @@ class TestRun:
     def test_map_matches_the_reference_sweeps(self, monkeypatch):
         # The descent through the table-driven sweep and the
         # both-direction attraction of tests/oracles.py lands on the same
-        # map bit for bit, exaggeration phase included.
+        # map bit for bit, exaggeration phase included. Both runs are kept
+        # on the tree, which 120 points would otherwise not reach.
         cfg = dataclasses.replace(
             SMALL_CFG, n_iter=60, early_exaggeration=4.0, early_exaggeration_iter=20
         )
+        monkeypatch.setattr(objective, "_EXACT_MAX_POINTS", 0)
         emb, report = run(small_blobs(), cfg, verbose=False)
         with monkeypatch.context() as m:
             use_reference_sweeps(m, objective)
             emb_ref, report_ref = run(small_blobs(), cfg, verbose=False)
+        for rep in (report, report_ref):
+            assert {rec.z_estimator for rec in rep.loss_trace} == {"barnes_hut"}
         assert np.array_equal(emb.y, emb_ref.y)
         assert report.iterations_run == report_ref.iterations_run
 
