@@ -18,7 +18,7 @@ from .datasets import (
 from .io import read_csv, write_csv
 from .macro import MacroAffinity, kmeans_fit, macro_affinity, responsibility_matrix
 from .metrics import centroid_distance_correlation, knn_preservation, line_continuity
-from .objective import gradient_bh, gradient_exact, loss
+from .objective import gradient_bh
 from .optimizer import init_embedding, run, step
 from .pca import pca_fit
 
@@ -41,12 +41,10 @@ __all__ = [
     "gen_swiss_roll",
     "gen_three_lines",
     "gradient_bh",
-    "gradient_exact",
     "init_embedding",
     "kmeans_fit",
     "knn_preservation",
     "line_continuity",
-    "loss",
     "macro_affinity",
     "pca_fit",
     "read_csv",

@@ -29,16 +29,18 @@ PALETTE = (
 
 def _parse_label(cell: str, where: str) -> int:
     try:
-        return int(cell)
+        label = int(cell)
     except ValueError:
-        pass
-    try:
-        f = float(cell)
-    except ValueError:
-        raise ValueError(f"{where}: label {cell!r} is not an integer") from None
-    if not f.is_integer():
-        raise ValueError(f"{where}: label {cell!r} is not an integer")
-    return int(f)
+        try:
+            f = float(cell)
+        except ValueError:
+            raise ValueError(f"{where}: label {cell!r} is not an integer") from None
+        if not f.is_integer():
+            raise ValueError(f"{where}: label {cell!r} is not an integer")
+        label = int(f)
+    if not -(2**63) <= label < 2**63:
+        raise ValueError(f"{where}: label {cell!r} is outside the int64 range")
+    return label
 
 
 def read_csv(path, has_header: bool = False, label_column=None) -> Dataset:

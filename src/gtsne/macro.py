@@ -87,6 +87,8 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
     n = len(z)
     if not (1 <= k <= n):
         raise ValueError(f"k={k} must lie in [1, n={n}]")
+    if max_iter < 1:
+        raise ValueError(f"max_iter={max_iter}: must be at least 1")
     if not np.all(np.isfinite(z)):
         raise ValueError("z contains non-finite entries")
 
@@ -121,7 +123,7 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
 
     return CentroidModel(
         t=centroids,
-        assignment=assignment if assignment is not None else new_assignment,
+        assignment=assignment,
         inertia=trace[-1],
         inertia_trace=np.asarray(trace),
         seed=seed,

@@ -5,17 +5,18 @@ map's heavy-tailed pair distribution Q, plus alpha times a KL term between
 centroid-level affinities, plus beta times a soft k-means tie between map
 points and their responsibility-weighted centroids.
 
-Two gradient paths are provided. gradient_exact evaluates every pair and
-supports two centroid-term conventions: "paper" treats the responsibility
-rows as constants, "exact" (the default) differentiates through the
-centroid positions, which divides each responsibility by its cluster mass.
-gradient_bh takes the micro repulsion and its normalizer from one of
-three engines, picked per call from the map: exact all-pairs sums in row
-blocks at bh_theta = 0 and for maps of up to _EXACT_MAX_POINTS points
-that the grid does not take, an interpolation grid (Linderman et al.,
-Nature Methods 2019) for 2-D maps whose grid is small for their point
-count, and a Barnes-Hut tree for the larger maps left. Centroid and
-k-means terms stay exact.
+gradient_bh evaluates it. The centroid term follows cfg.gradient_mode:
+"paper" treats the responsibility rows as constants, "exact" (the
+default) differentiates through the centroid positions, which divides
+each responsibility by its cluster mass. The micro repulsion and its
+normalizer come from one of three engines, picked per call from the map:
+exact all-pairs sums in row blocks at bh_theta = 0 and for maps of up to
+_EXACT_MAX_POINTS points that the grid does not take, an interpolation
+grid (Linderman et al., Nature Methods 2019) for 2-D maps whose grid is
+small for their point count, and a Barnes-Hut tree for the larger maps
+left. Attraction, centroid and k-means terms are always exact, so at
+bh_theta = 0 gradient_bh gives the exact gradient and its workspace the
+exact losses, in memory bounded by the row blocks rather than n x n.
 """
 
 from __future__ import annotations
@@ -534,54 +535,10 @@ def _check_inputs(y, p, macro):
         )
 
 
-def loss(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
-    """Reference objective value with the exact normalizer.
-
-    Returns (total, micro, macro, kmeans) where total is micro plus the
-    alpha- and beta-weighted parts. Evaluates all map pairs, so intended
-    for moderate n and for checking the tree path.
-    """
-    y = _as_y(y)
-    _check_inputs(y, p, macro)
-    _, z_y = student_t_kernel(y)
-    _, pair_kern = _attraction(y, p)
-    c, centroid_kern, _ = _macro_state(y, macro)
-    parts = _evaluate_losses(
-        y, p.val, pair_kern, z_y, macro, centroid_kern, c, cfg.alpha, cfg.beta
-    )
-    return parts[:4]
-
-
-def _assemble(y, p, macro, cfg, att, rep, z_y, pair_kern, estimator):
-    c, mkern, q_macro = _macro_state(y, macro)
-    g = 4.0 * (att - rep)
-    g += _macro_gradient(y, macro, c, mkern, q_macro, cfg.alpha, cfg.gradient_mode)
-    g += _kmeans_gradient(y, macro, c, cfg.beta)
-    loss_inputs = (y, p.val, pair_kern, z_y, macro, mkern, c, cfg.alpha, cfg.beta)
-    return g, GradientWorkspace(z_y, c, q_macro, estimator, loss_inputs)
-
-
-def gradient_exact(y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig):
-    """All-pairs gradient. Returns (g, GradientWorkspace).
-
-    The centroid term follows cfg.gradient_mode; see the module docstring.
-    """
-    if cfg.gradient_mode not in GRADIENT_MODES:
-        raise ValueError(f"unknown gradient_mode {cfg.gradient_mode!r}")
-    y = _as_y(y)
-    _check_inputs(y, p, macro)
-    kern, z_y = student_t_kernel(y)
-    z_y = max(z_y, Q_FLOOR)
-    att, pair_kern = _attraction(y, p)
-    sq = kern * kern
-    rep = (sq.sum(axis=1)[:, None] * y - sq @ y) / z_y
-    return _assemble(y, p, macro, cfg, att, rep, z_y, pair_kern, "exact")
-
-
 def gradient_bh(
     y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig, exaggeration=1.0
 ):
-    """Fast gradient. Returns (g, GradientWorkspace).
+    """Gradient of the objective. Returns (g, GradientWorkspace).
 
     The micro repulsion and the normalizer come from the engine the map
     calls for, which ws.z_estimator names (see _repulsion): exact sums
@@ -589,9 +546,12 @@ def gradient_bh(
     most _GRID_NODES_PER_POINT grid nodes per point, exact sums for
     other maps of at most _EXACT_MAX_POINTS points, and the Barnes-Hut
     tree with opening angle cfg.bh_theta for larger ones. Attraction,
-    centroid, and k-means terms are exact. The map must be 2-D or 3-D
-    and finite. Early exaggeration is a factor on the attraction only;
-    the workspace's losses are always measured on p itself.
+    centroid, and k-means terms are exact, so at cfg.bh_theta = 0 g is
+    the exact gradient and ws.loss_* are the exact losses. The centroid
+    term follows cfg.gradient_mode; see the module docstring. The map
+    must be 2-D or 3-D and finite. Early exaggeration is a factor on the
+    attraction only; the workspace's losses are always measured on p
+    itself.
     """
     if cfg.gradient_mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient_mode {cfg.gradient_mode!r}")
@@ -602,5 +562,9 @@ def gradient_bh(
     force, zsum, estimator = _repulsion(y, cfg.bh_theta)
     z_y = max(float(zsum.sum()), Q_FLOOR)
     att, pair_kern = _attraction(y, p, exaggeration)
-    rep = force / z_y
-    return _assemble(y, p, macro, cfg, att, rep, z_y, pair_kern, estimator)
+    c, mkern, q_macro = _macro_state(y, macro)
+    g = 4.0 * (att - force / z_y)
+    g += _macro_gradient(y, macro, c, mkern, q_macro, cfg.alpha, cfg.gradient_mode)
+    g += _kmeans_gradient(y, macro, c, cfg.beta)
+    loss_inputs = (y, p.val, pair_kern, z_y, macro, mkern, c, cfg.alpha, cfg.beta)
+    return g, GradientWorkspace(z_y, c, q_macro, estimator, loss_inputs)

@@ -456,6 +456,15 @@ def dense_repulsion(y):
     return np.einsum("ij,ijd->id", kern**2, diff), kern.sum(axis=1)
 
 
+def dense_micro_gradient(y, p):
+    """Micro-term gradient 4 (att - F / Z) and its normalizer Z, from the
+    both-direction attraction and the dense repulsion sums."""
+    att, _ = attraction_both_directions(y, p.row, p.col, p.val)
+    force, zsum = dense_repulsion(y)
+    z = zsum.sum()
+    return 4.0 * (att - force / z), z
+
+
 def kmeans_loss_by_cluster(y, r, c):
     """Soft k-means loss summed one cluster at a time, divided by n."""
     total = 0.0

@@ -34,11 +34,11 @@ from gtsne.datasets import (
 )
 from gtsne.macro import MacroAffinity, kmeans_fit, macro_affinity, responsibility_matrix
 from gtsne.metrics import centroid_distance_correlation, line_continuity
-from gtsne.objective import gradient_bh, gradient_exact, loss
+from gtsne.objective import gradient_bh
 from gtsne.optimizer import init_embedding, run
 from gtsne.pca import pca_fit
 
-from oracles import brute_knn, central_differences
+from oracles import brute_knn, central_differences, dense_micro_gradient, dense_objective
 
 
 def gate(num, ok, detail):
@@ -112,9 +112,10 @@ def test_01_exact_gradient_matches_finite_differences():
             p_macro=macro_affinity(km.t),
         )
         y = rng.normal(size=(15, 2))
-        cfg = EmbedConfig(alpha=0.01, beta=0.05)
-        g, _ = gradient_exact(y, p, macro, cfg)
-        fd = central_differences(lambda yy: loss(yy, p, macro, cfg)[0], y, h=1e-5)
+        cfg = EmbedConfig(alpha=0.01, beta=0.05, bh_theta=0.0)
+        g, _ = gradient_bh(y, p, macro, cfg)
+        args = (p.dense(), macro.r, macro.p_macro, cfg.alpha, cfg.beta)
+        fd = central_differences(lambda yy: dense_objective(yy, *args)[0], y, h=1e-5)
         rel = np.abs(g - fd) / np.maximum(1.0, np.abs(g))
         worst = max(worst, float(rel.max()))
     seconds = time.perf_counter() - start
@@ -142,10 +143,10 @@ def test_02_gradient_modes_agree_only_under_equal_masses():
     p, _ = build_affinity_model(z, n_neighbors=3, perplexity=2.0, tol=1e-8)
     rng = np.random.default_rng(0)
     y = rng.normal(size=(n, 2))
-    cfg = EmbedConfig(alpha=0.01, beta=0.05)
+    cfg = EmbedConfig(alpha=0.01, beta=0.05, bh_theta=0.0)
     paper_cfg = dataclasses.replace(cfg, gradient_mode="paper")
-    g_exact, _ = gradient_exact(y, p, macro, cfg)
-    g_paper, _ = gradient_exact(y, p, macro, paper_cfg)
+    g_exact, _ = gradient_bh(y, p, macro, cfg)
+    g_paper, _ = gradient_bh(y, p, macro, paper_cfg)
     agree = float(np.abs(g_paper - g_exact).max())
 
     # Generic clustered data: unequal masses, so the modes must split.
@@ -157,8 +158,8 @@ def test_02_gradient_modes_agree_only_under_equal_masses():
     macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
     p, _ = build_affinity_model(x, n_neighbors=5, perplexity=3.0, tol=1e-8)
     y = rng.normal(size=(16, 2))
-    g_exact, _ = gradient_exact(y, p, macro, cfg)
-    g_paper, _ = gradient_exact(y, p, macro, paper_cfg)
+    g_exact, _ = gradient_bh(y, p, macro, cfg)
+    g_paper, _ = gradient_bh(y, p, macro, paper_cfg)
     differ = float(np.abs(g_paper - g_exact).max())
 
     ok = agree <= 1e-10 and differ > 1e-8
@@ -182,29 +183,29 @@ def test_03_tree_gradient_tracks_exact_gradient(monkeypatch):
     )
     cfg = EmbedConfig(alpha=0.0, beta=0.0)
     y = init_embedding(len(data.x), 2, 1e-2, seed=0)
-    g_exact, ws_exact = gradient_exact(y, p, macro, cfg)
-    g_zero, ws_zero = gradient_bh(y, p, macro, dataclasses.replace(cfg, bh_theta=0.0))
-    # theta = 0 takes the exact sums. At theta = 0.5 this small map runs
-    # on the interpolation grid; the tree must meet the same bounds where
-    # it runs, so it is forced once.
+    g_dense, z_dense = dense_micro_gradient(y.y, p)
+    g_exact, ws_exact = gradient_bh(y, p, macro, dataclasses.replace(cfg, bh_theta=0.0))
+    # theta = 0 takes the exact sums, checked against the dense oracle and
+    # then the reference for the other engines. At theta = 0.5 this small
+    # map runs on the interpolation grid; the tree must meet the same
+    # bounds where it runs, so it is forced once.
     half = dataclasses.replace(cfg, bh_theta=0.5)
     g_grid, ws_grid = gradient_bh(y, p, macro, half)
     with monkeypatch.context() as m:
         m.setattr(objective, "_GRID_NODES_PER_POINT", 0)
         m.setattr(objective, "_EXACT_MAX_POINTS", 0)
         g_tree, ws_tree = gradient_bh(y, p, macro, half)
-    engines = (ws_zero.z_estimator, ws_grid.z_estimator, ws_tree.z_estimator)
+    engines = (ws_exact.z_estimator, ws_grid.z_estimator, ws_tree.z_estimator)
     assert engines == ("exact", "interpolation", "barnes_hut")
 
-    norms = np.linalg.norm(g_exact, axis=1)
+    def errors(g, z, g_ref, z_ref):
+        norms = np.linalg.norm(g_ref, axis=1)
+        per_point = float((np.linalg.norm(g - g_ref, axis=1) / norms).max())
+        return per_point, abs(z - z_ref) / z_ref
 
-    def errors(g, ws):
-        per_point = float((np.linalg.norm(g - g_exact, axis=1) / norms).max())
-        return per_point, abs(ws.z_y - ws_exact.z_y) / ws_exact.z_y
-
-    rel_zero, z_zero = errors(g_zero, ws_zero)
-    rel_grid, z_grid = errors(g_grid, ws_grid)
-    rel_tree, z_tree = errors(g_tree, ws_tree)
+    rel_zero, z_zero = errors(g_exact, ws_exact.z_y, g_dense, z_dense)
+    rel_grid, z_grid = errors(g_grid, ws_grid.z_y, g_exact, ws_exact.z_y)
+    rel_tree, z_tree = errors(g_tree, ws_tree.z_y, g_exact, ws_exact.z_y)
     seconds = time.perf_counter() - start
 
     ok = rel_zero <= 1e-10 and z_zero <= 1e-10
@@ -244,7 +245,7 @@ def test_04_probability_normalizations_hold_on_every_dataset():
         worst["column"] = max(worst["column"], float(np.abs(r.sum(axis=0) - 1.0).max()))
         worst["macro"] = max(worst["macro"], abs(macro.p_macro.sum() - 1.0))
         y = init_embedding(n, 2, 1e-2, seed=0)
-        _, ws = gradient_exact(y, p, macro, EmbedConfig())
+        _, ws = gradient_bh(y, p, macro, EmbedConfig(bh_theta=0.0))
         worst["q_macro"] = max(worst["q_macro"], abs(ws.q_macro.sum() - 1.0))
 
     ok = (

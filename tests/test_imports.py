@@ -1,12 +1,17 @@
-"""Module hygiene: every name a package module imports is used there, and
-every private name it defines at module level is read there."""
+"""Module hygiene: every name a package module imports is used there,
+every private name it defines at module level is read there, and the
+package exports exactly the names the README lists."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gtsne"
+import gtsne
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gtsne"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -49,3 +54,12 @@ def test_no_unread_private_names(path):
         if name.startswith("_") and not name.startswith("__") and name not in read
     ]
     assert not unread, f"{path.name} defines private names it never reads: {unread}"
+
+
+def test_exports_match_the_readme_list():
+    text = (ROOT / "README.md").read_text()
+    start = text.index("The package exports exactly these names:")
+    end = text.index("\n\n", text.index("\n- ", start))
+    listed = re.findall(r"`([^`]+)`", text[start:end])
+    assert len(gtsne.__all__) == len(set(gtsne.__all__))
+    assert set(gtsne.__all__) == set(listed)

@@ -48,6 +48,21 @@ class TestReadCsv:
         with pytest.raises(ValueError, match="not an integer"):
             read_csv(p, label_column=2)
 
+    @pytest.mark.parametrize(
+        "cell", ["1e30", "9223372036854775808", "-9223372036854775809"]
+    )
+    def test_label_beyond_int64_names_line_and_column(self, tmp_path, cell):
+        p = tmp_path / "pts.csv"
+        p.write_text(f"1,2,0\n3,4,{cell}\n")
+        with pytest.raises(ValueError, match="line 2, column 3: .* int64 range"):
+            read_csv(p, label_column=2)
+
+    def test_int64_extreme_labels_accepted(self, tmp_path):
+        p = tmp_path / "pts.csv"
+        p.write_text("1,2,9223372036854775807\n3,4,-9223372036854775808\n")
+        ds = read_csv(p, label_column=2)
+        np.testing.assert_array_equal(ds.labels, [2**63 - 1, -(2**63)])
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_csv(tmp_path / "absent.csv")

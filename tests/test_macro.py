@@ -135,6 +135,18 @@ class TestKmeans:
         with pytest.raises(ValueError, match="non-finite|finite"):
             kmeans_fit(np.array([[np.nan, 0.0]]), k=1)
 
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_max_iter_below_one_rejected(self, max_iter):
+        with pytest.raises(ValueError, match=f"max_iter={max_iter}"):
+            kmeans_fit(np.ones((5, 2)), k=2, max_iter=max_iter)
+
+    def test_one_round_returns_its_assignment(self):
+        z = np.array([[0.0], [0.1], [5.0], [5.1]])
+        km = kmeans_fit(z, k=2, seed=0, max_iter=1)
+        assert len(km.inertia_trace) == 1
+        assert len(set(km.assignment[:2])) == 1 and len(set(km.assignment[2:])) == 1
+        assert km.assignment[0] != km.assignment[2]
+
 
 class TestResponsibilities:
     def test_single_centroid_all_ones(self):

@@ -1,5 +1,6 @@
-"""Loss values, tree construction, both gradient paths and the three
-repulsion engines."""
+"""Loss values, tree construction, the gradient and the three repulsion
+engines. gradient_bh at bh_theta = 0 is the exact gradient; the dense
+references it is checked against live in tests/oracles.py."""
 
 import dataclasses
 import tracemalloc
@@ -12,17 +13,13 @@ from gtsne.affinity import AffinityModel, build_affinity_model
 from gtsne.core import Embedding, EmbedConfig
 from gtsne.datasets import gen_swiss_roll
 from gtsne.macro import MacroAffinity, kmeans_fit, macro_affinity, responsibility_matrix
-from gtsne.objective import (
-    build_quadtree,
-    gradient_bh,
-    gradient_exact,
-    loss,
-)
+from gtsne.objective import build_quadtree, gradient_bh
 from gtsne.optimizer import run
 
 from oracles import (
     build_quadtree_by_level,
     central_differences,
+    dense_micro_gradient,
     dense_objective,
     dense_repulsion,
     kmeans_loss_by_cluster,
@@ -45,11 +42,30 @@ def make_problem(n, d_in, k, seed, alpha=0.01, beta=0.05, y_scale=1.0, **cfg_kw)
     return x, p, macro, y, cfg
 
 
+def exact_gradient(y, p, macro, cfg):
+    """The exact gradient and workspace: gradient_bh at bh_theta = 0."""
+    return gradient_bh(y, p, macro, dataclasses.replace(cfg, bh_theta=0.0))
+
+
+def exact_losses(y, p, macro, cfg):
+    """(total, micro, macro, kmeans) at the exact normalizer."""
+    ws = exact_gradient(y, p, macro, cfg)[1]
+    return ws.loss_total, ws.loss_micro, ws.loss_macro, ws.loss_kmeans
+
+
+def oracle_losses(y, p, macro, cfg):
+    return dense_objective(y, p.dense(), macro.r, macro.p_macro, cfg.alpha, cfg.beta)
+
+
+def micro_only(cfg):
+    return dataclasses.replace(cfg, alpha=0.0, beta=0.0)
+
+
 class TestLoss:
     def test_matches_dense_oracle(self):
         _, p, macro, y, cfg = make_problem(12, 4, 3, seed=7)
-        got = loss(y, p, macro, cfg)
-        want = dense_objective(y, p.dense(), macro.r, macro.p_macro, cfg.alpha, cfg.beta)
+        got = exact_losses(y, p, macro, cfg)
+        want = oracle_losses(y, p, macro, cfg)
         for a, b in zip(got, want):
             assert abs(a - b) <= 1e-10 * max(1.0, abs(b))
 
@@ -66,19 +82,23 @@ class TestLoss:
         cfg = EmbedConfig(alpha=0.01, beta=0.05)
         for trial in range(3):
             y = rng.normal(size=(2, 2))
-            total, l_micro, l_macro, l_kmeans = loss(y, p, macro, cfg)
+            total, l_micro, l_macro, l_kmeans = exact_losses(y, p, macro, cfg)
             assert abs(l_micro) <= 1e-12
             assert abs(l_macro) <= 1e-12
             assert abs(total - cfg.beta * l_kmeans) <= 1e-12
 
     def test_accepts_embedding_object(self):
         _, p, macro, y, cfg = make_problem(10, 4, 3, seed=1)
-        assert loss(Embedding(y=y), p, macro, cfg) == loss(y, p, macro, cfg)
+        g_emb, _ = exact_gradient(Embedding(y=y), p, macro, cfg)
+        g, _ = exact_gradient(y, p, macro, cfg)
+        assert np.array_equal(g_emb, g)
+        want = exact_losses(y, p, macro, cfg)
+        assert exact_losses(Embedding(y=y), p, macro, cfg) == want
 
     def test_size_mismatch_rejected(self):
         _, p, macro, y, cfg = make_problem(10, 4, 3, seed=1)
         with pytest.raises(ValueError, match="rows"):
-            loss(y[:-1], p, macro, cfg)
+            exact_losses(y[:-1], p, macro, cfg)
 
     @pytest.mark.parametrize("dims", [2, 3])
     def test_kmeans_part_matches_the_per_cluster_loop(self, dims):
@@ -217,12 +237,12 @@ class TestQuadtree:
             assert len(hits) == 1 and tree.count[hits[0]] == 1
         assert tree.n_child.max() == 11  # one finest cell, a leaf per point
         assert_tree_sums_are_exact(y)
-        cfg = EmbedConfig(alpha=0.01, beta=0.05, out_dims=3, bh_theta=0.0)
+        cfg = EmbedConfig(alpha=0.0, beta=0.0, out_dims=3, bh_theta=0.0)
         g_bh, ws_bh = gradient_bh(y, p, macro, cfg)
-        g_ref, ws_ref = gradient_exact(y, p, macro, cfg)
+        g_ref, z_ref = dense_micro_gradient(y, p)
         norms = np.linalg.norm(g_ref, axis=1)
         assert (np.linalg.norm(g_bh - g_ref, axis=1) / norms).max() <= 1e-10
-        assert abs(ws_bh.z_y - ws_ref.z_y) / ws_ref.z_y <= 1e-10
+        assert abs(ws_bh.z_y - z_ref) / z_ref <= 1e-10
 
     @pytest.mark.parametrize("dims", [2, 3])
     def test_points_in_one_finest_cell_are_ordered_by_coordinates(self, dims):
@@ -253,30 +273,36 @@ class TestQuadtree:
 
 
 class TestGradientExact:
+    """gradient_bh at bh_theta = 0, the package's exact gradient."""
+
     def test_matches_central_differences(self):
         _, p, macro, y, cfg = make_problem(12, 4, 3, seed=0, y_scale=0.5)
-        g, _ = gradient_exact(y, p, macro, cfg)
-        fd = central_differences(lambda yy: loss(yy, p, macro, cfg)[0], y, h=1e-5)
+        g, _ = exact_gradient(y, p, macro, cfg)
+
+        def total(yy):
+            return oracle_losses(yy, p, macro, cfg)[0]
+
+        fd = central_differences(total, y, h=1e-5)
         rel = np.abs(g - fd) / np.maximum(1.0, np.abs(fd))
         assert rel.max() < 1e-5
 
     def test_translation_invariance(self):
         _, p, macro, y, cfg = make_problem(14, 4, 3, seed=2)
-        g0, _ = gradient_exact(y, p, macro, cfg)
-        g1, _ = gradient_exact(y + np.array([13.0, -4.0]), p, macro, cfg)
+        g0, _ = exact_gradient(y, p, macro, cfg)
+        g1, _ = exact_gradient(y + np.array([13.0, -4.0]), p, macro, cfg)
         np.testing.assert_allclose(g1, g0, atol=1e-9)
 
     def test_exact_mode_gradient_sums_to_zero(self):
         # Differentiating through the centroids keeps the total loss
         # translation invariant, so the coordinate sums must cancel.
         _, p, macro, y, cfg = make_problem(16, 4, 3, seed=5)
-        g, _ = gradient_exact(y, p, macro, cfg)
+        g, _ = exact_gradient(y, p, macro, cfg)
         assert np.abs(g.sum(axis=0)).max() < 1e-9
 
     def test_frozen_responsibility_mode_differs(self):
         _, p, macro, y, cfg = make_problem(16, 4, 3, seed=5)
-        g_exact, _ = gradient_exact(y, p, macro, cfg)
-        g_paper, _ = gradient_exact(
+        g_exact, _ = exact_gradient(y, p, macro, cfg)
+        g_paper, _ = exact_gradient(
             y, p, macro, dataclasses.replace(cfg, gradient_mode="paper")
         )
         assert np.abs(g_paper - g_exact).max() > 1e-8
@@ -299,15 +325,15 @@ class TestGradientExact:
         rng = np.random.default_rng(0)
         y = rng.normal(size=(n, 2))
         cfg = EmbedConfig(alpha=0.01, beta=0.05)
-        g_exact, _ = gradient_exact(y, p, macro, cfg)
-        g_paper, _ = gradient_exact(
+        g_exact, _ = exact_gradient(y, p, macro, cfg)
+        g_paper, _ = exact_gradient(
             y, p, macro, dataclasses.replace(cfg, gradient_mode="paper")
         )
         assert np.abs(g_paper - g_exact).max() <= 1e-10
 
     def test_workspace_invariants(self):
         _, p, macro, y, cfg = make_problem(15, 4, 4, seed=8)
-        _, ws = gradient_exact(y, p, macro, cfg)
+        _, ws = exact_gradient(y, p, macro, cfg)
         assert ws.z_y > 0.0
         assert ws.z_estimator == "exact"
         np.testing.assert_array_equal(ws.q_macro, ws.q_macro.T)
@@ -323,40 +349,40 @@ class TestGradientExact:
         _, p, macro, y, cfg = make_problem(10, 4, 3, seed=6)
         y = y.copy()
         y[5:] += 1e151  # cross-gap kernel drops below the clamp floor
-        g, ws = gradient_exact(y, p, macro, cfg)
+        g, ws = exact_gradient(y, p, macro, cfg)
         assert ws.underflow_clamped
         assert np.isfinite(ws.loss_total)
         assert np.all(np.isfinite(g))
 
     def test_no_underflow_on_tame_maps(self):
         _, p, macro, y, cfg = make_problem(10, 4, 3, seed=6)
-        _, ws = gradient_exact(y, p, macro, cfg)
+        _, ws = exact_gradient(y, p, macro, cfg)
         assert not ws.underflow_clamped
 
     def test_unknown_mode_rejected(self):
         _, p, macro, y, cfg = make_problem(8, 4, 3, seed=1)
         with pytest.raises(ValueError, match="gradient_mode"):
-            gradient_exact(y, p, macro, dataclasses.replace(cfg, gradient_mode="frozen"))
+            exact_gradient(y, p, macro, dataclasses.replace(cfg, gradient_mode="frozen"))
 
     def test_responsibility_width_mismatch_rejected(self):
         _, p, macro, y, cfg = make_problem(10, 4, 3, seed=1)
         clipped = MacroAffinity(r=macro.r[:, :-1], p_macro=macro.p_macro)
         with pytest.raises(ValueError, match="responsibilities"):
-            gradient_exact(y, p, clipped, cfg)
+            exact_gradient(y, p, clipped, cfg)
 
 
 class TestGradientTree:
     def test_zero_angle_matches_exact(self):
         _, p, macro, y, cfg = make_problem(40, 4, 4, seed=3, y_scale=0.5, bh_theta=0.0)
         assert_tree_sums_are_exact(y)
-        g_bh, ws_bh = gradient_bh(y, p, macro, cfg)
-        g_ref, ws_ref = gradient_exact(y, p, macro, cfg)
+        g_bh, ws_bh = gradient_bh(y, p, macro, micro_only(cfg))
+        g_ref, z_ref = dense_micro_gradient(y, p)
         assert ws_bh.z_estimator == "exact"
-        assert abs(ws_bh.z_y - ws_ref.z_y) <= 1e-12 * ws_ref.z_y
+        assert abs(ws_bh.z_y - z_ref) <= 1e-12 * z_ref
         rel = np.abs(g_bh - g_ref) / np.maximum(1.0, np.abs(g_ref))
         assert rel.max() <= 1e-10
-        for name in ("loss_total", "loss_micro", "loss_macro", "loss_kmeans"):
-            a, b = getattr(ws_bh, name), getattr(ws_ref, name)
+        got = exact_losses(y, p, macro, cfg)
+        for a, b in zip(got, oracle_losses(y, p, macro, cfg)):
             assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
 
     def test_zero_angle_matches_exact_in_three_dims(self):
@@ -368,9 +394,9 @@ class TestGradientTree:
         macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
         y = rng.normal(size=(30, 3))
         assert_tree_sums_are_exact(y)
-        cfg = EmbedConfig(alpha=0.01, beta=0.05, out_dims=3, bh_theta=0.0)
+        cfg = EmbedConfig(alpha=0.0, beta=0.0, out_dims=3, bh_theta=0.0)
         g_bh, _ = gradient_bh(y, p, macro, cfg)
-        g_ref, _ = gradient_exact(y, p, macro, cfg)
+        g_ref, _ = dense_micro_gradient(y, p)
         rel = np.abs(g_bh - g_ref) / np.maximum(1.0, np.abs(g_ref))
         assert rel.max() <= 1e-10
 
@@ -381,9 +407,9 @@ class TestGradientTree:
         y = y.copy()
         y[3] = y[7] = y[9]
         assert_tree_sums_are_exact(y)
-        g_bh, ws_bh = gradient_bh(y, p, macro, cfg)
-        g_ref, ws_ref = gradient_exact(y, p, macro, cfg)
-        assert abs(ws_bh.z_y - ws_ref.z_y) <= 1e-12 * ws_ref.z_y
+        g_bh, ws_bh = gradient_bh(y, p, macro, micro_only(cfg))
+        g_ref, z_ref = dense_micro_gradient(y, p)
+        assert abs(ws_bh.z_y - z_ref) <= 1e-12 * z_ref
         rel = np.abs(g_bh - g_ref) / np.maximum(1.0, np.abs(g_ref))
         assert rel.max() <= 1e-10
 
@@ -400,7 +426,7 @@ class TestGradientTree:
         y = np.array([[0.0, 0.0], [1.0, 2.0]])
         cfg = EmbedConfig(alpha=0.01, beta=0.05, bh_theta=0.5)
         g_tree, ws_tree = gradient_bh(y, p, macro, cfg)
-        g_ref, _ = gradient_exact(y, p, macro, cfg)
+        g_ref, _ = exact_gradient(y, p, macro, cfg)
         assert ws_tree.z_estimator == "barnes_hut"
         np.testing.assert_allclose(g_tree, g_ref, atol=1e-14)
 
@@ -418,7 +444,7 @@ class TestGradientTree:
         y = rng.normal(scale=1e-2, size=(100, 2))
         cfg = EmbedConfig(alpha=0.0, beta=0.0, bh_theta=0.5)
         g_tree, ws_tree = gradient_bh(y, p, macro, cfg)
-        g_ref, ws_ref = gradient_exact(y, p, macro, cfg)
+        g_ref, ws_ref = exact_gradient(y, p, macro, cfg)
         assert ws_tree.z_estimator == "barnes_hut"
         scale = np.abs(g_ref).max()
         assert np.abs(g_tree - g_ref).max() / scale < 1e-2
@@ -601,7 +627,7 @@ class TestRepulsionEngines:
             r=np.full((2, len(y)), 0.5), p_macro=np.array([[0.0, 0.5], [0.5, 0.0]])
         )
         cfg = EmbedConfig(alpha=0.0, beta=0.0)
-        g_exact, ws_exact = gradient_exact(y, p, macro, cfg)
+        g_exact, ws_exact = exact_gradient(y, p, macro, cfg)
         g_grid, ws_grid = gradient_bh(y, p, macro, cfg)
         monkeypatch.setattr(objective, "_GRID_NODES_PER_POINT", 0)
         monkeypatch.setattr(objective, "_EXACT_MAX_POINTS", 0)
@@ -671,9 +697,19 @@ class TestExactForces:
     def test_memory_stays_bounded(self):
         # Blocks of rows keep the exact sums at a few MB; the tree sweep
         # at theta = 0 held every (point, cell) pair of a level (240 MB
-        # here), and a pass of 512 points keeps its sweep small too.
+        # here), and a pass of 512 points keeps its sweep small too. A
+        # whole exact gradient with its losses on 5000 points stays near
+        # 24 MB, where n x n kernels would take about 400 MB.
         rng = np.random.default_rng(5)
         y = rng.normal(size=(2000, 2))
+        x = rng.normal(size=(5000, 4))
+        p, _ = build_affinity_model(x, n_neighbors=90, perplexity=30.0)
+        km = kmeans_fit(x, 20, seed=0)
+        macro = MacroAffinity(
+            r=responsibility_matrix(x, km.t, d=2, d_z=4), p_macro=macro_affinity(km.t)
+        )
+        y5k = rng.normal(size=(5000, 2))
+        cfg = EmbedConfig(bh_theta=0.0)
         tracemalloc.start()
         try:
             objective._repulsion(y, 0.0)
@@ -684,10 +720,17 @@ class TestExactForces:
             base = tracemalloc.get_traced_memory()[0]
             objective._tree_forces(tree, y3, 0.5)
             tree_peak = tracemalloc.get_traced_memory()[1] - base
+            del tree, y3
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            _, ws = gradient_bh(y5k, p, macro, cfg)
+            assert ws.z_estimator == "exact" and np.isfinite(ws.loss_total)
+            gradient_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
         assert exact_peak < 16e6
         assert tree_peak < 64e6
+        assert gradient_peak < 32e6
 
 
 class TestLazyLosses:
