@@ -244,52 +244,92 @@ def _tree_forces(tree: QuadTree, y: np.ndarray, theta: float):
 
 # Maps of up to this many points that the grid does not take get the exact
 # sums, which cost n^2 against the tree's n log n build and sweep. Means
-# over the maps of a three-lines descent in 3-D on a 2-core machine: 8.1
-# against 25 ms at n=1500, 38 against 66 ms at n=3000, 114 against 107 ms
-# at n=5100.
+# over the maps of a three-lines descent in 3-D on a 2-core machine: 5.5
+# against 22 ms at n=1500, 19 against 43 ms at n=3000, 58 against 78 ms
+# at n=5100. 3-D maps would gain from a higher limit, but 2-D maps too
+# wide for the grid would lose: on a uniform square of side 80 the tree
+# is ahead at n=5100, 41 against 58 ms.
 _EXACT_MAX_POINTS = 4096
 # Kernel entries per block of the exact sums, about 1 MB per block array.
 _EXACT_BLOCK_ENTRIES = 2**17
+# Largest squared radius of the centred map that the exact sums read from
+# one product. The product's error in 1 + d^2 is a few eps * max |y|^2,
+# so under this bound every kernel keeps a relative error of about 1e-9
+# or less; at the radii of descent maps (under 10 units on roll-1k and
+# lines-3d, squared radii below 100) it is about 1e-14. Wider maps take
+# direct differences.
+_EXACT_PRODUCT_MAX_SQ = 1e-9 / np.finfo(np.float64).eps  # about 4.5e6
 
 
 def _exact_forces(y: np.ndarray):
     """Exact repulsion sums over all pairs, a block of rows at a time.
 
     Returns (force, zsum) like _tree_forces. Each block of rows meets the
-    columns from its first row on; its squared distances come from one
-    BLAS product, sq_i + sq_j - 2 y_i . y_j, on the centred map. Their
-    roundoff grows with the squared radius about the mean, which is why
-    the map is centred (an offset of 1e3 would cost 1e-10 relative
-    accuracy). Pairs with later columns reach both ends, so each kernel
-    is computed once, and coincident points add 1 to each other's zsum
-    and nothing to force.
+    columns from its first row on, so each pair's kernel is computed once
+    and reaches both ends. On the centred map, one BLAS product of the
+    rows [y_i, |y_i|^2, 1] with the columns [-2 y_j, 1, |y_j|^2 + 1]
+    gives a block's 1 + d^2; a clamp at 1 and a reciprocal turn it into
+    kernels in (0, 1], so coincident points add 1 to each other's zsum
+    and nothing to force. zsum's row and column sums are products with
+    ones; after squaring, one product with the columns [y_j, 1] gives
+    the rows' force and their kernel-squared sums, and one with the rows
+    [y_i, 1] the same for the later columns. The product's roundoff
+    grows with the squared radius about the mean, so maps wider than
+    _EXACT_PRODUCT_MAX_SQ go to _direct_forces instead.
     """
     n, d = y.shape
-    y = y - y.mean(axis=0)
-    sq = np.einsum("ij,ij->i", y, y)
+    centred = y - y.mean(axis=0)
+    sq = np.einsum("ij,ij->i", centred, centred)
+    if not sq.max() <= _EXACT_PRODUCT_MAX_SQ:
+        return _direct_forces(y)
+    y = centred
+    ones = np.ones(n)
+    left = np.column_stack([y, sq, ones])
+    right = np.column_stack([-2.0 * y, ones, sq + 1.0])
+    y1 = np.column_stack([y, ones])
     force = np.zeros((n, d))
     zsum = np.zeros(n)
     rows = max(1, _EXACT_BLOCK_ENTRIES // n)
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
-        yi, cols = y[i0:i1], y[i0:]
-        k = yi @ cols.T
-        k *= -2.0
-        k += sq[i0:]
-        k += sq[i0:i1, None]
-        # Roundoff can leave a coincident pair's distance a little below 0;
-        # the clamp keeps every kernel within (0, 1].
-        np.maximum(k, 0.0, out=k)
-        k += 1.0
+        m = i1 - i0
+        k = left[i0:i1] @ right[i0:].T
+        # Roundoff can leave a coincident pair's 1 + d^2 a little below 1.
+        np.maximum(k, 1.0, out=k)
         np.reciprocal(k, out=k)
-        own = np.arange(i1 - i0)
+        own = np.arange(m)
         k[own, own] = 0.0
-        later = k[:, i1 - i0 :]
-        zsum[i0:i1] += k.sum(axis=1)
-        zsum[i1:] += later.sum(axis=0)
+        later = k[:, m:]
+        zsum[i0:i1] += k @ ones[i0:]
+        zsum[i1:] += ones[:m] @ later
         k *= k
-        force[i0:i1] += k.sum(axis=1)[:, None] * yi - k @ cols
-        force[i1:] += later.sum(axis=0)[:, None] * y[i1:] - later.T @ yi
+        a = k @ y1[i0:]
+        force[i0:i1] += a[:, d:] * y[i0:i1] - a[:, :d]
+        b = later.T @ y1[i0:i1]
+        force[i1:] += b[:, d:] * y[i1:] - b[:, :d]
+    return force, zsum
+
+
+def _direct_forces(y: np.ndarray):
+    """Exact repulsion sums from direct differences, a block of rows at a time.
+
+    Returns (force, zsum) like _exact_forces, for maps too wide for its
+    product. Each pair's difference comes from the map as given, so its
+    roundoff is relative to the pair's own distance, not to the map's
+    radius. Every pair is evaluated from both ends.
+    """
+    n, d = y.shape
+    force = np.empty((n, d))
+    zsum = np.empty(n)
+    rows = max(1, _EXACT_BLOCK_ENTRIES // n)
+    for i0 in range(0, n, rows):
+        i1 = min(i0 + rows, n)
+        diff = y[i0:i1, None, :] - y[None, :, :]
+        k = 1.0 / (1.0 + np.einsum("ijd,ijd->ij", diff, diff))
+        own = np.arange(i1 - i0)
+        k[own, i0 + own] = 0.0
+        zsum[i0:i1] = k.sum(axis=1)
+        force[i0:i1] = np.einsum("ij,ijd->id", k * k, diff)
     return force, zsum
 
 
@@ -301,9 +341,21 @@ _GRID_MIN_INTERVALS = 16
 _GRID_INTERVALS_PER_UNIT = 2
 # The grid runs only while it has at most this many nodes per point: its
 # cost follows the node count, the other engines' the point count. At
-# n=300 and extent 80 (256 nodes per point) the grid takes 210-250 ms,
-# the exact sums 0.7 ms.
+# n=300 and extent 80 (256 nodes per point) the grid takes 120 ms, the
+# exact sums 0.3 ms.
 _GRID_NODES_PER_POINT = 12
+
+
+def _fft_length(m: int) -> int:
+    """The smallest 5-smooth length (2^a 3^b 5^c) of at least m."""
+    while True:
+        rest = m
+        for f in (2, 3, 5):
+            while rest % f == 0:
+                rest //= f
+        if rest == 1:
+            return m
+        m += 1
 
 
 def _grid_forces(y: np.ndarray, intervals: int):
@@ -343,9 +395,10 @@ def _grid_forces(y: np.ndarray, intervals: int):
     flat = (node[:, 0, :, None] * size + node[:, 1, None, :]).reshape(n, -1)
     weight = (w[:, 0, :, None] * w[:, 1, None, :]).reshape(n, -1)
 
-    # Padding each axis to twice the node count keeps the circular
-    # convolution from wrapping around.
-    pad = 2 * size
+    # A circular convolution of length at least 2 * size - 1 does not wrap
+    # around: offsets from -(size - 1) to size - 1 all fit. A 5-smooth
+    # length keeps the FFTs fast (251 intervals pad to 1536, not 1506).
+    pad = _fft_length(2 * size - 1)
     step = np.arange(pad)
     offset2 = (np.where(step < size, step, step - pad) * spacing) ** 2
     kern = 1.0 / (1.0 + np.add.outer(offset2, offset2))
@@ -513,16 +566,25 @@ def _attraction(y: np.ndarray, p: AffinityModel, exaggeration: float = 1.0):
 
     Each stored pair is evaluated once, weighted by its affinity times
     exaggeration; its force reaches both ends with opposite signs through
-    one scatter over p.ends.
+    one scatter over p.ends. Temporaries are reused in place without
+    reordering any arithmetic, so the result is bit for bit that of the
+    plain expressions.
     """
     n, d = y.shape
-    diff = y.take(p.row, axis=0) - y.take(p.col, axis=0)
-    pair_kern = 1.0 / (1.0 + np.einsum("ij,ij->i", diff, diff))
-    w = p.val * exaggeration * pair_kern
+    nnz = len(p.val)
+    diff = y.take(p.row, axis=0)
+    diff -= y.take(p.col, axis=0)
+    pair_kern = np.einsum("ij,ij->i", diff, diff)
+    pair_kern += 1.0
+    np.divide(1.0, pair_kern, out=pair_kern)
+    w = p.val * exaggeration
+    w *= pair_kern
+    both = np.empty(2 * nnz)  # each pair's force on its row end, then its col end
     att = np.empty((n, d))
     for ax in range(d):
-        wd = w * diff[:, ax]
-        att[:, ax] = np.bincount(p.ends, weights=np.concatenate([wd, -wd]), minlength=n)
+        np.multiply(w, diff[:, ax], out=both[:nnz])
+        np.negative(both[:nnz], out=both[nnz:])
+        att[:, ax] = np.bincount(p.ends, weights=both, minlength=n)
     return att, pair_kern
 
 

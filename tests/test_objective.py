@@ -664,21 +664,77 @@ class TestRepulsionEngines:
         assert per_point.max() < 1e-2 and z_err < 1e-3
         np.testing.assert_allclose(force[0], -force[1], rtol=1e-12)
 
+    def test_fft_lengths_are_five_smooth(self):
+        for size in range(1, 1000):
+            length = objective._fft_length(2 * size - 1)
+            rest = length
+            for f in (2, 3, 5):
+                while rest % f == 0:
+                    rest //= f
+            assert rest == 1 and length >= 2 * size - 1
+        # 251 intervals of 3 nodes used to pad to 1506 = 2 * 3 * 251.
+        assert objective._fft_length(2 * 753 - 1) == 1536
+
+    @pytest.mark.parametrize("intervals", [31, 251])
+    def test_grid_on_smooth_lengths_meets_the_edge_bounds(self, intervals):
+        # The map spans intervals / 2 units, as the interval rule would
+        # give it; corner points carry the largest net forces.
+        extent = intervals / 2.0
+        y = np.random.default_rng(intervals).uniform(0, extent, size=(1000, 2))
+        y[:4] = [[0.0, 0.0], [extent, extent], [extent, 3.0], [4.0, extent]]
+        force, zsum = objective._grid_forces(y, intervals)
+        per_point, z_err = relative_errors(force, zsum, y)
+        assert per_point[:4].max() < 1e-2 and z_err < 1e-3
+
 
 class TestExactForces:
     """The blocked exact sums against the dense oracle."""
 
     @pytest.mark.parametrize("dims", [2, 3])
-    @pytest.mark.parametrize("n", [1, 2, 37, 1000])
+    @pytest.mark.parametrize("n", [1, 2, 37, 1000, 1141])
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     def test_matches_the_dense_sums(self, dims, n, offset):
-        # 1000 points run in blocks of 131 rows, the last one partial.
+        # 1000 points run in blocks of 131 rows, the last one partial;
+        # 1141 points in ten blocks of 114 rows and one of a single row.
         y = offset + np.random.default_rng(n).normal(scale=3.0, size=(n, dims))
         force, zsum = objective._exact_forces(y)
         want_force, want_zsum = dense_repulsion(y)
         scale = max(np.abs(want_force).max(), 1e-300)
         assert np.abs(force - want_force).max() <= 1e-12 * scale
         assert np.abs(zsum - want_zsum).max() <= 1e-12 * max(want_zsum.max(), 1e-300)
+
+    def test_pair_forces_cancel(self):
+        # Each pair's forces on its two ends are equal and opposite.
+        y = np.random.default_rng(11).normal(scale=3.0, size=(1000, 3))
+        force, zsum = objective._exact_forces(y)
+        want_force, want_zsum = dense_repulsion(y)
+        assert np.abs(force.sum(axis=0)).max() <= 1e-12 * np.abs(force).sum(axis=0).max()
+        assert abs(zsum.sum() - want_zsum.sum()) <= 1e-12 * want_zsum.sum()
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_wide_maps_take_direct_differences(self, dims):
+        # Two halves 1e151 apart: the product form would read the
+        # within-half kernels as 0 or 1.
+        y = np.random.default_rng(6).normal(size=(10, dims))
+        y[5:] += 1e151
+        force, zsum = objective._exact_forces(y)
+        want_force, want_zsum = dense_repulsion(y)
+        assert np.abs(force - want_force).max() <= 1e-12 * np.abs(want_force).max()
+        assert np.abs(zsum - want_zsum).max() <= 1e-12 * want_zsum.max()
+
+    @pytest.mark.parametrize("dims", [2, 3])
+    def test_product_form_up_to_its_radius_bound(self, dims):
+        # Two clusters 2000 units from the mean, just inside the bound:
+        # the product's roundoff stays within the 1e-9 it is allowed.
+        y = np.random.default_rng(dims).normal(size=(400, dims))
+        y[:200, 0] += 2000.0
+        y[200:, 0] -= 2000.0
+        centred = y - y.mean(axis=0)
+        assert (centred**2).sum(axis=1).max() <= objective._EXACT_PRODUCT_MAX_SQ
+        force, zsum = objective._exact_forces(y)
+        want_force, want_zsum = dense_repulsion(y)
+        assert np.abs(force - want_force).max() <= 1e-9 * np.abs(want_force).max()
+        assert np.abs(zsum - want_zsum).max() <= 1e-9 * want_zsum.max()
 
     @pytest.mark.parametrize("dims", [2, 3])
     def test_coincident_points(self, dims):
