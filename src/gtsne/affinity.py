@@ -7,6 +7,10 @@ one sparse joint distribution P over unordered pairs that sums to 1.
 
 All three stages work on whole arrays: a blocked exact kNN search, one
 bisection over the (n, k) distance matrix, and a pair-key symmetrization.
+The kNN search, exact_knn, is the package's one exact nearest-neighbor
+routine: with a separate reference set it also makes the k-means
+assignment (macro.kmeans_fit), and metrics.knn_preservation scores maps
+with it.
 """
 
 from __future__ import annotations
@@ -18,81 +22,115 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Distances one kNN block may hold: the block takes max(1, this // n)
-# query rows, so each of its working arrays stays near 1 MB for any n.
-# Larger blocks ran no faster on 1000-1500 points and raised the peak
-# memory of a whole run.
+# Distances one kNN block may hold: against m searched rows the block
+# takes max(1, this // m) query rows, so each of its working arrays stays
+# near 1 MB for any m. Larger blocks ran no faster on 1000-1500 points
+# and raised the peak memory of a whole run.
 KNN_BLOCK_FLOATS = 1 << 17
 
 
-def exact_knn(points: np.ndarray, k: int):
-    """Exact k nearest neighbors of every point, excluding itself.
+def _finite_matrix(a, name: str) -> np.ndarray:
+    a = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
+    if a.ndim != 2 or len(a) == 0:
+        raise ValueError(f"{name} must be a nonempty 2-D matrix")
+    if not np.all(np.isfinite(a)):
+        raise ValueError(f"non-finite entries in {name}")
+    return a
 
-    Returns (ids, sq) of shape (n, k): neighbor indices and squared
-    distances, each row ordered by ascending (squared distance, index).
 
-    Each block of query rows first ranks all points by the expanded form
-    |a|^2 + |b|^2 - 2 a.b on centered coordinates, one matrix product per
-    block. That form can cancel, so every point whose approximate value
-    could still place it among the true k nearest, given a rounding-error
-    bound on each pair, is kept, and the kept candidates are re-ranked by
-    exact squared distances from direct differences of the input.
+def exact_knn(points: np.ndarray, k: int, reference: np.ndarray | None = None):
+    """Exact k nearest neighbors of every point.
+
+    Without reference, each point searches the other points and never
+    lists itself, so 1 <= k <= n - 1. With reference, an (m, d) matrix,
+    each point searches its rows and excludes none, so 1 <= k <= m; with
+    k = 1 and centroids as the reference this is a k-means assignment.
+
+    Returns (ids, sq) of shape (n, k): indices into the searched rows and
+    squared distances, each row ordered by ascending (squared distance,
+    index), so equal distances go to the lower index.
+
+    Each block of query rows first ranks the searched rows by the expanded
+    form |a|^2 + |b|^2 - 2 a.b on coordinates centered by the points'
+    mean, one matrix product per block. That form can cancel, so every row
+    whose approximate value could still place it among the true k nearest,
+    given a rounding-error bound on each pair, is kept, and the kept
+    candidates are re-ranked by exact squared distances from direct
+    differences of the input.
     """
-    pts = np.ascontiguousarray(np.asarray(points, dtype=np.float64))
-    if pts.ndim != 2 or len(pts) == 0:
-        raise ValueError("points must be a nonempty 2-D matrix")
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points contain non-finite entries")
+    pts = _finite_matrix(points, "points")
     n, dim = pts.shape
-    if not (1 <= k <= n - 1):
-        raise ValueError(f"k={k} must lie in [1, {n - 1}]")
-
-    centered = pts - pts.mean(axis=0)
+    mean = pts.mean(axis=0)
+    centered = pts - mean
     sq_norm = np.einsum("ij,ij->i", centered, centered)
-    # Error bound of the expanded form in float64. Each of |a|^2, |b|^2 and
-    # a.b is a d-term dot product, whose rounding error in any summation
-    # order is at most gamma_d times the sum of |a_t b_t| (Cauchy-Schwarz
-    # bounds that sum by |a||b|), and the final add and subtract round
-    # twice more, so |fl(approx) - d^2| <= gamma_(d+2) (|a| + |b|)^2 with
-    # gamma_m = m u / (1 - m u) and u = 2^-53. Below, slack = (d + 2) 4u
-    # and delta(a, b) = slack (|a|^2 + |b|^2) >= (d + 2) 2u (|a| + |b|)^2,
-    # twice the leading term of that bound, which leaves room for gamma's
-    # denominator and for the few roundings of the candidate test itself.
+    if reference is None:
+        ref, ref_centered, ref_norm = pts, centered, sq_norm
+        limit = n - 1
+    else:
+        ref = _finite_matrix(reference, "reference")
+        if ref.shape[1] != dim:
+            raise ValueError(f"reference has width {ref.shape[1]}, points have width {dim}")
+        ref_centered = ref - mean
+        ref_norm = np.einsum("ij,ij->i", ref_centered, ref_centered)
+        limit = len(ref)
+    if not (1 <= k <= limit):
+        raise ValueError(f"k={k} must lie in [1, {limit}]")
+
+    # Error bound of the expanded form in float64, for a query a and a
+    # searched row b, both centered by the points' mean. Each of |a|^2,
+    # |b|^2 and a.b is a d-term dot product, whose rounding error in any
+    # summation order is at most gamma_d times the sum of |a_t b_t|
+    # (Cauchy-Schwarz bounds that sum by |a||b|), and the final add and
+    # subtract round twice more, so |fl(approx) - d^2| <= gamma_(d+2)
+    # (|a| + |b|)^2 with gamma_m = m u / (1 - m u) and u = 2^-53. Below,
+    # slack = (d + 2) 4u and delta(a, b) = slack (|a|^2 + |b|^2) >=
+    # (d + 2) 2u (|a| + |b|)^2, twice the leading term of that bound, which
+    # leaves room for gamma's denominator, for the rounding of the
+    # centering (at most 2u (|a| + |b|)^2 on d^2) and for the few roundings
+    # of the candidate test itself. Nothing in it asks b to be one of the
+    # points: with a reference, |b|^2 is a reference row's norm.
     slack = 2.0 * (dim + 2) * np.finfo(np.float64).eps
-    col_delta = slack * sq_norm
-    # For query a, let S be the k points of smallest approx, a_k the
+    col_delta = slack * ref_norm
+    # For query a, let S be the k searched rows of smallest approx, a_k the
     # largest approx in S and r the largest |b|^2 in S. The true k-th d^2
     # is at most a_k + delta over S <= a_k + slack (|a|^2 + r), so a true
-    # top-k point b has approx - delta(a, b) <= that, that is
+    # top-k row b has approx - delta(a, b) <= that, that is
     # approx - slack |b|^2 <= a_k + slack (2 |a|^2 + r). Bounding each
-    # pair, not each row, keeps one far outlier from admitting every point.
-    rows = max(1, KNN_BLOCK_FLOATS // n)
+    # pair, not each query, keeps one far outlier from admitting every row.
+    rows = max(1, KNN_BLOCK_FLOATS // len(ref))
     step = max(1, KNN_BLOCK_FLOATS // dim)
     ids = np.empty((n, k), dtype=np.int64)
     sq = np.empty((n, k), dtype=np.float64)
-    pick = np.arange(k)
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         local = np.arange(stop - start)
-        approx = centered[start:stop] @ centered.T
+        approx = centered[start:stop] @ ref_centered.T
         approx *= -2.0
         approx += sq_norm[start:stop, None]
-        approx += sq_norm[None, :]
-        approx[local, start + local] = np.inf
-        nearest = np.argpartition(approx, k - 1, axis=1)[:, :k]
-        reach = sq_norm[nearest].max(axis=1)
+        approx += ref_norm[None, :]
+        if reference is None:
+            approx[local, start + local] = np.inf
+        if k == 1:
+            nearest = approx.argmin(axis=1)[:, None]
+        else:
+            nearest = np.argpartition(approx, k - 1, axis=1)[:, :k]
+        reach = ref_norm[nearest].max(axis=1)
         bound = approx[local, nearest[:, -1]] + slack * (2.0 * sq_norm[start:stop] + reach)
         approx -= col_delta
         r, c = np.nonzero(approx <= bound[:, None])
         exact = np.empty(len(r))
         for s in range(0, len(r), step):
-            diff = pts[start + r[s:s + step]] - pts[c[s:s + step]]
+            diff = pts[start + r[s:s + step]] - ref[c[s:s + step]]
             exact[s:s + step] = np.einsum("ij,ij->i", diff, diff)
-        # nonzero lists each row's candidates by ascending index and the
-        # sort is stable, so equal distances stay in index order.
-        order = np.lexsort((exact, r))
-        first = np.searchsorted(r[order], local)
-        take = order[first[:, None] + pick]
+        # Rank each query's candidates in one (queries, widest) table
+        # padded with +inf. nonzero lists each query's candidates by
+        # ascending index and the sort is stable, so equal distances stay
+        # in index order, and padding sorts after every candidate.
+        counts = np.bincount(r, minlength=stop - start)
+        first = np.cumsum(counts) - counts
+        table = np.full((stop - start, counts.max()), np.inf)
+        table[r, np.arange(len(r)) - first[r]] = exact
+        take = first[:, None] + np.argsort(table, axis=1, kind="stable")[:, :k]
         ids[start:stop] = c[take]
         sq[start:stop] = exact[take]
     return ids, sq

@@ -7,6 +7,7 @@ arrays; treat the arrays as read-only once constructed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, get_type_hints
 
@@ -150,6 +151,7 @@ _PARSERS = {
     name: {bool: _parse_bool, Optional[int]: _parse_opt_int}.get(kind, kind)
     for name, kind in get_type_hints(EmbedConfig).items()
 }
+_FLOAT_FIELDS = tuple(name for name, parse in _PARSERS.items() if parse is float)
 
 
 def _format_value(v) -> str:
@@ -226,7 +228,11 @@ def resolve_config(cfg: EmbedConfig, n: int, d_in: int) -> EmbedConfig:
     """
     updates = {}
     if cfg.n_neighbors is None:
-        updates["n_neighbors"] = max(1, min(int(round(3 * cfg.perplexity)), n - 1))
+        # A non-finite perplexity is left for validate_config to report.
+        guess = 3 * cfg.perplexity
+        updates["n_neighbors"] = (
+            max(1, min(int(round(guess)), n - 1)) if math.isfinite(guess) else n - 1
+        )
     if cfg.pca_dims is None:
         updates["pca_dims"] = max(1, min(50, d_in, n))
     return replace(cfg, **updates) if updates else cfg
@@ -246,6 +252,9 @@ def validate_config(cfg: EmbedConfig, n: int, d_in: int) -> list[str]:
         if not ok:
             bad.append(msg)
 
+    for name in _FLOAT_FIELDS:
+        value = getattr(cfg, name)
+        want(math.isfinite(value), f"{name}={value}: must be finite")
     want(cfg.perplexity > 0, f"perplexity={cfg.perplexity}: must be positive")
     want(cfg.alpha >= 0, f"alpha={cfg.alpha}: must be nonnegative")
     want(cfg.beta >= 0, f"beta={cfg.beta}: must be nonnegative")

@@ -14,6 +14,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .affinity import exact_knn
+
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> np.ndarray:
     """Squared Euclidean distances between rows of a and rows of b.
@@ -75,11 +77,14 @@ def _plus_plus_init(z: np.ndarray, k: int, rng) -> np.ndarray:
 def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> CentroidModel:
     """Lloyd iteration from a k-means++ start.
 
-    Ties in assignment go to the lowest centroid index. A cluster left
-    empty by an assignment step captures the point currently farthest from
-    its own centroid (one point per empty cluster, in cluster order), so
-    no cluster is ever empty and the recorded inertia never increases.
-    Stops at an assignment fixpoint or after max_iter rounds.
+    Each assignment step is one exact nearest-centroid search, exact_knn
+    with the centroids as reference: a matrix product per block, and
+    direct differences only where rounding could swap the order. Ties in
+    assignment go to the lowest centroid index. A cluster left empty by an
+    assignment step captures the point currently farthest from its own
+    centroid (one point per empty cluster, in cluster order), so no
+    cluster is ever empty and the recorded inertia never increases. Stops
+    at an assignment fixpoint or after max_iter rounds.
     """
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or len(z) == 0:
@@ -98,12 +103,12 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
     trace = []
 
     for _ in range(max_iter):
-        d2 = pairwise_sq_dists(z, centroids)
-        new_assignment = d2.argmin(axis=1)  # ties resolve to the lower index
+        nearest, sq = exact_knn(z, 1, reference=centroids)
+        new_assignment = nearest[:, 0]
 
         counts = np.bincount(new_assignment, minlength=k)
         if np.any(counts == 0):
-            own = d2[np.arange(n), new_assignment].copy()
+            own = sq[:, 0]
             for empty in np.flatnonzero(counts == 0):
                 donor = int(own.argmax())
                 new_assignment[donor] = empty

@@ -10,15 +10,19 @@ from types import SimpleNamespace
 import numpy as np
 
 
-def brute_knn(points, query_index, k):
-    """All-pairs scan; k best by ascending (squared distance, index)."""
+def brute_knn(points, query_index, k, reference=None):
+    """All-pairs scan; k best by ascending (squared distance, index).
+
+    Scans the other points, or every row of reference when one is given.
+    """
     points = np.asarray(points, dtype=np.float64)
     q = points[query_index]
+    searched = points if reference is None else np.asarray(reference, dtype=np.float64)
     cand = []
-    for j in range(len(points)):
-        if j == query_index:
+    for j in range(len(searched)):
+        if reference is None and j == query_index:
             continue
-        d2 = float(((points[j] - q) ** 2).sum())
+        d2 = float(((searched[j] - q) ** 2).sum())
         cand.append((d2, j))
     cand.sort()
     return [(j, d2) for d2, j in cand[:k]]

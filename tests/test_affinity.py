@@ -5,9 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gtsne import build_affinity_model, calibrate, symmetrize
+from gtsne import affinity, build_affinity_model, calibrate, exact_knn, symmetrize
 from gtsne.affinity import AffinityModel
-from oracles import calibrate_row, dense_affinities, row_perplexity, solve_beta
+from oracles import brute_knn, calibrate_row, dense_affinities, row_perplexity, solve_beta
 
 # d2 = (1, 4, 9) at effective neighbor count 2, solved independently by
 # bisection; the row follows from the fitted precision.
@@ -225,3 +225,101 @@ class TestBuildAffinityModel:
         assert not any(row.converged for row in rows)
         assert all(abs(row.perplexity - 4.0) > 1e-5 for row in rows)
         assert abs(model.total() - 1.0) < 1e-9
+
+
+class TestExactKnnReference:
+    """exact_knn searching a separate reference set, row by row against
+    the brute-force scan of that set."""
+
+    @staticmethod
+    def check(points, reference, k, rtol=0.0):
+        ids, sq = exact_knn(points, k, reference=reference)
+        assert ids.shape == sq.shape == (len(points), k)
+        for i in range(len(points)):
+            want = brute_knn(points, i, k, reference=reference)
+            assert ids[i].tolist() == [j for j, _ in want]
+            # The oracle sums each pair with sum, the search with einsum:
+            # random inputs may differ in the last bits, exact ones not.
+            if rtol:
+                np.testing.assert_allclose(sq[i], [d2 for _, d2 in want], rtol=rtol)
+            else:
+                assert sq[i].tolist() == [d2 for _, d2 in want]
+
+    @pytest.mark.parametrize("n, m", [(200, 20), (50, 300)], ids=["smaller", "larger"])
+    @pytest.mark.parametrize("k", [1, 7])
+    def test_random_points(self, n, m, k):
+        rng = np.random.default_rng(n + m + k)
+        points = rng.normal(size=(n, 5))
+        self.check(points, 1.5 * rng.normal(size=(m, 5)), k, rtol=1e-12)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_lattice_ties_go_to_the_lower_index(self, k):
+        # Cell centres of an integer lattice lie at squared distance 0.75,
+        # exactly, from all 8 corners of their cell. The reference lists
+        # the lattice backwards, so the lower index is not the lower
+        # coordinate.
+        g = np.arange(5.0)
+        lattice = np.stack(np.meshgrid(g, g, g, indexing="ij"), axis=-1).reshape(-1, 3)
+        centres = lattice[lattice.max(axis=1) < 4] + 0.5
+        ids, sq = exact_knn(centres, k, reference=lattice[::-1])
+        assert np.all(sq == 0.75)
+        self.check(centres, lattice[::-1], k)
+
+    @pytest.mark.parametrize("k", [1, 5])
+    def test_duplicate_reference_rows(self, k):
+        rng = np.random.default_rng(4)
+        base = rng.normal(size=(6, 2))
+        reference = base[rng.integers(0, 6, size=30)]
+        points = np.concatenate([base, rng.normal(size=(20, 2))])
+        self.check(points, reference, k)
+
+    @pytest.mark.parametrize("k", [1, 6])
+    def test_offset_by_1e6_keeps_exact_order(self, k):
+        # Points on a 1e-3 grid at +1e6 and at -1e6, so centering by their
+        # mean leaves norms near 1.4e6, where the expanded form's rounding
+        # (about 1e-4 in squared distance) dwarfs the grid's 1e-6. The
+        # reference is the grid listed backwards and shifted by 3e-4.
+        g = np.arange(8) * 1e-3
+        grid = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+        points = np.concatenate([grid + 1e6, grid - 1e6])
+        reference = np.concatenate([grid[::-1] + (1e6 + 3e-4), grid[::-1] - (1e6 + 3e-4)])
+        mean = points.mean(axis=0)
+        a, b = points - mean, reference - mean
+        expanded = (a**2).sum(axis=1)[:, None] + (b**2).sum(axis=1) - 2.0 * a @ b.T
+        naive = np.argsort(expanded, axis=1, kind="stable")[:, :k]
+        want = [brute_knn(points, i, k, reference=reference) for i in range(len(points))]
+        assert any(naive[i].tolist() != [j for j, _ in want[i]] for i in range(len(points)))
+        self.check(points, reference, k)
+
+    def test_nothing_is_excluded_as_self(self):
+        rng = np.random.default_rng(8)
+        points = rng.normal(size=(30, 3))
+        ids, sq = exact_knn(points, 1, reference=points)
+        assert ids[:, 0].tolist() == list(range(30))
+        assert np.all(sq == 0.0)
+        # k may reach the reference size: every row is then fully ranked.
+        self.check(points, points[:9], 9, rtol=1e-12)
+
+    def test_one_query_blocks_change_nothing(self, monkeypatch):
+        rng = np.random.default_rng(10)
+        points, reference = rng.normal(size=(40, 3)), rng.normal(size=(12, 3))
+        ids, sq = exact_knn(points, 3, reference=reference)
+        monkeypatch.setattr(affinity, "KNN_BLOCK_FLOATS", 1)
+        one_ids, one_sq = exact_knn(points, 3, reference=reference)
+        assert np.array_equal(ids, one_ids)
+        assert np.array_equal(sq, one_sq)
+
+    def test_rejects_bad_reference(self):
+        points = np.arange(12.0).reshape(6, 2)
+        with pytest.raises(ValueError, match=r"k=4 must lie in \[1, 3\]"):
+            exact_knn(points, 4, reference=points[:3])
+        with pytest.raises(ValueError, match="k=0"):
+            exact_knn(points, 0, reference=points[:3])
+        with pytest.raises(ValueError, match="width 3"):
+            exact_knn(points, 1, reference=np.ones((3, 3)))
+        with pytest.raises(ValueError, match="non-finite entries in reference"):
+            exact_knn(points, 1, reference=np.array([[0.0, 1.0], [np.inf, 0.0]]))
+        with pytest.raises(ValueError, match="non-finite entries in reference"):
+            exact_knn(points, 1, reference=np.array([[np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="reference must be a nonempty"):
+            exact_knn(points, 1, reference=np.zeros((0, 2)))

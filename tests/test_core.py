@@ -1,6 +1,8 @@
 """Data types, config serialization, and validation."""
 
+import math
 from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 import pytest
@@ -19,6 +21,19 @@ from gtsne.core import (
     parse_config_items,
     parse_config_text,
     validate_config,
+)
+
+FLOAT_FIELDS = (
+    "perplexity",
+    "alpha",
+    "beta",
+    "learning_rate",
+    "momentum_initial",
+    "momentum_final",
+    "bh_theta",
+    "perplexity_tol",
+    "init_stddev",
+    "early_exaggeration",
 )
 
 
@@ -224,6 +239,20 @@ class TestValidate:
         with pytest.raises(ConfigError) as exc:
             check_config(cfg, n=30, d_in=100)
         assert exc.value.violations == ["pca_dims=40: must be <= n=30"]
+
+    def test_float_fields_are_listed(self):
+        hints = get_type_hints(EmbedConfig)
+        assert set(FLOAT_FIELDS) == {name for name, kind in hints.items() if kind is float}
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("name", FLOAT_FIELDS)
+    def test_non_finite_floats_rejected(self, name, value):
+        # perplexity_tol=inf once passed every row as converged off target,
+        # and a non-finite perplexity crashed resolve_config's default.
+        with pytest.raises(ConfigError) as exc:
+            check_config(EmbedConfig(**{name: value}), n=200, d_in=5)
+        assert f"{name}={value}: must be finite" in exc.value.violations
+        assert all(v.startswith(f"{name}=") for v in exc.value.violations)
 
     def test_check_config_returns_resolved(self):
         cfg = check_config(EmbedConfig(), n=2100, d_in=3)

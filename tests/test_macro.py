@@ -102,8 +102,10 @@ class TestKmeans:
             (gen_swiss_roll(n=1000, seed=0).x, 90),
             (gen_three_lines(ThreeLinesSpec(n_s=500, dims=10, seed=0)).x, 90),
             (np.array([[0.0, 0.0]] * 6 + [[10.0, 0.0]] * 6 + [[0.0, 10.0], [0.1, 9.9]]), 4),
+            (np.random.default_rng(14).normal(size=(1000, 5)) + 1e4, 90),
+            (np.indices((8, 8, 8), dtype=np.float64).reshape(3, -1).T, 90),
         ],
-        ids=["swiss-roll", "three-lines", "empty-clusters"],
+        ids=["swiss-roll", "three-lines", "empty-clusters", "offset-1e4", "tie-lattice"],
     )
     def test_centroids_match_the_per_cluster_loop(self, z, k):
         km = kmeans_fit(z, k=k, seed=0)
@@ -112,6 +114,21 @@ class TestKmeans:
         assert np.array_equal(km.t, t)
         assert np.array_equal(km.assignment, assignment)
         assert np.array_equal(km.inertia_trace, trace)
+
+    def test_assignment_memory_stays_bounded(self):
+        # Points and centroids are 8 MB and 36 kB. Each assignment step
+        # holds one centered copy of the points and a (rows, k) block of
+        # about 1 MB; the inertia's differences take two more copies. Whole
+        # (256, k, d) difference chunks took the peak to over 45 MB.
+        rng = np.random.default_rng(13)
+        z = rng.normal(size=(20000, 50))
+        tracemalloc.start()
+        try:
+            kmeans_fit(z, k=90, seed=0, max_iter=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
 
     def test_single_cluster_is_global_mean(self):
         rng = np.random.default_rng(6)
