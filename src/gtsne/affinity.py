@@ -22,20 +22,13 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .core import as_points
+
 # Distances one kNN block may hold: against m searched rows the block
 # takes max(1, this // m) query rows, so each of its working arrays stays
 # near 1 MB for any m. Larger blocks ran no faster on 1000-1500 points
 # and raised the peak memory of a whole run.
 KNN_BLOCK_FLOATS = 1 << 17
-
-
-def _finite_matrix(a, name: str) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-    if a.ndim != 2 or len(a) == 0:
-        raise ValueError(f"{name} must be a nonempty 2-D matrix")
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"non-finite entries in {name}")
-    return a
 
 
 def exact_knn(points: np.ndarray, k: int, reference: np.ndarray | None = None):
@@ -58,7 +51,7 @@ def exact_knn(points: np.ndarray, k: int, reference: np.ndarray | None = None):
     candidates are re-ranked by exact squared distances from direct
     differences of the input.
     """
-    pts = _finite_matrix(points, "points")
+    pts = as_points(points, "points")
     n, dim = pts.shape
     mean = pts.mean(axis=0)
     centered = pts - mean
@@ -67,7 +60,7 @@ def exact_knn(points: np.ndarray, k: int, reference: np.ndarray | None = None):
         ref, ref_centered, ref_norm = pts, centered, sq_norm
         limit = n - 1
     else:
-        ref = _finite_matrix(reference, "reference")
+        ref = as_points(reference, "reference")
         if ref.shape[1] != dim:
             raise ValueError(f"reference has width {ref.shape[1]}, points have width {dim}")
         ref_centered = ref - mean

@@ -225,8 +225,10 @@ def cmd_evaluate(args) -> int:
         segments = [(thirds[i], thirds[i + 1]) for i in range(3)]
     break_fraction = line_continuity(y.x, segments, factor=args.factor)
 
-    # The macro model is rebuilt as embed builds it: unset widths take
-    # embed's defaults.
+    # A macro model of evaluate's own: unset widths take embed's defaults,
+    # but the PCA is always centred and k-means is seeded with --seed
+    # itself, not with the seed run() derives from it, so the partition is
+    # in general not the embed run's.
     given = _given(n_clusters=args.clusters, pca_dims=args.pca_dims)
     cfg = resolve_config(EmbedConfig(**given), n, x.dim)
     d_z = cfg.pca_dims

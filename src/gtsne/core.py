@@ -16,12 +16,32 @@ import numpy as np
 GRADIENT_MODES = ("paper", "exact")
 
 
+def as_points(obj, name: str) -> np.ndarray:
+    """obj as a C-ordered float64 matrix of points, one row per point.
+
+    A Dataset gives its x and an Embedding its y. Every function that
+    takes points coerces and checks them here, so each raises the same
+    ValueError, naming its argument, for input that is not a nonempty
+    2-D matrix or that holds NaN or inf.
+    """
+    if isinstance(obj, Dataset):
+        obj = obj.x
+    elif isinstance(obj, Embedding):
+        obj = obj.y
+    a = np.ascontiguousarray(obj, dtype=np.float64)
+    if a.ndim != 2 or a.size == 0:
+        raise ValueError(f"{name} must be a nonempty 2-D matrix, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite entries in {name}")
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
     """N points in R^D with optional integer class labels.
 
-    x is coerced to a float64 matrix and labels to int64; float labels must
-    be whole numbers. Invariants: N >= 2, D >= 1, all entries finite,
+    x is coerced by as_points and labels to int64; float labels must be
+    whole numbers. Invariants: N >= 2, D >= 1, all entries finite,
     labels (when present) one per row.
     """
 
@@ -30,15 +50,9 @@ class Dataset:
     name: str = ""
 
     def __post_init__(self):
-        x = np.ascontiguousarray(np.asarray(self.x, dtype=np.float64))
-        if x.ndim != 2:
-            raise ValueError(f"x must be 2-D, got ndim={x.ndim}")
+        x = as_points(self.x, "x")
         if x.shape[0] < 2:
             raise ValueError(f"need at least 2 points, got {x.shape[0]}")
-        if x.shape[1] < 1:
-            raise ValueError("need at least 1 input dimension")
-        if not np.all(np.isfinite(x)):
-            raise ValueError("x contains non-finite entries")
         object.__setattr__(self, "x", x)
         if self.labels is not None:
             labels = np.asarray(self.labels)
@@ -65,17 +79,13 @@ class Dataset:
 
 @dataclass(frozen=True)
 class Embedding:
-    """Low-dimensional map positions, one row per input point."""
+    """Low-dimensional map positions, one row per input point, coerced
+    and checked by as_points."""
 
     y: np.ndarray
 
     def __post_init__(self):
-        y = np.ascontiguousarray(np.asarray(self.y, dtype=np.float64))
-        if y.ndim != 2:
-            raise ValueError(f"y must be 2-D, got ndim={y.ndim}")
-        if not np.all(np.isfinite(y)):
-            raise ValueError("y contains non-finite entries")
-        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "y", as_points(self.y, "y"))
 
     @property
     def n(self) -> int:

@@ -9,7 +9,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, Embedding
+from .core import Dataset, as_points
 
 # Matplotlib's tab10, a readable default for up to 10 classes; labels
 # beyond that cycle.
@@ -145,21 +145,15 @@ def write_csv(obj, path, labels=None, header: bool = True) -> None:
     Floats are written with 17 significant digits ('%.17g'), which makes
     write -> read an exact round trip. Columns are named x0.. for
     datasets, y0.. otherwise, plus a final 'label' column when labels are
-    present. Lines end with a newline regardless of platform.
+    present. Lines end with a newline regardless of platform. A matrix
+    with NaN or inf is refused, since read_csv would refuse the file.
     """
+    mat = as_points(obj, "obj")
+    prefix = "y"
     if isinstance(obj, Dataset):
-        mat = obj.x
+        prefix = "x"
         if labels is None:
             labels = obj.labels
-        prefix = "x"
-    elif isinstance(obj, Embedding):
-        mat = obj.y
-        prefix = "y"
-    else:
-        mat = np.asarray(obj, dtype=np.float64)
-        prefix = "y"
-    if mat.ndim != 2:
-        raise ValueError("points must form a 2-D matrix")
     if labels is not None:
         labels = np.asarray(labels)
         if len(labels) != len(mat):
@@ -207,11 +201,9 @@ def render_svg(y, path, labels=None, spec: Optional[PlotSpec] = None) -> None:
     by their first two.
     """
     spec = spec or PlotSpec()
-    ys = y.y if isinstance(y, Embedding) else np.asarray(y, dtype=np.float64)
-    if ys.ndim != 2 or ys.shape[1] < 2:
+    ys = as_points(y, "y")
+    if ys.shape[1] < 2:
         raise ValueError("need at least 2 map columns to plot")
-    if not np.all(np.isfinite(ys)):
-        raise ValueError("map contains non-finite entries")
     pts = ys[:, :2]
     n = len(pts)
 

@@ -15,6 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .affinity import exact_knn
+from .core import as_points
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> np.ndarray:
@@ -86,16 +87,12 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
     cluster is ever empty and the recorded inertia never increases. Stops
     at an assignment fixpoint or after max_iter rounds.
     """
-    z = np.asarray(z, dtype=np.float64)
-    if z.ndim != 2 or len(z) == 0:
-        raise ValueError("z must be a nonempty 2-D matrix")
+    z = as_points(z, "z")
     n = len(z)
     if not (1 <= k <= n):
         raise ValueError(f"k={k} must lie in [1, n={n}]")
     if max_iter < 1:
         raise ValueError(f"max_iter={max_iter}: must be at least 1")
-    if not np.all(np.isfinite(z)):
-        raise ValueError("z contains non-finite entries")
 
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(z, k, rng)
@@ -143,10 +140,10 @@ def responsibility_matrix(z: np.ndarray, t: np.ndarray, d: int, d_z: int) -> np.
     between the reduced input space and the map, then normalized so each
     point's column sums to 1 over centroids.
     """
-    z = np.asarray(z, dtype=np.float64)
-    t = np.asarray(t, dtype=np.float64)
-    if z.ndim != 2 or t.ndim != 2 or z.shape[1] != t.shape[1]:
-        raise ValueError("z and t must be 2-D with matching width")
+    z = as_points(z, "z")
+    t = as_points(t, "t")
+    if z.shape[1] != t.shape[1]:
+        raise ValueError(f"t has width {t.shape[1]}, z has width {z.shape[1]}")
     if not (0 < d < d_z):
         raise ValueError(f"need 0 < d < d_z, got d={d}, d_z={d_z}")
     scale = (d * d) / float(d_z * d_z)
@@ -161,8 +158,8 @@ def macro_affinity(t: np.ndarray) -> np.ndarray:
     Off-diagonal kernel values normalized by their grand sum; the diagonal
     is zero and the whole matrix sums to 1.
     """
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim != 2 or len(t) < 2:
+    t = as_points(t, "t")
+    if len(t) < 2:
         raise ValueError("need at least 2 centroids")
     kern, total = student_t_kernel(t)
     return kern / total
@@ -180,9 +177,9 @@ class MacroAffinity:
     p_macro: np.ndarray
 
     def __post_init__(self):
-        self.r = np.asarray(self.r, dtype=np.float64)
-        self.p_macro = np.asarray(self.p_macro, dtype=np.float64)
-        if self.r.ndim != 2 or self.p_macro.shape != (len(self.r), len(self.r)):
+        self.r = as_points(self.r, "r")
+        self.p_macro = as_points(self.p_macro, "p_macro")
+        if self.p_macro.shape != (len(self.r), len(self.r)):
             raise ValueError("r must be (k, n) and p_macro (k, k)")
 
     @property

@@ -12,24 +12,16 @@ import warnings
 import numpy as np
 
 from .affinity import exact_knn
-from .core import Dataset, Embedding
+from .core import as_points
 from .macro import pairwise_sq_dists
-
-
-def _coords(obj) -> np.ndarray:
-    if isinstance(obj, Dataset):
-        return obj.x
-    if isinstance(obj, Embedding):
-        return obj.y
-    return np.asarray(obj, dtype=np.float64)
 
 
 def knn_preservation(x, y, k: int) -> float:
     """Mean fraction of each point's k nearest input neighbors that are
     also among its k nearest map neighbors. Both sides use exact search.
     """
-    xs = _coords(x)
-    ys = _coords(y)
+    xs = as_points(x, "x")
+    ys = as_points(y, "y")
     if len(xs) != len(ys):
         raise ValueError("x and y must have the same number of rows")
     n = len(xs)
@@ -52,7 +44,7 @@ def line_continuity(y, segments, factor: float = 5.0) -> float:
     distance exceeds factor times its segment's median consecutive
     distance; the fraction pools every pair across segments.
     """
-    ys = _coords(y)
+    ys = as_points(y, "y")
     if factor <= 1.0:
         raise ValueError("factor must exceed 1")
     if not segments:
@@ -97,10 +89,10 @@ def centroid_distance_correlation(t: np.ndarray, c: np.ndarray) -> float:
     pair distances. With fewer than 3 centroids (under 3 pairs) the rank
     correlation is undefined: warns and returns nan.
     """
-    t = np.asarray(t, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if t.ndim != 2 or c.ndim != 2 or len(t) != len(c):
-        raise ValueError("t and c must be 2-D with the same number of rows")
+    t = as_points(t, "t")
+    c = as_points(c, "c")
+    if len(t) != len(c):
+        raise ValueError("t and c must have the same number of rows")
     if len(t) < 3:
         warnings.warn("fewer than 3 centroids: correlation undefined", stacklevel=2)
         return float("nan")

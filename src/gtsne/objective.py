@@ -17,6 +17,7 @@ small for their point count, and a Barnes-Hut tree for the larger maps
 left. Attraction, centroid and k-means terms are always exact, so at
 bh_theta = 0 gradient_bh gives the exact gradient and its workspace the
 exact losses, in memory bounded by the row blocks rather than n x n.
+gradient_bh checks the map with core.as_points before any engine runs.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .affinity import AffinityModel
-from .core import Embedding, EmbedConfig, GRADIENT_MODES
+from .core import EmbedConfig, GRADIENT_MODES, as_points
 from .macro import MacroAffinity, student_t_kernel
 
 Q_FLOOR = 1e-300  # clamp for underflowed map affinities inside logs
@@ -76,14 +77,10 @@ def build_quadtree(y: np.ndarray) -> QuadTree:
     when its first and last points coincide. Below the finest grid, cells
     split by exact position. Deterministic for a given y.
     """
-    y = np.ascontiguousarray(np.asarray(y, dtype=np.float64))
-    if y.ndim != 2:
-        raise ValueError("y must be 2-D")
+    y = as_points(y, "y")
     n, d = y.shape
     if d not in (2, 3):
         raise ValueError(f"tree forces support 2-D or 3-D maps, got d={d}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y contains non-finite entries")
     grid_levels = 63 // d
 
     lo = y.min(axis=0)
@@ -434,14 +431,14 @@ def _repulsion(y: np.ndarray, theta: float):
     gets the exact sums, and only larger ones go to the Barnes-Hut tree:
     3-D maps, whose grid grows as the cube of the intervals (about 100
     times the tree's time on a converged n=1500 map of three lines), and
-    2-D maps spread wide for their size. Maps that are not 2-D or 3-D,
-    or that have non-finite entries, are rejected.
+    2-D maps spread wide for their size. A map that is not 2-D or 3-D
+    is rejected; gradient_bh has already rejected NaN and inf, but a
+    finite map can be so wide that its extent overflows, and then it
+    skips the grid.
     """
     n, d = y.shape
     if d not in (2, 3):
         raise ValueError(f"tree forces support 2-D or 3-D maps, got d={d}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("y contains non-finite entries")
     if theta == 0.0:
         return (*_exact_forces(y), "exact")
     if d == 2:
@@ -483,10 +480,6 @@ class GradientWorkspace:
     loss_macro = property(lambda ws: ws._losses.macro)
     loss_kmeans = property(lambda ws: ws._losses.kmeans)
     underflow_clamped = property(lambda ws: ws._losses.clamped)
-
-
-def _as_y(y) -> np.ndarray:
-    return y.y if isinstance(y, Embedding) else np.asarray(y, dtype=np.float64)
 
 
 def _macro_state(y: np.ndarray, macro: MacroAffinity):
@@ -610,16 +603,16 @@ def gradient_bh(
     tree with opening angle cfg.bh_theta for larger ones. Attraction,
     centroid, and k-means terms are exact, so at cfg.bh_theta = 0 g is
     the exact gradient and ws.loss_* are the exact losses. The centroid
-    term follows cfg.gradient_mode; see the module docstring. The map
-    must be 2-D or 3-D and finite. Early exaggeration is a factor on the
-    attraction only; the workspace's losses are always measured on p
-    itself.
+    term follows cfg.gradient_mode; see the module docstring. y, an
+    Embedding or a matrix, must be 2-D or 3-D and finite. Early
+    exaggeration is a factor on the attraction only; the workspace's
+    losses are always measured on p itself.
     """
     if cfg.gradient_mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient_mode {cfg.gradient_mode!r}")
     if not (math.isfinite(exaggeration) and exaggeration >= 0.0):
         raise ValueError(f"exaggeration={exaggeration}: must be finite and nonnegative")
-    y = _as_y(y)
+    y = as_points(y, "y")
     _check_inputs(y, p, macro)
     force, zsum, estimator = _repulsion(y, cfg.bh_theta)
     z_y = max(float(zsum.sum()), Q_FLOOR)

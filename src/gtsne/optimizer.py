@@ -104,13 +104,9 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
     times: dict = {}
     t_start = time.perf_counter()
 
-    # Independent per-stage seeds derived from the run seed. The third
-    # draw once seeded a neighbor-search tree; it stays so that the other
-    # two, and with them every map, are unchanged.
+    # Independent per-stage seeds derived from the run seed.
     seed_seq = np.random.default_rng(cfg.seed)
-    seed_init, seed_kmeans, _ = (
-        int(s) for s in seed_seq.integers(0, 2**63 - 1, size=3)
-    )
+    seed_init, seed_kmeans = (int(s) for s in seed_seq.integers(0, 2**63 - 1, size=2))
 
     t0 = time.perf_counter()
     reduced = pca_fit(data.x, cfg.pca_dims, center=cfg.pca_center)

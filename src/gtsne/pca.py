@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset
+from .core import as_points
 
 
 @dataclass(frozen=True)
@@ -56,14 +56,10 @@ def pca_fit(data, d_z: int, center: bool = True) -> PcaEmbedding:
     are the squared singular values over n. A thin SVD has min(n, d_in)
     directions, so d_z must lie in [1, min(n, d_in)].
     """
-    x = data.x if isinstance(data, Dataset) else np.asarray(data, dtype=np.float64)
-    if x.ndim != 2:
-        raise ValueError("data must be a 2-D matrix")
+    x = as_points(data, "data")
     n, d_in = x.shape
     if not (1 <= d_z <= min(n, d_in)):
         raise ValueError(f"d_z={d_z} must lie in [1, min(n={n}, d_in={d_in})]")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("data contains non-finite entries")
 
     means = x.mean(axis=0) if center else np.zeros(d_in)
     xc = x - means

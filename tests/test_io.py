@@ -156,6 +156,16 @@ class TestWriteCsv:
         with pytest.raises(ValueError, match="2-D"):
             write_csv(np.zeros(3), tmp_path / "out.csv")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_matrix_rejected(self, tmp_path, bad):
+        # read_csv would refuse such a file, so none is written.
+        mat = np.zeros((3, 2))
+        mat[1, 0] = bad
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="non-finite entries in obj"):
+            write_csv(mat, path)
+        assert not path.exists()
+
 
 class TestSniffCsv:
     def test_header_with_label(self, tmp_path):

@@ -214,6 +214,14 @@ class TestResponsibilities:
         with pytest.raises(ValueError, match="d < d_z"):
             responsibility_matrix(np.ones((3, 2)), np.ones((2, 2)), d=2, d_z=2)
 
+    @pytest.mark.parametrize("side", ["z", "t"])
+    def test_non_finite_input_rejected(self, side):
+        rng = np.random.default_rng(2)
+        args = {"z": rng.normal(size=(6, 4)), "t": rng.normal(size=(3, 4))}
+        args[side][1, 2] = np.nan
+        with pytest.raises(ValueError, match=f"non-finite entries in {side}"):
+            responsibility_matrix(args["z"], args["t"], d=2, d_z=4)
+
 
 class TestMacroAffinity:
     def test_two_centroids_always_half(self):
@@ -244,3 +252,17 @@ class TestMacroAffinity:
     def test_container_shape_checked(self):
         with pytest.raises(ValueError, match="p_macro"):
             MacroAffinity(r=np.ones((3, 5)), p_macro=np.ones((2, 2)))
+
+    def test_non_finite_centroids_rejected(self):
+        t = np.random.default_rng(3).normal(size=(6, 4))
+        t[4, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite entries in t"):
+            macro_affinity(t)
+
+    @pytest.mark.parametrize("field", ["r", "p_macro"])
+    def test_container_rejects_non_finite_entries(self, field):
+        # Caught here, not as a non-finite gradient once the descent starts.
+        args = {"r": np.full((2, 5), 0.5), "p_macro": np.array([[0.0, 0.5], [0.5, 0.0]])}
+        args[field][1, 0] = np.nan
+        with pytest.raises(ValueError, match=f"non-finite entries in {field}"):
+            MacroAffinity(**args)

@@ -94,6 +94,14 @@ class TestLineContinuity:
         with pytest.raises(ValueError, match="overlap"):
             line_continuity(y, [(0, 5), (4, 9)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_map_rejected(self, bad):
+        # A NaN gap never exceeds the threshold, so it would read as no tear.
+        y = np.column_stack([np.arange(30.0), np.zeros(30)])
+        y[12, 0] = bad
+        with pytest.raises(ValueError, match="non-finite entries in y"):
+            line_continuity(y, [(0, 30)])
+
 
 class TestCentroidDistanceCorrelation:
     def test_similarity_transform_scores_one(self):
@@ -155,3 +163,12 @@ class TestCentroidDistanceCorrelation:
             centroid_distance_correlation(np.zeros(4), np.zeros((4, 2)))
         with pytest.raises(ValueError):
             centroid_distance_correlation(np.zeros((4, 2)), np.zeros((5, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("side", ["t", "c"])
+    def test_non_finite_centroids_rejected(self, side, bad):
+        rng = np.random.default_rng(5)
+        args = {"t": rng.normal(size=(6, 5)), "c": rng.normal(size=(6, 2))}
+        args[side][2, 1] = bad
+        with pytest.raises(ValueError, match=f"non-finite entries in {side}"):
+            centroid_distance_correlation(**args)

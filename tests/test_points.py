@@ -1,0 +1,164 @@
+"""One check for every point matrix: each exported function that takes
+points hands them to core.as_points, so all of them reject the same bad
+input with a message that names the argument."""
+
+import ast
+import inspect
+import os
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import gtsne
+from gtsne import (
+    Dataset,
+    EmbedConfig,
+    Embedding,
+    MacroAffinity,
+    build_affinity_model,
+    centroid_distance_correlation,
+    exact_knn,
+    gradient_bh,
+    kmeans_fit,
+    knn_preservation,
+    line_continuity,
+    macro_affinity,
+    pca_fit,
+    responsibility_matrix,
+    write_csv,
+)
+from gtsne.core import as_points
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gtsne"
+
+_rng = np.random.default_rng(0)
+X = _rng.normal(size=(12, 4))  # input points
+Y = _rng.normal(size=(12, 2))  # their map
+T = _rng.normal(size=(3, 4))   # input centroids
+C = _rng.normal(size=(3, 2))   # map centroids
+P = build_affinity_model(X, n_neighbors=5, perplexity=2.0)[0]
+MACRO = MacroAffinity(
+    r=responsibility_matrix(X, T, d=2, d_z=4), p_macro=macro_affinity(T)
+)
+
+# (function, the argument to spoil, valid arguments)
+CASES = [
+    (pca_fit, "data", dict(data=X, d_z=2)),
+    (kmeans_fit, "z", dict(z=X, k=3)),
+    (exact_knn, "points", dict(points=X, k=2)),
+    (exact_knn, "reference", dict(points=X, k=2, reference=T)),
+    (responsibility_matrix, "z", dict(z=X, t=T, d=2, d_z=4)),
+    (responsibility_matrix, "t", dict(z=X, t=T, d=2, d_z=4)),
+    (macro_affinity, "t", dict(t=T)),
+    (knn_preservation, "x", dict(x=X, y=Y, k=2)),
+    (knn_preservation, "y", dict(x=X, y=Y, k=2)),
+    (line_continuity, "y", dict(y=Y, segments=[(0, 12)])),
+    (centroid_distance_correlation, "t", dict(t=T, c=C)),
+    (centroid_distance_correlation, "c", dict(t=T, c=C)),
+    (gradient_bh, "y", dict(y=Y, p=P, macro=MACRO, cfg=EmbedConfig())),
+    (write_csv, "obj", dict(obj=X, path=os.devnull)),
+]
+CASE_IDS = [f"{fn.__name__}-{arg}" for fn, arg, _ in CASES]
+
+# Parameter names that carry points in the exported functions' signatures.
+POINT_ARGS = {"data", "obj", "points", "reference", "x", "y", "z", "t", "c"}
+# Exported functions with such a parameter that are not in CASES, and why.
+NOT_CHECKED_HERE = {
+    "build_affinity_model": "hands x on to exact_knn, whose message calls it points",
+    "run": "takes a Dataset, which checked its x when it was made",
+    "step": "moves the descent's own map; run() checks the map after each step",
+}
+
+# Every isfinite or isnan call in the package, by (module, function), and
+# what it checks. Only as_points checks a point matrix.
+FINITE_CHECKS = {
+    ("core", "as_points"): "the one check of a point matrix",
+    ("core", "resolve_config"): "3 * perplexity, a config scalar",
+    ("core", "validate_config"): "the float config fields",
+    ("affinity", "calibrate"): "the (n, k) distance matrix, where inf is allowed",
+    ("objective", "_repulsion"): "the extent of a finite map, which can overflow",
+    ("objective", "gradient_bh"): "the exaggeration factor",
+    ("optimizer", "step"): "the gradient",
+    ("optimizer", "run"): "the map after each step",
+}
+
+
+@pytest.mark.parametrize("fn, arg, kwargs", CASES, ids=CASE_IDS)
+def test_one_nan_is_rejected_by_name(fn, arg, kwargs):
+    assert arg in inspect.signature(fn).parameters
+    fn(**kwargs)  # the valid arguments pass
+    bad = np.array(kwargs[arg])
+    bad[1, 1] = np.nan
+    with pytest.raises(ValueError, match=f"non-finite entries in {arg}"):
+        fn(**{**kwargs, arg: bad})
+
+
+def test_every_function_that_takes_points_is_in_the_table():
+    tabled = {(fn.__name__, arg) for fn, arg, _ in CASES}
+    missing = []
+    for name in gtsne.__all__:
+        obj = getattr(gtsne, name)
+        if not inspect.isfunction(obj) or name in NOT_CHECKED_HERE:
+            continue
+        for arg in inspect.signature(obj).parameters:
+            if arg in POINT_ARGS and (name, arg) not in tabled:
+                missing.append(f"{name}({arg})")
+    assert not missing, f"point arguments not covered by CASES: {missing}"
+    for name in NOT_CHECKED_HERE:
+        assert set(inspect.signature(getattr(gtsne, name)).parameters) & POINT_ARGS
+
+
+@pytest.mark.parametrize(
+    "obj, name, message",
+    [
+        (np.zeros(4), "y", r"y must be a nonempty 2-D matrix, got shape \(4,\)"),
+        (np.zeros((0, 3)), "x", r"x must be a nonempty 2-D matrix, got shape \(0, 3\)"),
+        (np.zeros((3, 0)), "z", r"z must be a nonempty 2-D matrix, got shape \(3, 0\)"),
+        (np.zeros((2, 2, 2)), "t", r"t must be a nonempty 2-D matrix, got shape \(2, 2, 2\)"),
+        (np.array([[0.0, np.inf]]), "c", "non-finite entries in c"),
+        (np.array([[0.0, -np.inf]]), "c", "non-finite entries in c"),
+    ],
+)
+def test_as_points_rejects(obj, name, message):
+    with pytest.raises(ValueError, match=message):
+        as_points(obj, name)
+
+
+def test_as_points_unwraps_and_coerces():
+    ds = Dataset(x=[[1, 2], [3, 4]])
+    emb = Embedding(y=np.zeros((3, 2)))
+    assert as_points(ds, "x") is ds.x
+    assert as_points(emb, "y") is emb.y
+    a = np.arange(6, dtype=np.float64).reshape(2, 3)
+    assert as_points(a, "a") is a  # nothing to change, so no copy
+    for given in (a.tolist(), np.asfortranarray(a), a.astype(np.int32)):
+        got = as_points(given, "a")
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        assert np.array_equal(got, a)
+
+
+def _finite_checks():
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+
+        def visit(node, function):
+            for child in ast.iter_child_nodes(node):
+                inner = function
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    inner = child.name
+                if (
+                    isinstance(child, ast.Call)
+                    and isinstance(child.func, ast.Attribute)
+                    and child.func.attr in ("isfinite", "isnan")
+                ):
+                    found.add((path.stem, function))
+                visit(child, inner)
+
+        visit(tree, None)
+    return found
+
+
+def test_only_as_points_checks_point_matrices_for_nan():
+    assert _finite_checks() == set(FINITE_CHECKS)
