@@ -6,7 +6,8 @@ matches the requested perplexity. Conditionals are then symmetrized into
 one sparse joint distribution P over unordered pairs that sums to 1.
 
 All three stages work on whole arrays: a blocked exact kNN search, one
-bisection over the (n, k) distance matrix, and a pair-key symmetrization.
+safeguarded Newton search over the (n, k) distance matrix, and a pair-key
+symmetrization.
 The kNN search, exact_knn, is the package's one exact nearest-neighbor
 routine: with a separate reference set it also makes the k-means
 assignment (macro.kmeans_fit), and metrics.knn_preservation scores maps
@@ -51,16 +52,40 @@ def exact_knn(points: np.ndarray, k: int, reference: np.ndarray | None = None):
     candidates are re-ranked by exact squared distances from direct
     differences of the input.
     """
-    pts = as_points(points, "points")
+    queries = _Queries.of(as_points(points, "points"))
+    if reference is not None:
+        reference = as_points(reference, "reference")
+    return _nearest(queries, k, reference)
+
+
+class _Queries(NamedTuple):
+    """What a search needs of its query points alone: the points, their
+    mean, the points centered by it and the squared norms of those rows.
+    A caller that searches new references for the same points, as the
+    k-means assignment does every round, makes this once."""
+
+    pts: np.ndarray
+    mean: np.ndarray
+    centered: np.ndarray
+    sq_norm: np.ndarray
+
+    @classmethod
+    def of(cls, pts: np.ndarray) -> "_Queries":
+        mean = pts.mean(axis=0)
+        centered = pts - mean
+        return cls(pts, mean, centered, np.einsum("ij,ij->i", centered, centered))
+
+
+def _nearest(queries: _Queries, k: int, reference: np.ndarray | None):
+    # exact_knn on checked input: the points come prepared, and reference
+    # is None or a finite (m, d) float64 matrix.
+    pts, mean, centered, sq_norm = queries
     n, dim = pts.shape
-    mean = pts.mean(axis=0)
-    centered = pts - mean
-    sq_norm = np.einsum("ij,ij->i", centered, centered)
     if reference is None:
         ref, ref_centered, ref_norm = pts, centered, sq_norm
         limit = n - 1
     else:
-        ref = as_points(reference, "reference")
+        ref = reference
         if ref.shape[1] != dim:
             raise ValueError(f"reference has width {ref.shape[1]}, points have width {dim}")
         ref_centered = ref - mean
@@ -147,17 +172,32 @@ class Calibration(NamedTuple):
 
 
 def _row_stats(shifted: np.ndarray, beta: np.ndarray, inf_as_zero: np.ndarray):
-    # Returns (probs, 2^H) of the rows exp(-beta * shifted), where shifted
-    # holds each row's distances minus its finite minimum. Infinite
-    # distances get zero weight; the mean term reads them from
+    # Returns (probs, H, var) of the rows exp(-beta * shifted), where
+    # shifted holds each row's distances minus its finite minimum. H is the
+    # entropy in nats, so exp(H) equals 2^(H in bits), and var is the
+    # variance of the distances under probs, so dH/d(ln beta) = -beta^2 var.
+    # Infinite distances get zero weight; the moments read them from
     # inf_as_zero, a copy of shifted with those entries zeroed, because
-    # inf * 0 would poison it. The entropy is in nats, so exp(H) equals
-    # 2^(H in bits).
-    w = np.exp(-beta[:, None] * shifted)
-    total = w.sum(axis=1)
-    probs = w / total[:, None]
-    h_nats = np.log(total) + beta * np.einsum("ij,ij->i", inf_as_zero, probs)
-    return probs, np.exp(h_nats)
+    # inf * 0 would poison them. probs is built in place (exponents, then
+    # weights, then probabilities), so an evaluation holds one (rows, k)
+    # array of its own.
+    probs = np.multiply(-beta[:, None], shifted)
+    np.exp(probs, out=probs)
+    total = probs.sum(axis=1)
+    probs /= total[:, None]
+    mean = np.einsum("ij,ij->i", inf_as_zero, probs)
+    h_nats = np.log(total) + beta * mean
+    var = np.einsum("ij,ij,ij->i", inf_as_zero, inf_as_zero, probs) - mean * mean
+    return probs, h_nats, var
+
+
+# calibrate keeps each row's beta within this factor of its start, the
+# inverse of the row's mean finite distance. Long before either end a
+# row's weights stop changing: every weight but the ties at the minimum
+# has underflowed, or all finite weights are equal. The bound keeps beta
+# positive and finite, so a row whose target no beta reaches, which
+# spends every evaluation stepping outwards, never meets inf * 0.
+BETA_REACH = 1e80
 
 
 def calibrate(
@@ -169,11 +209,16 @@ def calibrate(
     """Fit the Gaussian precision of every neighbor row.
 
     sq_distances is an (n, k) matrix of squared distances to each row's
-    neighbors. The effective neighbor count 2^H is monotone decreasing in
-    the precision beta, so each row grows a bracket by doubling/halving
-    from beta = 1 and then bisects it until |2^H - target| <= tol or
-    max_iter evaluations are spent, keeping the best beta seen. All rows
-    step together; a row that stops is left out of later evaluations.
+    neighbors. The entropy H of a row is smooth and decreasing in u =
+    ln beta, with dH/du = -beta^2 Var(d), so each row takes safeguarded
+    Newton steps on H(u) = ln(target) from beta = 1 / (mean finite
+    distance above the row's minimum), or 1 where that mean is 0. Every
+    evaluation narrows a bracket [lo, hi] around the root; a Newton point
+    that is not finite or not inside it is replaced by 4 beta while hi is
+    unbounded, by beta / 4 while lo is 0, and by sqrt(lo hi) otherwise.
+    A row stops once |2^H - target| <= tol or after max_iter evaluations,
+    keeping the best beta seen. All rows step together; a row that stops
+    is left out of later evaluations.
     """
     d2 = np.asarray(sq_distances, dtype=np.float64)
     if d2.ndim != 2:
@@ -194,52 +239,49 @@ def calibrate(
     shifted = d2 - np.where(finite, d2, np.inf).min(axis=1, keepdims=True)
     inf_as_zero = np.where(finite, shifted, 0.0)
 
-    best_beta = np.ones(n)
+    mean = inf_as_zero.sum(axis=1) / finite.sum(axis=1)
+    beta = np.ones(n)
+    np.divide(1.0, mean, out=beta, where=mean > 0.0)
+    floor = beta / BETA_REACH
+    ceiling = beta * BETA_REACH
+    best_beta = beta.copy()
     best_gap = np.full(n, np.inf)
-    evals = np.zeros(n, dtype=np.int64)
-    lo = np.ones(n)
-    hi = np.ones(n)
-    perp = np.zeros(n)
+    lo = np.zeros(n)
+    hi = np.full(n, np.inf)
+    log_target = math.log(target_perplexity)
 
-    def measure(rows, beta):
-        _, p = _row_stats(shifted[rows], beta, inf_as_zero[rows])
-        evals[rows] += 1
-        gap = np.abs(p - target_perplexity)
+    rows = np.flatnonzero(~degenerate)
+    evals = 0
+    while len(rows):
+        b = beta[rows]
+        _, h, var = _row_stats(shifted[rows], b, inf_as_zero[rows])
+        evals += 1
+        perp = np.exp(h)
+        gap = np.abs(perp - target_perplexity)
         better = gap < best_gap[rows]
         best_gap[rows[better]] = gap[better]
-        best_beta[rows[better]] = beta[better]
-        return p
-
-    # Grow a bracket [lo, hi] with perp(lo) >= target >= perp(hi), then
-    # bisect it; a row leaves growth once perp crosses the target.
-    live = np.flatnonzero(~degenerate)
-    perp[live] = measure(live, np.ones(len(live)))
-    up = perp > target_perplexity
-    growing = ~degenerate
-    while True:
-        active = ~degenerate & (best_gap > tol) & (evals < max_iter)
-        growing &= active & np.where(up, perp > target_perplexity, perp < target_perplexity)
-        grow_up = np.flatnonzero(growing & up)
-        grow_down = np.flatnonzero(growing & ~up)
-        lo[grow_up] = hi[grow_up]
-        hi[grow_up] *= 2.0
-        hi[grow_down] = lo[grow_down]
-        lo[grow_down] /= 2.0
-        rows = np.flatnonzero(active)
-        if len(rows) == 0:
+        best_beta[rows[better]] = b[better]
+        above = perp > target_perplexity
+        lo[rows[above]] = b[above]
+        hi[rows[~above]] = b[~above]
+        if evals >= max_iter:
             break
-        edge = np.where(up[rows], hi[rows], lo[rows])
-        beta = np.where(growing[rows], edge, 0.5 * (lo[rows] + hi[rows]))
-        perp[rows] = measure(rows, beta)
-        bisecting = ~growing[rows]
-        split, mid = rows[bisecting], beta[bisecting]
-        above = perp[split] > target_perplexity
-        lo[split] = np.where(above, mid, lo[split])
-        hi[split] = np.where(above, hi[split], mid)
+        going = gap > tol
+        rows, b, h, var = rows[going], b[going], h[going], var[going]
+        r_lo, r_hi = lo[rows], hi[rows]
+        # A flat row (var 0) has an infinite Newton step, and an open
+        # bracket has no midpoint; neither is taken.
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = b * np.exp((h - log_target) / (b * b * var))
+            inside = np.isfinite(newton) & (newton > r_lo) & (newton < r_hi)
+            fallback = np.where(r_lo == 0.0, b / 4.0, np.sqrt(r_lo) * np.sqrt(r_hi))
+            fallback = np.where(np.isinf(r_hi), 4.0 * b, fallback)
+        beta[rows] = np.clip(np.where(inside, newton, fallback), floor[rows], ceiling[rows])
 
     # At beta = 0 an all-zero row comes out exactly uniform.
     best_beta[degenerate] = 0.0
-    probs, achieved = _row_stats(shifted, best_beta, inf_as_zero)
+    probs, h, _ = _row_stats(shifted, best_beta, inf_as_zero)
+    achieved = np.exp(h)
     achieved[degenerate] = float(k)
     return Calibration(probs, best_beta, achieved, best_gap <= tol, degenerate)
 
@@ -351,7 +393,7 @@ def build_affinity_model(
     list[ConditionalRow]) with each row's neighbors field holding real
     point indices.
     """
-    ids, sq = exact_knn(x, n_neighbors)
+    ids, sq = exact_knn(as_points(x, "x"), n_neighbors)
     cal = calibrate(sq, perplexity, tol=tol, max_iter=max_iter)
     rows = [
         ConditionalRow(

@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .affinity import exact_knn
+from .affinity import _nearest, _Queries
 from .core import as_points
 
 
@@ -80,12 +80,13 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
 
     Each assignment step is one exact nearest-centroid search, exact_knn
     with the centroids as reference: a matrix product per block, and
-    direct differences only where rounding could swap the order. Ties in
-    assignment go to the lowest centroid index. A cluster left empty by an
-    assignment step captures the point currently farthest from its own
-    centroid (one point per empty cluster, in cluster order), so no
-    cluster is ever empty and the recorded inertia never increases. Stops
-    at an assignment fixpoint or after max_iter rounds.
+    direct differences only where rounding could swap the order; the work
+    on z alone (its mean, centered copy and norms) is done once per fit.
+    Ties in assignment go to the lowest centroid index. A cluster left
+    empty by an assignment step captures the point currently farthest
+    from its own centroid (one point per empty cluster, in cluster order),
+    so no cluster is ever empty and the recorded inertia never increases.
+    Stops at an assignment fixpoint or after max_iter rounds.
     """
     z = as_points(z, "z")
     n = len(z)
@@ -96,11 +97,12 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
 
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(z, k, rng)
+    queries = _Queries.of(z)
     assignment = None
     trace = []
 
     for _ in range(max_iter):
-        nearest, sq = exact_knn(z, 1, reference=centroids)
+        nearest, sq = _nearest(queries, 1, centroids)
         new_assignment = nearest[:, 0]
 
         counts = np.bincount(new_assignment, minlength=k)

@@ -5,6 +5,7 @@ brackets. Nothing is shared with the package beyond numpy, so agreement
 between an oracle and the fast path is meaningful evidence.
 """
 
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -57,62 +58,69 @@ def solve_beta(sq_d, target, iters=300):
 
 
 def calibrate_row(sq_distances, target_perplexity, tol=1e-5, max_iter=200):
-    """Scalar bracket-and-bisect search for one row's Gaussian precision.
+    """Scalar safeguarded Newton search for one row's Gaussian precision.
 
-    The loop the package ran row by row before its search covered the whole
-    distance matrix at once: from beta = 1 grow a bracket by doubling or
-    halving, then bisect until |2^H - target| <= tol or max_iter
-    evaluations are spent, keeping the best beta seen. Infinite distances
-    carry zero weight; an all-zero row falls back to uniform with beta 0.
-    Returns (beta, probs, perplexity, degenerate).
+    The package's whole-matrix search, one row at a time: Newton steps on
+    H(ln beta) = ln(target), with dH/d(ln beta) = -beta^2 Var(d), from
+    beta = 1 / (mean finite shifted distance), or 1 where that mean is 0.
+    Each evaluation narrows a bracket [lo, hi]; a Newton point that is not
+    finite or not strictly inside it is replaced by 4 beta while hi is
+    unbounded, by beta / 4 while lo is 0, and by sqrt(lo) sqrt(hi)
+    otherwise, and every beta is clipped to within a factor 1e80 of the
+    start. Stops once |2^H - target| <= tol or after max_iter evaluations,
+    keeping the best beta seen. Infinite distances carry zero weight; an
+    all-zero row falls back to uniform with beta 0. The moments are taken
+    with the same numpy reductions as the package's, so the two searches
+    take the same steps bit for bit. Returns (beta, probs, perplexity,
+    degenerate).
     """
     d2 = np.asarray(sq_distances, dtype=np.float64)
     k = len(d2)
     if np.all(d2 == 0.0):
         return 0.0, np.full(k, 1.0 / k), float(k), True
-    shifted = d2 - d2[np.isfinite(d2)].min()
+    finite = np.isfinite(d2)
+    shifted = d2 - d2[finite].min()
+    as_zero = np.where(finite, shifted, 0.0)
 
     def stats(beta):
         w = np.exp(-beta * shifted)
         total = w.sum()
         probs = w / total
-        live = probs > 0.0
-        return probs, float(np.exp(np.log(total) + beta * float(shifted[live] @ probs[live])))
+        mean = np.einsum("i,i->", as_zero, probs)
+        h = np.log(total) + beta * mean
+        var = np.einsum("i,i,i->", as_zero, as_zero, probs) - mean * mean
+        return probs, h, var
 
-    evals = 0
-    best_beta = 1.0
-    best_gap = np.inf
-
-    def measure(beta):
-        nonlocal evals, best_beta, best_gap
-        evals += 1
-        _, perp = stats(beta)
+    mean = as_zero.sum() / finite.sum()
+    beta = 1.0 / mean if mean > 0.0 else np.float64(1.0)
+    floor, ceiling = beta / 1e80, beta * 1e80
+    lo, hi = 0.0, np.inf
+    best_beta, best_gap = beta, np.inf
+    for _ in range(max_iter):
+        _, h, var = stats(beta)
+        perp = np.exp(h)
         gap = abs(perp - target_perplexity)
         if gap < best_gap:
-            best_gap = gap
-            best_beta = beta
-        return perp
-
-    lo = hi = 1.0
-    perp = measure(1.0)
-    if perp > target_perplexity:
-        while perp > target_perplexity and best_gap > tol and evals < max_iter:
-            lo = hi
-            hi *= 2.0
-            perp = measure(hi)
-    else:
-        while perp < target_perplexity and best_gap > tol and evals < max_iter:
-            hi = lo
-            lo /= 2.0
-            perp = measure(lo)
-    while best_gap > tol and evals < max_iter:
-        mid = 0.5 * (lo + hi)
-        if measure(mid) > target_perplexity:
-            lo = mid
+            best_beta, best_gap = beta, gap
+        if perp > target_perplexity:
+            lo = beta
         else:
-            hi = mid
-    probs, perp = stats(best_beta)
-    return best_beta, probs, perp, False
+            hi = beta
+        if gap <= tol:
+            break
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            newton = beta * np.exp((h - math.log(target_perplexity)) / (beta * beta * var))
+        if np.isfinite(newton) and lo < newton < hi:
+            beta = newton
+        elif hi == np.inf:
+            beta = 4.0 * beta
+        elif lo == 0.0:
+            beta = beta / 4.0
+        else:
+            beta = np.sqrt(lo) * np.sqrt(hi)
+        beta = min(max(beta, floor), ceiling)
+    probs, h, _ = stats(best_beta)
+    return best_beta, probs, np.exp(h), False
 
 
 def dense_affinities(x, perplexity, n_neighbors):

@@ -5,7 +5,16 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gtsne import affinity, build_affinity_model, calibrate, exact_knn, symmetrize
+from gtsne import (
+    ThreeLinesSpec,
+    affinity,
+    build_affinity_model,
+    calibrate,
+    exact_knn,
+    gen_swiss_roll,
+    gen_three_lines,
+    symmetrize,
+)
 from gtsne.affinity import AffinityModel
 from oracles import brute_knn, calibrate_row, dense_affinities, row_perplexity, solve_beta
 
@@ -13,6 +22,20 @@ from oracles import brute_knn, calibrate_row, dense_affinities, row_perplexity, 
 # bisection; the row follows from the fitted precision.
 FROZEN_BETA_149 = 0.37446067565143626
 FROZEN_ROW_149 = (0.727177260826915, 0.23646217201215897, 0.03636056716092603)
+
+
+def record_row_stats(monkeypatch):
+    """Route calibrate's row evaluations through a recorder; returns the
+    list that collects the beta array of every call, in call order."""
+    betas = []
+    row_stats = affinity._row_stats
+
+    def recording(shifted, beta, inf_as_zero):
+        betas.append(beta.copy())
+        return row_stats(shifted, beta, inf_as_zero)
+
+    monkeypatch.setattr(affinity, "_row_stats", recording)
+    return betas
 
 
 def calibrate_one(d2, target, **kwargs):
@@ -52,9 +75,10 @@ class TestCalibrateRow:
             np.testing.assert_allclose(row.probs, ref_probs, atol=1e-6)
 
     def test_matches_scalar_loop_exactly(self):
-        # The matrix search takes the same steps as the row-by-row loop, so
-        # every row lands on the same beta, bit for bit, including rows
-        # with infinite distances and an all-zero (degenerate) row.
+        # The matrix search takes the same Newton and fallback steps as the
+        # row-by-row loop, so every row lands on the same beta, bit for
+        # bit, including rows with infinite distances, rows scaled over
+        # four decades and an all-zero (degenerate) row.
         rng = np.random.default_rng(7)
         k, target = 24, 7.5
         d2 = rng.uniform(0.0, 30.0, size=(300, k)) * rng.uniform(0.01, 100.0, size=(300, 1))
@@ -95,12 +119,16 @@ class TestCalibrateRow:
         assert row.probs[1] == 0.0 and row.probs[3] == 0.0
         assert abs(row.perplexity - 1.5) <= 1e-5
 
-    def test_running_out_of_evaluations_is_flagged(self):
+    def test_running_out_of_evaluations_is_flagged(self, monkeypatch):
         # Two evaluations cannot reach the tolerance; the row keeps the
-        # better of its two betas and reports the miss.
+        # better of its two betas and reports the miss. The search starts
+        # at 1 / (mean shifted distance) = 3 / 11.
+        betas = record_row_stats(monkeypatch)
         row = calibrate_one([1.0, 4.0, 9.0], 2.0, tol=1e-9, max_iter=2)
+        evaluated = [float(b[0]) for b in betas[:-1]]  # the last call refits the kept beta
+        assert len(evaluated) == 2 and evaluated[0] == 1.0 / np.mean([0.0, 3.0, 8.0])
         assert not row.converged and not row.degenerate
-        assert row.beta in (0.5, 1.0)
+        assert row.beta in evaluated
         assert abs(row.perplexity - 2.0) > 1e-9
 
     def test_input_validation(self):
@@ -118,6 +146,78 @@ class TestCalibrateRow:
             calibrate(np.array([[1.0, 2.0]]), 0.0)
         with pytest.raises(ValueError, match="row 1: all neighbor distances are infinite"):
             calibrate(np.array([[1.0, 2.0], [np.inf, np.inf]]), 1.5)
+
+
+class TestHardRows:
+    """Rows at the edges of the search: extreme scales, unattainable
+    targets and flat rows. None of them may produce a NaN or a warning."""
+
+    @staticmethod
+    def fit(d2, target, **kwargs):
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            cal = calibrate(np.asarray(d2, dtype=np.float64), target, **kwargs)
+        for field in (cal.probs, cal.beta, cal.perplexity):
+            assert np.all(np.isfinite(field))
+        np.testing.assert_allclose(cal.probs.sum(axis=1), 1.0, rtol=1e-12)
+        assert np.all(cal.beta > 0.0)
+        return cal
+
+    def test_scales_from_1e_minus_6_to_1e6_in_one_matrix(self):
+        # Scaling a row's distances by s scales its beta by 1 / s.
+        base = np.random.default_rng(9).uniform(0.5, 20.0, size=30)
+        scales = 10.0 ** np.arange(-6, 7)
+        cal = self.fit(scales[:, None] * base, 7.0, tol=1e-9)
+        assert cal.converged.all()
+        assert np.all(np.abs(cal.perplexity - 7.0) <= 1e-9)
+        np.testing.assert_allclose(cal.beta * scales, cal.beta[6], rtol=1e-6)
+
+    @pytest.mark.parametrize(
+        "d2, target",
+        [
+            # Three ties at the minimum: 2^H > 3 at every beta.
+            ([2.0, 2.0, 2.0, 5.0, 7.0, 9.0, 11.0], 2.5),
+            # One entry at the minimum: 2^H > 1 at every beta.
+            ([1.0, 4.0, 9.0], 0.5),
+            # Rows whose Newton steps jump close to the top of the float
+            # range, from where unbounded 4 beta steps would overflow.
+            ([2.0] * 8 + [94.0, np.inf], 3.9),
+            ([1.0, 1.0, 1.0, 80.0, 150.0, np.inf, np.inf, np.inf], 2.2),
+            # Three finite entries: 2^H < 3 at every beta.
+            ([1.0, 2.0, np.inf, np.inf, 3.0, np.inf], 4.5),
+            # Equal finite distances: 2^H is 4, 2 and 2 at every beta.
+            ([3.0, 3.0, 3.0, 3.0], 2.0),
+            ([5.0, 5.0, np.inf, np.inf], 1.5),
+            ([0.0, 0.0, np.inf], 1.5),
+        ],
+    )
+    @pytest.mark.parametrize("max_iter", [7, 200])
+    def test_unattainable_target_spends_every_evaluation(self, monkeypatch, d2, target, max_iter):
+        betas = record_row_stats(monkeypatch)
+        cal = self.fit([d2], target, max_iter=max_iter)
+        assert len(betas) == max_iter + 1  # and one call refits the kept beta
+        assert not cal.converged[0] and not cal.degenerate[0]
+        assert abs(cal.perplexity[0] - target) > 1e-5
+
+    def test_equal_finite_distances_meet_their_own_count(self):
+        cal = self.fit([[3.0, 3.0, np.inf, 3.0], [4.0, 4.0, 4.0, 4.0]], 3.0 - 1e-9)
+        assert cal.converged[0] and not cal.converged[1]
+        np.testing.assert_allclose(cal.probs[0], [1 / 3, 1 / 3, 0.0, 1 / 3], rtol=1e-12)
+        np.testing.assert_allclose(cal.probs[1], 0.25, rtol=1e-12)
+
+
+def test_evaluations_per_row_on_the_bench_inputs(monkeypatch):
+    # Rows passed to _row_stats per row, the refit of the kept betas
+    # included: grow-and-bisect took 24.4 and 32.2 on these inputs.
+    inputs = [
+        gen_swiss_roll(n=1000, seed=1).x,
+        gen_three_lines(ThreeLinesSpec(n_s=500, dims=10, seed=1)).x,
+    ]
+    for x in inputs:
+        _, sq = exact_knn(x, 90)
+        betas = record_row_stats(monkeypatch)
+        cal = calibrate(sq, 30.0)
+        assert cal.converged.all()
+        assert sum(len(b) for b in betas) / len(sq) <= 8.0
 
 
 class TestSymmetrize:

@@ -8,6 +8,7 @@ import pytest
 from gtsne import (
     MacroAffinity,
     ThreeLinesSpec,
+    exact_knn,
     gen_swiss_roll,
     gen_three_lines,
     kmeans_fit,
@@ -46,6 +47,18 @@ class TestPairwiseSqDists:
         a = np.array([[0.1, 0.2], [3.0, -4.0]])
         d2 = pairwise_sq_dists(a, a)
         assert d2[0, 0] == 0.0 and d2[1, 1] == 0.0
+
+
+# Inputs on which Lloyd's iteration is compared with a slower route, bit
+# for bit.
+LLOYD_INPUTS = [
+    (gen_swiss_roll(n=1000, seed=0).x, 90),
+    (gen_three_lines(ThreeLinesSpec(n_s=500, dims=10, seed=0)).x, 90),
+    (np.array([[0.0, 0.0]] * 6 + [[10.0, 0.0]] * 6 + [[0.0, 10.0], [0.1, 9.9]]), 4),
+    (np.random.default_rng(14).normal(size=(1000, 5)) + 1e4, 90),
+    (np.indices((8, 8, 8), dtype=np.float64).reshape(3, -1).T, 90),
+]
+LLOYD_IDS = ["swiss-roll", "three-lines", "empty-clusters", "offset-1e4", "tie-lattice"]
 
 
 class TestKmeans:
@@ -96,17 +109,7 @@ class TestKmeans:
         assert np.all(np.diff(km.inertia_trace) <= 1e-9)
         assert np.all(np.isfinite(km.t))
 
-    @pytest.mark.parametrize(
-        "z, k",
-        [
-            (gen_swiss_roll(n=1000, seed=0).x, 90),
-            (gen_three_lines(ThreeLinesSpec(n_s=500, dims=10, seed=0)).x, 90),
-            (np.array([[0.0, 0.0]] * 6 + [[10.0, 0.0]] * 6 + [[0.0, 10.0], [0.1, 9.9]]), 4),
-            (np.random.default_rng(14).normal(size=(1000, 5)) + 1e4, 90),
-            (np.indices((8, 8, 8), dtype=np.float64).reshape(3, -1).T, 90),
-        ],
-        ids=["swiss-roll", "three-lines", "empty-clusters", "offset-1e4", "tie-lattice"],
-    )
+    @pytest.mark.parametrize("z, k", LLOYD_INPUTS, ids=LLOYD_IDS)
     def test_centroids_match_the_per_cluster_loop(self, z, k):
         km = kmeans_fit(z, k=k, seed=0)
         start = macro._plus_plus_init(z, k, np.random.default_rng(0))
@@ -114,6 +117,24 @@ class TestKmeans:
         assert np.array_equal(km.t, t)
         assert np.array_equal(km.assignment, assignment)
         assert np.array_equal(km.inertia_trace, trace)
+
+    @pytest.mark.parametrize("z, k", LLOYD_INPUTS, ids=LLOYD_IDS)
+    def test_prepared_points_match_the_per_round_search(self, monkeypatch, z, k):
+        # The fit centers z and takes its norms once; every round must
+        # assign exactly as a fresh exact_knn call against the centroids.
+        km = kmeans_fit(z, k=k, seed=0)
+        rounds = []
+
+        def per_round(queries, k, reference):
+            rounds.append(k)
+            return exact_knn(z, k, reference=reference)
+
+        monkeypatch.setattr(macro, "_nearest", per_round)
+        fresh = kmeans_fit(z, k=k, seed=0)
+        assert rounds == [1] * len(km.inertia_trace)
+        assert np.array_equal(km.t, fresh.t)
+        assert np.array_equal(km.assignment, fresh.assignment)
+        assert np.array_equal(km.inertia_trace, fresh.inertia_trace)
 
     def test_assignment_memory_stays_bounded(self):
         # Points and centroids are 8 MB and 36 kB. Each assignment step
