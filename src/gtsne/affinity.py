@@ -26,9 +26,11 @@ import numpy as np
 from .core import as_points
 
 # Distances one kNN block may hold: against m searched rows the block
-# takes max(1, this // m) query rows, so each of its working arrays stays
-# near 1 MB for any m. Larger blocks ran no faster on 1000-1500 points
-# and raised the peak memory of a whole run.
+# takes max(1, this // m) query rows, so each of its two (rows, m) working
+# arrays stays near 1 MB for any m. Larger blocks ran no faster on
+# 1000-1500 points and raised the peak memory of a whole run; with the
+# cheaper selection, 2^18 and 2^19 still ran no faster than 2^17, on
+# 1500 points or on 20000 (2-core machine).
 KNN_BLOCK_FLOATS = 1 << 17
 
 
@@ -44,13 +46,16 @@ def exact_knn(points: np.ndarray, k: int, reference: np.ndarray | None = None):
     squared distances, each row ordered by ascending (squared distance,
     index), so equal distances go to the lower index.
 
-    Each block of query rows first ranks the searched rows by the expanded
-    form |a|^2 + |b|^2 - 2 a.b on coordinates centered by the points'
-    mean, one matrix product per block. That form can cancel, so every row
-    whose approximate value could still place it among the true k nearest,
-    given a rounding-error bound on each pair, is kept, and the kept
-    candidates are re-ranked by exact squared distances from direct
-    differences of the input.
+    Each block of query rows first computes the expanded form
+    |a|^2 + |b|^2 - 2 a.b on coordinates centered by the points' mean, one
+    matrix product per block. That form can cancel, so each pair gets its
+    own rounding-error bound, and approx +- bound brackets its true squared
+    distance. The k-th smallest upper end over the searched rows, found by
+    a partition by value, bounds the true k-th distance from above; every
+    row whose lower end does not exceed it is kept, which keeps every true
+    neighbor and every tie at the k-th distance. The kept candidates,
+    about k per query on spread input, are re-ranked by exact squared
+    distances from direct differences of the input.
     """
     queries = _Queries.of(as_points(points, "points"))
     if reference is not None:
@@ -109,39 +114,47 @@ def _nearest(queries: _Queries, k: int, reference: np.ndarray | None):
     # points: with a reference, |b|^2 is a reference row's norm.
     slack = 2.0 * (dim + 2) * np.finfo(np.float64).eps
     col_delta = slack * ref_norm
-    # For query a, let S be the k searched rows of smallest approx, a_k the
-    # largest approx in S and r the largest |b|^2 in S. The true k-th d^2
-    # is at most a_k + delta over S <= a_k + slack (|a|^2 + r), so a true
-    # top-k row b has approx - delta(a, b) <= that, that is
-    # approx - slack |b|^2 <= a_k + slack (2 |a|^2 + r). Bounding each
-    # pair, not each query, keeps one far outlier from admitting every row.
-    rows = max(1, KNN_BLOCK_FLOATS // len(ref))
-    step = max(1, KNN_BLOCK_FLOATS // dim)
+    # For query a, let high(b) = approx + slack |b|^2 and hi_k the k-th
+    # smallest high over the searched rows. Each of the k rows of smallest
+    # high has d^2 <= high + slack |a|^2 <= hi_k + slack |a|^2, so the true
+    # k-th d^2 is at most hi_k + slack |a|^2 too. Every row b whose d^2 is
+    # at most the true k-th, ties included, then has approx - delta(a, b)
+    # <= hi_k + slack |a|^2, that is approx - slack |b|^2 <= hi_k +
+    # 2 slack |a|^2, and only rows that pass this test are re-ranked.
+    # Bounding each pair by its own |b|^2, not by the largest norm, keeps
+    # one far outlier from admitting every row. For k = 1 the argmin of
+    # approx gives an upper value of hi_1, approx + slack |b|^2 at that
+    # row, without a second (rows, m) array.
+    m = len(ref)
+    rows = min(n, max(1, KNN_BLOCK_FLOATS // m))
     ids = np.empty((n, k), dtype=np.int64)
     sq = np.empty((n, k), dtype=np.float64)
+    # Every block reuses the same one or two (rows, m) buffers, so the
+    # search holds at most two of them and touches fresh pages only once.
+    approx_buf = np.empty((rows, m))
+    high_buf = np.empty((rows, m)) if k > 1 else None
     for start in range(0, n, rows):
         stop = min(start + rows, n)
         local = np.arange(stop - start)
-        approx = centered[start:stop] @ ref_centered.T
+        approx = np.matmul(centered[start:stop], ref_centered.T, out=approx_buf[: stop - start])
         approx *= -2.0
         approx += sq_norm[start:stop, None]
         approx += ref_norm[None, :]
         if reference is None:
             approx[local, start + local] = np.inf
         if k == 1:
-            nearest = approx.argmin(axis=1)[:, None]
+            nearest = approx.argmin(axis=1)
+            hi_k = approx[local, nearest] + col_delta[nearest]
         else:
-            nearest = np.argpartition(approx, k - 1, axis=1)[:, :k]
-        reach = ref_norm[nearest].max(axis=1)
-        bound = approx[local, nearest[:, -1]] + slack * (2.0 * sq_norm[start:stop] + reach)
+            high = np.add(approx, col_delta, out=high_buf[: stop - start])
+            high.partition(k - 1, axis=1)
+            hi_k = high[:, k - 1]
+        bound = hi_k + 2.0 * slack * sq_norm[start:stop]
         approx -= col_delta
-        r, c = np.nonzero(approx <= bound[:, None])
-        exact = np.empty(len(r))
-        for s in range(0, len(r), step):
-            diff = pts[start + r[s:s + step]] - ref[c[s:s + step]]
-            exact[s:s + step] = np.einsum("ij,ij->i", diff, diff)
+        r, c = np.divmod(np.flatnonzero(approx <= bound[:, None]), m)
+        exact = _sq_dists(pts, start + r, ref, c)
         # Rank each query's candidates in one (queries, widest) table
-        # padded with +inf. nonzero lists each query's candidates by
+        # padded with +inf. The flat mask lists each query's candidates by
         # ascending index and the sort is stable, so equal distances stay
         # in index order, and padding sorts after every candidate.
         counts = np.bincount(r, minlength=stop - start)
@@ -152,6 +165,19 @@ def _nearest(queries: _Queries, k: int, reference: np.ndarray | None):
         ids[start:stop] = c[take]
         sq[start:stop] = exact[take]
     return ids, sq
+
+
+def _sq_dists(a: np.ndarray, a_rows: np.ndarray, b: np.ndarray, b_rows: np.ndarray):
+    # |a[a_rows] - b[b_rows]|^2 pair by pair from direct differences. The
+    # rows gathered from a and b at one time hold at most KNN_BLOCK_FLOATS
+    # coordinates between them.
+    step = max(1, KNN_BLOCK_FLOATS // (2 * a.shape[1]))
+    out = np.empty(len(a_rows))
+    for s in range(0, len(a_rows), step):
+        diff = a.take(a_rows[s:s + step], axis=0)
+        diff -= b.take(b_rows[s:s + step], axis=0)
+        out[s:s + step] = np.einsum("ij,ij->i", diff, diff)
+    return out
 
 
 class Calibration(NamedTuple):

@@ -22,6 +22,7 @@ from .core import (
     Embedding,
     LossRecord,
     RunReport,
+    as_points,
     check_config,
 )
 from .macro import MacroAffinity, kmeans_fit, macro_affinity, responsibility_matrix
@@ -75,8 +76,10 @@ def step(
     """One descent update: gains, then velocity, then position.
 
     Returns the new position matrix; state is updated in place. Raises on
-    a non-finite gradient so a diverging run fails loudly.
+    a non-finite gradient so a diverging run fails loudly, and, like every
+    function that takes points, ValueError on a y that as_points rejects.
     """
+    y = as_points(y, "y")
     if not np.all(np.isfinite(g)):
         raise RuntimeError(
             f"non-finite gradient at iteration {state.iteration}; "

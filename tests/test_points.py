@@ -26,9 +26,11 @@ from gtsne import (
     macro_affinity,
     pca_fit,
     responsibility_matrix,
+    step,
     write_csv,
 )
 from gtsne.core import as_points
+from gtsne.optimizer import OptimizerState
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gtsne"
 
@@ -59,6 +61,17 @@ CASES = [
     (build_affinity_model, "x", dict(x=X, n_neighbors=5, perplexity=2.0)),
     (gradient_bh, "y", dict(y=Y, p=P, macro=MACRO, cfg=EmbedConfig())),
     (write_csv, "obj", dict(obj=X, path=os.devnull)),
+    (
+        step,
+        "y",
+        dict(
+            y=Y,
+            state=OptimizerState(velocity=np.zeros_like(Y), gains=np.ones_like(Y)),
+            g=np.zeros_like(Y),
+            learning_rate=1.0,
+            gamma=0.5,
+        ),
+    ),
 ]
 CASE_IDS = [f"{fn.__name__}-{arg}" for fn, arg, _ in CASES]
 
@@ -67,7 +80,6 @@ POINT_ARGS = {"data", "obj", "points", "reference", "x", "y", "z", "t", "c"}
 # Exported functions with such a parameter that are not in CASES, and why.
 NOT_CHECKED_HERE = {
     "run": "takes a Dataset, which checked its x when it was made",
-    "step": "moves the descent's own map; run() checks the map after each step",
 }
 
 # Every isfinite or isnan call in the package, by (module, function), and

@@ -4,6 +4,8 @@ The file keeps the name of the vantage-point tree search that exact_knn
 replaced, so that the tests carried over from it keep their ids.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -78,13 +80,18 @@ def test_knn_all_matches_single_queries(monkeypatch):
     np.testing.assert_allclose(sq, one_sq)
 
 
+def _trap_grid():
+    # A 10 x 10 grid with spacing 1e-3; the traps put copies at +-1e6.
+    g = np.arange(10) * 1e-3
+    return np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+
+
 def test_cancellation_trap_keeps_exact_order():
     # Two 10 x 10 grids with spacing 1e-3, one at +1e6 and one at -1e6 on
     # both axes, so centering leaves every norm near 1.4e6. There the
     # expanded form's rounding (about 1e-4 in squared distance) dwarfs the
     # 1e-6 squared distance between grid neighbors.
-    g = np.arange(10) * 1e-3
-    grid = np.stack(np.meshgrid(g, g, indexing="ij"), axis=-1).reshape(-1, 2)
+    grid = _trap_grid()
     pts = np.concatenate([grid + 1e6, grid - 1e6])
     k = 8
     want = [brute_knn(pts, i, k) for i in range(len(pts))]
@@ -108,6 +115,66 @@ def test_far_outlier_matches_brute_force():
     ids, sq = exact_knn(pts, 10)
     for i in range(len(pts)):
         _assert_same_hits(_hits(ids, sq, i), brute_knn(pts, i, 10))
+
+
+def _rerank_pairs(monkeypatch, *args, **kwargs):
+    # Run exact_knn and count the pairs it re-ranks by direct differences,
+    # that is the candidates its rounding bound admits.
+    pairs = []
+    rerank = affinity._sq_dists
+
+    def spy(a, a_rows, b, b_rows):
+        pairs.append(len(a_rows))
+        return rerank(a, a_rows, b, b_rows)
+
+    monkeypatch.setattr(affinity, "_sq_dists", spy)
+    exact_knn(*args, **kwargs)
+    return sum(pairs)
+
+
+def test_far_outlier_admits_about_k_candidates_per_row(monkeypatch):
+    # The outlier's norm enters only the bounds of its own pairs. A bound
+    # that took the largest norm over all searched rows would admit nearly
+    # all 300^2 pairs here.
+    rng = np.random.default_rng(9)
+    pts = rng.normal(size=(300, 5))
+    pts[7] += 1e8
+    n, k = len(pts), 10
+    assert n * k <= _rerank_pairs(monkeypatch, pts, k) <= 1.02 * n * k
+
+
+@pytest.mark.parametrize("k, with_reference", [(8, False), (1, True), (6, True)])
+def test_cancellation_trap_admits_only_the_own_grid(monkeypatch, k, with_reference):
+    # Within one grid the expanded form cannot tell the 100 points apart,
+    # so all of them may pass the test, but no point of the other grid,
+    # 2.8e6 away, may.
+    grid = _trap_grid()
+    pts = np.concatenate([grid + 1e6, grid - 1e6])
+    reference, own_grid = None, 99  # a point never lists itself
+    if with_reference:
+        reference = np.concatenate([grid[::-1] + (1e6 + 3e-4), grid[::-1] - (1e6 + 3e-4)])
+        own_grid = 100
+    pairs = _rerank_pairs(monkeypatch, pts, k, reference=reference)
+    assert len(pts) * k <= pairs <= len(pts) * own_grid
+
+
+@pytest.mark.parametrize("k, blocks", [(90, 4), (1, 2)])
+def test_search_memory_stays_within_a_few_blocks(k, blocks):
+    # tracemalloc sees numpy's buffers and is deterministic. Besides its
+    # outputs and the centered points, a search holds one (rows, m) block
+    # for the expanded form, one for the k-th value when k > 1, at most a
+    # block of gathered rows in the re-rank, and arrays of a few entries
+    # per query row. k = 1 against 90 centroids is a k-means assignment.
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(1500, 10))
+    reference = pts[:90].copy() if k == 1 else None
+    tracemalloc.start()
+    try:
+        ids, sq = exact_knn(pts, k, reference=reference)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= ids.nbytes + sq.nbytes + blocks * affinity.KNN_BLOCK_FLOATS * 8
 
 
 def test_build_rejects_bad_input():
