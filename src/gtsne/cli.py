@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import get_args, get_type_hints
 
 from .core import EmbedConfig, config_to_text, parse_config_items, resolve_config
@@ -19,14 +19,12 @@ from .datasets import (
     gen_three_lines,
 )
 from .io import PlotSpec, read_csv, render_svg, sniff_csv, write_csv
-from .macro import kmeans_fit, responsibility_matrix
 from .metrics import (
     centroid_distance_correlation,
     knn_preservation,
     line_continuity,
 )
-from .optimizer import run
-from .pca import pca_fit
+from .optimizer import macro_stage, run
 
 
 def _parse_segments(text: str):
@@ -47,13 +45,15 @@ def _parse_segments(text: str):
     return out
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    # One flag per EmbedConfig field, stored under the field's name. All
-    # default to None so explicitly passed flags can be told apart from
-    # absent ones when merging with a config file.
+def _add_config_flags(p: argparse.ArgumentParser, names=None) -> None:
+    # One flag per EmbedConfig field (in names, if given), stored under the
+    # field's name. All default to None so explicitly passed flags can be
+    # told apart from absent ones when merging with a config file.
     p.add_argument("--config", metavar="FILE", help="key = value config file")
     kinds = get_type_hints(EmbedConfig)
     for f in fields(EmbedConfig):
+        if names is not None and f.name not in names:
+            continue
         flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
         kind = kinds[f.name]
         opts = {"dest": f.name, "help": f.metadata.get("help")}
@@ -112,10 +112,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     v.add_argument("--knn-k", type=int, default=10)
     v.add_argument("--factor", type=float, default=5.0)
-    v.add_argument("--clusters", type=int, help="centroid count; embed's default if unset")
-    v.add_argument("--pca-dims", type=int, help="reduction width; embed's default if unset")
-    v.add_argument("--seed", type=int, default=0)
     v.add_argument("-o", "--output", help="also write the score row here")
+    # What macro_stage reads; out_dims is the map's width.
+    _add_config_flags(v, ("n_clusters", "pca_dims", "seed", "pca_center"))
     v.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("plot", help="render an embedding CSV to SVG")
@@ -163,16 +162,19 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def cmd_embed(args) -> int:
-    ds = _read_points(args.input, args.label_col)
+def _config_values(args) -> dict:
+    """EmbedConfig values: the --config file's, overridden by given flags."""
     values = {}
     if args.config:
         with open(args.config) as fh:
-            values.update(parse_config_items(fh.read()))
-    for f in fields(EmbedConfig):
-        if getattr(args, f.name) is not None:
-            values[f.name] = getattr(args, f.name)
-    cfg = EmbedConfig(**values)
+            values = parse_config_items(fh.read())
+    flags = {f.name: getattr(args, f.name, None) for f in fields(EmbedConfig)}
+    return {**values, **_given(**flags)}
+
+
+def cmd_embed(args) -> int:
+    ds = _read_points(args.input, args.label_col)
+    cfg = EmbedConfig(**_config_values(args))
     emb, report = run(ds, cfg, verbose=True)
     write_csv(emb, args.output, labels=ds.labels)
     if args.report:
@@ -186,14 +188,12 @@ def _write_report(report, path) -> None:
             fh.write(f"# {line}\n")
         fh.write(f"# stop_reason = {report.stop_reason}\n")
         fh.write(f"# iterations_run = {report.iterations_run}\n")
+        fh.write(f"# macro_correlation = {report.macro_correlation!r}\n")
         for stage, seconds in report.wall_times.items():
             fh.write(f"# time_{stage} = {seconds:.3f}\n")
-        if report.degenerate_rows:
-            ids = ",".join(str(i) for i in report.degenerate_rows)
-            fh.write(f"# degenerate_rows = {ids}\n")
-        if report.unconverged_rows:
-            ids = ",".join(str(i) for i in report.unconverged_rows)
-            fh.write(f"# unconverged_rows = {ids}\n")
+        for key in ("degenerate_rows", "unconverged_rows"):
+            if getattr(report, key):
+                fh.write(f"# {key} = {','.join(map(str, getattr(report, key)))}\n")
         fh.write(
             "iteration,loss,micro,macro,kmeans,gamma,z_estimator,max_update,"
             "underflow_clamped\n"
@@ -218,22 +218,15 @@ def cmd_evaluate(args) -> int:
     k = min(args.knn_k, n - 1)
     knn_score = knn_preservation(x.x, y.x, k)
 
-    if args.segments is not None:
-        segments = args.segments
-    else:
-        thirds = [0, n // 3, 2 * n // 3, n]
-        segments = [(thirds[i], thirds[i + 1]) for i in range(3)]
+    segments = args.segments or [(i * n // 3, (i + 1) * n // 3) for i in range(3)]
     break_fraction = line_continuity(y.x, segments, factor=args.factor)
 
-    # A macro model of evaluate's own: unset widths take embed's defaults,
-    # but the PCA is always centred and k-means is seeded with --seed
-    # itself, not with the seed run() derives from it, so the partition is
-    # in general not the embed run's.
-    given = _given(n_clusters=args.clusters, pca_dims=args.pca_dims)
-    cfg = resolve_config(EmbedConfig(**given), n, x.dim)
-    d_z = cfg.pca_dims
-    out_dims = y.x.shape[1]
-    if d_z <= out_dims:
+    # The embed run's macro model; unset fields take embed's defaults.
+    values = _config_values(args)
+    if values.setdefault("out_dims", y.dim) != y.dim:
+        raise ValueError(f"config has out_dims={values['out_dims']}, map {y.dim} columns")
+    cfg = resolve_config(EmbedConfig(**values), n, x.dim)
+    if cfg.pca_dims <= y.dim:
         corr = float("nan")
         print(
             "gtsne: warning: reduction width does not exceed the map width; "
@@ -241,11 +234,9 @@ def cmd_evaluate(args) -> int:
             file=sys.stderr,
         )
     else:
-        reduced = pca_fit(x.x, d_z)
-        km = kmeans_fit(reduced.z, min(cfg.n_clusters, n), seed=args.seed)
-        r = responsibility_matrix(reduced.z, km.t, d=out_dims, d_z=d_z)
-        c = (r @ y.x) / r.sum(axis=1)[:, None]
-        corr = centroid_distance_correlation(km.t, c)
+        # Clamped where run() would reject more centroids than points.
+        _, km, macro = macro_stage(x.x, replace(cfg, n_clusters=min(cfg.n_clusters, n)), {})
+        corr = centroid_distance_correlation(km.t, macro.centroids(y.x))
 
     header = "knn_preservation,line_break_fraction,centroid_distance_correlation"
     row = f"{knn_score:.10g},{break_fraction:.10g},{corr:.10g}"

@@ -215,11 +215,6 @@ def parse_config_items(text: str) -> dict:
     return out
 
 
-def parse_config_text(text: str) -> EmbedConfig:
-    """Parse a full config file into an EmbedConfig."""
-    return EmbedConfig(**parse_config_items(text))
-
-
 class ConfigError(ValueError):
     """Raised when an EmbedConfig violates its constraints."""
 
@@ -369,3 +364,4 @@ class RunReport:
     unconverged_rows: list  # rows whose perplexity search missed the tolerance
     iterations_run: int
     stop_reason: str
+    macro_correlation: float  # centroid_distance_correlation of the final map

@@ -134,18 +134,19 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
     )
 
 
-def responsibility_matrix(z: np.ndarray, t: np.ndarray, d: int, d_z: int) -> np.ndarray:
+def responsibility_matrix(z: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:
     """Soft membership of every point in every centroid.
 
     Row k, column i holds a heavy-tailed kernel of the point-to-centroid
-    distance, scaled by (d / d_z)^2 to compensate for the dimension drop
-    between the reduced input space and the map, then normalized so each
-    point's column sums to 1 over centroids.
+    distance, scaled by (d / d_z)^2 to compensate for the drop from z's
+    width d_z to the map's d, then normalized so each point's column sums
+    to 1 over centroids.
     """
     z = as_points(z, "z")
     t = as_points(t, "t")
-    if z.shape[1] != t.shape[1]:
-        raise ValueError(f"t has width {t.shape[1]}, z has width {z.shape[1]}")
+    d_z = z.shape[1]
+    if d_z != t.shape[1]:
+        raise ValueError(f"t has width {t.shape[1]}, z has width {d_z}")
     if not (0 < d < d_z):
         raise ValueError(f"need 0 < d < d_z, got d={d}, d_z={d_z}")
     scale = (d * d) / float(d_z * d_z)
@@ -197,3 +198,7 @@ class MacroAffinity:
     def r_by_mass(self) -> np.ndarray:
         """(k, n) responsibilities divided by their cluster's mass."""
         return self.r / self.masses[:, None]
+
+    def centroids(self, y: np.ndarray) -> np.ndarray:
+        """(k, d) map centroids: the responsibility-weighted means of y."""
+        return (self.r @ y) / self.masses[:, None]

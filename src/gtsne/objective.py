@@ -484,7 +484,7 @@ class GradientWorkspace:
 
 def _macro_state(y: np.ndarray, macro: MacroAffinity):
     """Map centroids and their affinity distribution."""
-    c = (macro.r @ y) / macro.masses[:, None]
+    c = macro.centroids(y)
     kern, z_c = student_t_kernel(c)
     q_macro = kern / z_c if z_c > 0.0 else np.zeros_like(kern)
     return c, kern, q_macro

@@ -26,6 +26,7 @@ from .core import (
     check_config,
 )
 from .macro import MacroAffinity, kmeans_fit, macro_affinity, responsibility_matrix
+from .metrics import centroid_distance_correlation
 from .objective import gradient_bh
 from .pca import pca_fit
 
@@ -91,28 +92,18 @@ def step(
     return y + state.velocity
 
 
-def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
-    """Embed a dataset. Returns (Embedding, RunReport).
+def macro_stage(x, cfg: EmbedConfig, times: dict):
+    """run()'s stage seeds and macro model of x under a resolved cfg.
 
-    Stages: spectral reduction of x, k-means on the reduced coordinates,
-    responsibilities and centroid affinities, exact neighbor search plus
-    perplexity calibration, then n_iter descent steps (or fewer once the
-    largest per-point update stays under 1e-7 for 50 straight iterations).
-    The first early_exaggeration_iter steps multiply the attraction by
-    early_exaggeration; the one P stays as built, so every logged loss is
-    the objective's value. Progress lines go to stderr when verbose.
+    Two independent seeds derive from cfg.seed: one for k-means on the
+    PCA of x, one for the initial map. Returns (initial-map seed,
+    CentroidModel, MacroAffinity); times gets "pca", "kmeans", "macro".
     """
-    cfg = check_config(cfg, data.n, data.dim)
-    n, d = data.n, cfg.out_dims
-    times: dict = {}
-    t_start = time.perf_counter()
-
-    # Independent per-stage seeds derived from the run seed.
     seed_seq = np.random.default_rng(cfg.seed)
     seed_init, seed_kmeans = (int(s) for s in seed_seq.integers(0, 2**63 - 1, size=2))
 
     t0 = time.perf_counter()
-    reduced = pca_fit(data.x, cfg.pca_dims, center=cfg.pca_center)
+    reduced = pca_fit(x, cfg.pca_dims, center=cfg.pca_center)
     times["pca"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -120,9 +111,29 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
     times["kmeans"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    r = responsibility_matrix(reduced.z, km.t, d=cfg.out_dims, d_z=cfg.pca_dims)
+    r = responsibility_matrix(reduced.z, km.t, d=cfg.out_dims)
     macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
     times["macro"] = time.perf_counter() - t0
+    return seed_init, km, macro
+
+
+def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
+    """Embed a dataset. Returns (Embedding, RunReport).
+
+    Stages: the macro model (macro_stage), exact neighbor search plus
+    perplexity calibration, then n_iter descent steps (or fewer once the
+    largest per-point update stays under 1e-7 for 50 straight iterations).
+    The first early_exaggeration_iter steps multiply the attraction by
+    early_exaggeration; the one P stays as built, so every logged loss is
+    the objective's value. The report's macro_correlation scores the final
+    map on the run's own centroids. Progress lines go to stderr when verbose.
+    """
+    cfg = check_config(cfg, data.n, data.dim)
+    n, d = data.n, cfg.out_dims
+    times: dict = {}
+    t_start = time.perf_counter()
+
+    seed_init, km, macro = macro_stage(data.x, cfg, times)
 
     t0 = time.perf_counter()
     p, rows = build_affinity_model(
@@ -217,5 +228,6 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
         unconverged_rows=unconverged_rows,
         iterations_run=iterations_run,
         stop_reason=stop_reason,
+        macro_correlation=centroid_distance_correlation(km.t, ws.c),
     )
     return Embedding(y=y), report

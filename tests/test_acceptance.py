@@ -71,7 +71,7 @@ def desk_macro_correlation(x, y):
     """Centroid-distance correlation of a desk-scale map against its input."""
     z = pca_fit(x, 3).z
     km = kmeans_fit(z, 15, seed=0)
-    r = responsibility_matrix(z, km.t, d=2, d_z=3)
+    r = responsibility_matrix(z, km.t, d=2)
     c = (r @ y) / r.sum(axis=1)[:, None]
     return centroid_distance_correlation(km.t, c)
 
@@ -108,7 +108,7 @@ def test_01_exact_gradient_matches_finite_differences():
         p, _ = build_affinity_model(x, n_neighbors=12, perplexity=4.0, tol=1e-8)
         km = kmeans_fit(x, 3, seed=seed)
         macro = MacroAffinity(
-            r=responsibility_matrix(x, km.t, d=2, d_z=5),
+            r=responsibility_matrix(x, km.t, d=2),
             p_macro=macro_affinity(km.t),
         )
         y = rng.normal(size=(15, 2))
@@ -138,7 +138,7 @@ def test_02_gradient_modes_agree_only_under_equal_masses():
     z = np.zeros((n, 4))
     z[:, 0] = np.cos(angles)
     z[:, 1] = np.sin(angles)
-    r = responsibility_matrix(z, z, d=2, d_z=4)
+    r = responsibility_matrix(z, z, d=2)
     macro = MacroAffinity(r=r, p_macro=macro_affinity(z))
     p, _ = build_affinity_model(z, n_neighbors=3, perplexity=2.0, tol=1e-8)
     rng = np.random.default_rng(0)
@@ -153,7 +153,7 @@ def test_02_gradient_modes_agree_only_under_equal_masses():
     rng = np.random.default_rng(5)
     x = rng.normal(size=(16, 4))
     km = kmeans_fit(x, 3, seed=0)
-    r = responsibility_matrix(x, km.t, d=2, d_z=4)
+    r = responsibility_matrix(x, km.t, d=2)
     assert float(np.ptp(r.sum(axis=1))) > 1e-3  # premise: lopsided masses
     macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
     p, _ = build_affinity_model(x, n_neighbors=5, perplexity=3.0, tol=1e-8)
@@ -240,7 +240,7 @@ def test_04_probability_normalizations_hold_on_every_dataset():
         d_z = min(50, d_in)
         z = pca_fit(data.x, d_z).z
         km = kmeans_fit(z, k, seed=0)
-        r = responsibility_matrix(z, km.t, d=2, d_z=d_z)
+        r = responsibility_matrix(z, km.t, d=2)
         macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
         worst["column"] = max(worst["column"], float(np.abs(r.sum(axis=0) - 1.0).max()))
         worst["macro"] = max(worst["macro"], abs(macro.p_macro.sum() - 1.0))

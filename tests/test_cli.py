@@ -14,6 +14,7 @@ from gtsne.cli import build_parser, main
 from gtsne.core import resolve_config
 from gtsne.io import read_csv, sniff_csv
 from gtsne.macro import kmeans_fit
+from gtsne.metrics import centroid_distance_correlation
 
 FAST_EMBED = [
     "--perplexity", "5", "--neighbors", "15", "--clusters", "5",
@@ -285,29 +286,93 @@ class TestEvaluateAndPlot:
 
     def test_evaluate_defaults_follow_embed_config(self, pipeline, monkeypatch, capsys):
         # evaluate rebuilds the macro model embed would build, so unset
-        # widths must come from EmbedConfig and resolve_config, whatever
-        # their defaults are.
-        _, data, out = pipeline
+        # fields must come from EmbedConfig and resolve_config, whatever
+        # their defaults are, and k-means is seeded as run() seeds it.
+        tmp_path, data, out = pipeline
+
+        # The same field and flag (the flags derive from the fields), with
+        # another default.
+        (stock,) = [f for f in fields(EmbedConfig) if f.name == "n_clusters"]
 
         @dataclasses.dataclass(frozen=True)
         class FewerClusters(EmbedConfig):
-            n_clusters: int = 4
+            n_clusters: int = dataclasses.field(default=4, metadata=stock.metadata)
 
         seen = []
+        seeds = []
 
         def spy(z, k, **kwargs):
             seen.append((z.shape[1], k))
+            seeds.append(kwargs["seed"])
             return kmeans_fit(z, k, **kwargs)
 
         monkeypatch.setattr(cli, "EmbedConfig", FewerClusters)
-        monkeypatch.setattr(cli, "kmeans_fit", spy)
+        monkeypatch.setattr(optimizer, "kmeans_fit", spy)
         assert main(["evaluate", "-x", str(data), "-y", str(out)]) == 0
         assert seen == [(resolve_config(EmbedConfig(), 60, 5).pca_dims, 4)]
         seen.clear()
         args = ["--clusters", "3", "--pca-dims", "4"]
         assert main(["evaluate", "-x", str(data), "-y", str(out)] + args) == 0
         assert seen == [(4, 3)]
+        # An embed run with the same (default) seed seeds its k-means alike.
+        run_map = tmp_path / "seed_run.csv"
+        assert main(["embed", "-i", str(data), "-o", str(run_map), "--n-iter", "1"]) == 0
+        assert len(seeds) == 3 and seeds[0] == seeds[1] == seeds[2]
         capsys.readouterr()
+
+    def test_evaluate_scores_the_runs_own_partition(self, tmp_path, monkeypatch, capsys):
+        # Given the run's macro settings, as flags or as the config file,
+        # evaluate rebuilds the run's partition and reproduces its
+        # macro correlation bit for bit.
+        data = make_blobs_csv(tmp_path)
+        out = tmp_path / "map.csv"
+        report_path = tmp_path / "report.csv"
+        macro_flags = ["--clusters", "5", "--pca-dims", "3", "--seed", "7", "--pca-no-center"]
+        reports = []
+        corrs = []
+
+        def run_spy(*args, **kwargs):
+            emb, report = optimizer.run(*args, **kwargs)
+            reports.append(report)
+            return emb, report
+
+        def corr_spy(t, c):
+            corrs.append(centroid_distance_correlation(t, c))
+            return corrs[-1]
+
+        monkeypatch.setattr(cli, "run", run_spy)
+        monkeypatch.setattr(cli, "centroid_distance_correlation", corr_spy)
+        code = main(["embed", "-i", str(data), "-o", str(out), "--report", str(report_path),
+                     "--perplexity", "5", "--neighbors", "15", "--n-iter", "25",
+                     "--log-every", "10"] + macro_flags)
+        assert code == 0
+        run_corr = reports[0].macro_correlation
+        assert np.isfinite(run_corr)
+        line = next(ln for ln in report_path.read_text().splitlines()
+                    if ln.startswith("# macro_correlation = "))
+        assert float(line.split(" = ")[1]) == run_corr
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            "perplexity = 5.0\nn_neighbors = 15\nn_iter = 25\nlog_every = 10\n"
+            "n_clusters = 5\npca_dims = 3\nseed = 7\npca_center = false\n"
+        )
+        capsys.readouterr()
+        for given in (macro_flags, ["--config", str(config)]):
+            corrs.clear()
+            assert main(["evaluate", "-x", str(data), "-y", str(out)] + given) == 0
+            assert corrs == [run_corr]
+            row = capsys.readouterr().out.strip().splitlines()[-1]
+            assert row.split(",")[2] == f"{run_corr:.10g}"
+
+    def test_evaluate_rejects_a_config_for_another_map_width(
+        self, pipeline, tmp_path, capsys
+    ):
+        _, data, out = pipeline
+        config = tmp_path / "3d.cfg"
+        config.write_text("out_dims = 3\n")
+        code = main(["evaluate", "-x", str(data), "-y", str(out), "--config", str(config)])
+        assert code == 2
+        assert "out_dims=3" in capsys.readouterr().err
 
     def test_evaluate_custom_segments(self, pipeline, capsys):
         _, data, out = pipeline

@@ -19,7 +19,6 @@ from gtsne.core import (
     check_config,
     config_to_text,
     parse_config_items,
-    parse_config_text,
     validate_config,
 )
 
@@ -111,12 +110,12 @@ class TestConfigText:
     def test_round_trip_equality(self):
         cfg = EmbedConfig(perplexity=12.5, alpha=0.1 + 0.2, seed=42, pca_dims=7)
         text = config_to_text(cfg)
-        assert parse_config_text(text) == cfg
+        assert EmbedConfig(**parse_config_items(text)) == cfg
 
     def test_round_trip_is_byte_stable(self):
         cfg = EmbedConfig(alpha=1.0 / 3.0, beta=0.07, learning_rate=199.99)
         text = config_to_text(cfg)
-        assert config_to_text(parse_config_text(text)) == text
+        assert config_to_text(EmbedConfig(**parse_config_items(text))) == text
 
     def test_round_trip_every_field(self):
         cfg = EmbedConfig(
@@ -146,8 +145,8 @@ class TestConfigText:
         assert all(getattr(cfg, f.name) != getattr(stock, f.name) for f in fields(cfg))
         text = config_to_text(cfg)
         assert "pca_center = false\n" in text
-        assert parse_config_text(text) == cfg
-        assert config_to_text(parse_config_text(text)) == text
+        assert EmbedConfig(**parse_config_items(text)) == cfg
+        assert config_to_text(EmbedConfig(**parse_config_items(text))) == text
 
     def test_none_and_bool_spelling(self):
         text = config_to_text(EmbedConfig())

@@ -190,22 +190,23 @@ class TestResponsibilities:
     def test_single_centroid_all_ones(self):
         rng = np.random.default_rng(8)
         z = rng.normal(size=(10, 4))
-        r = responsibility_matrix(z, z.mean(axis=0, keepdims=True), d=2, d_z=4)
+        r = responsibility_matrix(z, z.mean(axis=0, keepdims=True), d=2)
         np.testing.assert_allclose(r, np.ones((1, 10)))
 
     def test_two_centroid_hand_case(self):
         # Point on the first centroid, second centroid at squared
-        # distance 4, width ratio 2/4: kernels (1, 0.5) -> column (2/3, 1/3).
-        z = np.array([[0.0, 0.0]])
-        t = np.array([[0.0, 0.0], [2.0, 0.0]])
-        r = responsibility_matrix(z, t, d=2, d_z=4)
+        # distance 4, width ratio 2/4 (z and t zero-padded to 4 columns):
+        # kernels (1, 0.5) -> column (2/3, 1/3).
+        z = np.array([[0.0, 0.0, 0.0, 0.0]])
+        t = np.array([[0.0, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, 0.0]])
+        r = responsibility_matrix(z, t, d=2)
         np.testing.assert_allclose(r[:, 0], [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(9)
         z = rng.normal(size=(30, 10))
         t = rng.normal(size=(4, 10))
-        got = responsibility_matrix(z, t, d=2, d_z=10)
+        got = responsibility_matrix(z, t, d=2)
         ref = dense_responsibilities(z, t, d=2, d_z=10)
         np.testing.assert_allclose(got, ref, atol=1e-12)
 
@@ -213,7 +214,7 @@ class TestResponsibilities:
         rng = np.random.default_rng(10)
         z = rng.normal(size=(40, 6)) * 10
         t = rng.normal(size=(7, 6)) * 10
-        r = responsibility_matrix(z, t, d=2, d_z=6)
+        r = responsibility_matrix(z, t, d=2)
         np.testing.assert_allclose(r.sum(axis=0), np.ones(40), atol=1e-12)
         assert np.all(r > 0) and np.all(r <= 1)
 
@@ -225,7 +226,7 @@ class TestResponsibilities:
         t = rng.normal(size=(90, 50))
         tracemalloc.start()
         try:
-            responsibility_matrix(z, t, d=2, d_z=50)
+            responsibility_matrix(z, t, d=2)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -233,7 +234,7 @@ class TestResponsibilities:
 
     def test_width_ratio_validated(self):
         with pytest.raises(ValueError, match="d < d_z"):
-            responsibility_matrix(np.ones((3, 2)), np.ones((2, 2)), d=2, d_z=2)
+            responsibility_matrix(np.ones((3, 2)), np.ones((2, 2)), d=2)
 
     @pytest.mark.parametrize("side", ["z", "t"])
     def test_non_finite_input_rejected(self, side):
@@ -241,7 +242,7 @@ class TestResponsibilities:
         args = {"z": rng.normal(size=(6, 4)), "t": rng.normal(size=(3, 4))}
         args[side][1, 2] = np.nan
         with pytest.raises(ValueError, match=f"non-finite entries in {side}"):
-            responsibility_matrix(args["z"], args["t"], d=2, d_z=4)
+            responsibility_matrix(args["z"], args["t"], d=2)
 
 
 class TestMacroAffinity:

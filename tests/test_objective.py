@@ -35,7 +35,7 @@ def make_problem(n, d_in, k, seed, alpha=0.01, beta=0.05, y_scale=1.0, **cfg_kw)
     x = rng.normal(size=(n, d_in))
     p, _ = build_affinity_model(x, n_neighbors=min(5, n - 1), perplexity=3.0, tol=1e-8)
     km = kmeans_fit(x, k, seed=seed)
-    r = responsibility_matrix(x, km.t, d=out_dims, d_z=d_in)
+    r = responsibility_matrix(x, km.t, d=out_dims)
     macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
     y = y_scale * rng.normal(size=(n, out_dims))
     cfg = EmbedConfig(alpha=alpha, beta=beta, **cfg_kw)
@@ -77,7 +77,7 @@ class TestLoss:
         x = rng.normal(size=(2, 4))
         p = AffinityModel(row=[0], col=[1], val=[0.5], n=2)
         km = kmeans_fit(x, 2, seed=0)
-        r = responsibility_matrix(x, km.t, d=2, d_z=4)
+        r = responsibility_matrix(x, km.t, d=2)
         macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
         cfg = EmbedConfig(alpha=0.01, beta=0.05)
         for trial in range(3):
@@ -227,7 +227,7 @@ class TestQuadtree:
         x = rng.normal(size=(30, 5))
         p, _ = build_affinity_model(x, n_neighbors=5, perplexity=3.0, tol=1e-8)
         km = kmeans_fit(x, 4, seed=0)
-        r = responsibility_matrix(x, km.t, d=3, d_z=5)
+        r = responsibility_matrix(x, km.t, d=3)
         macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
         y = rng.uniform(-0.5, 0.5, size=(30, 3))
         y[20:] = y[3] + np.outer(np.arange(1, 11), [1e-9, 0.0, 0.0])
@@ -318,7 +318,7 @@ class TestGradientExact:
         z = np.zeros((n, 4))
         z[:, 0] = np.cos(angles)
         z[:, 1] = np.sin(angles)
-        r = responsibility_matrix(z, z, d=2, d_z=4)
+        r = responsibility_matrix(z, z, d=2)
         np.testing.assert_allclose(r.sum(axis=1), 1.0, atol=1e-12)
         macro = MacroAffinity(r=r, p_macro=macro_affinity(z))
         p, _ = build_affinity_model(z, n_neighbors=3, perplexity=2.0, tol=1e-8)
@@ -390,7 +390,7 @@ class TestGradientTree:
         x = rng.normal(size=(30, 5))
         p, _ = build_affinity_model(x, n_neighbors=5, perplexity=3.0, tol=1e-8)
         km = kmeans_fit(x, 4, seed=0)
-        r = responsibility_matrix(x, km.t, d=3, d_z=5)
+        r = responsibility_matrix(x, km.t, d=3)
         macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
         y = rng.normal(size=(30, 3))
         assert_tree_sums_are_exact(y)
@@ -421,7 +421,7 @@ class TestGradientTree:
         x = np.arange(8.0).reshape(2, 4)
         p = AffinityModel(row=[0], col=[1], val=[0.5], n=2)
         km = kmeans_fit(x, 2, seed=0)
-        r = responsibility_matrix(x, km.t, d=2, d_z=4)
+        r = responsibility_matrix(x, km.t, d=2)
         macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
         y = np.array([[0.0, 0.0], [1.0, 2.0]])
         cfg = EmbedConfig(alpha=0.01, beta=0.05, bh_theta=0.5)
@@ -439,7 +439,7 @@ class TestGradientTree:
         x = rng.normal(size=(100, 5))
         p, _ = build_affinity_model(x, n_neighbors=10, perplexity=5.0, tol=1e-8)
         km = kmeans_fit(x, 5, seed=0)
-        r = responsibility_matrix(x, km.t, d=2, d_z=5)
+        r = responsibility_matrix(x, km.t, d=2)
         macro = MacroAffinity(r=r, p_macro=macro_affinity(km.t))
         y = rng.normal(scale=1e-2, size=(100, 2))
         cfg = EmbedConfig(alpha=0.0, beta=0.0, bh_theta=0.5)
@@ -762,7 +762,7 @@ class TestExactForces:
         p, _ = build_affinity_model(x, n_neighbors=90, perplexity=30.0)
         km = kmeans_fit(x, 20, seed=0)
         macro = MacroAffinity(
-            r=responsibility_matrix(x, km.t, d=2, d_z=4), p_macro=macro_affinity(km.t)
+            r=responsibility_matrix(x, km.t, d=2), p_macro=macro_affinity(km.t)
         )
         y5k = rng.normal(size=(5000, 2))
         cfg = EmbedConfig(bh_theta=0.0)

@@ -10,6 +10,7 @@ from gtsne import objective, optimizer
 from gtsne.affinity import AffinityModel, build_affinity_model
 from gtsne.core import Dataset, EmbedConfig
 from gtsne.datasets import gen_blobs
+from gtsne.metrics import centroid_distance_correlation
 from gtsne.objective import gradient_bh
 from gtsne.optimizer import (
     GAIN_FLOOR,
@@ -355,6 +356,40 @@ class TestRun:
         emb, report = run(Dataset(x=x), cfg, verbose=False)
         assert report.config.pca_dims == 30
         assert emb.y.shape == (30, 2) and np.all(np.isfinite(emb.y))
+
+    def test_stages_call_the_module_names(self, monkeypatch):
+        # perfbench/run.py wraps these names in gtsne.optimizer and checks
+        # its spans against wall_times, whose stages before "optimize" it
+        # sums as set-up: every stage must call them there, and wall_times
+        # must keep its keys in this order.
+        counts = {}
+        for name in ("pca_fit", "kmeans_fit", "responsibility_matrix", "macro_affinity",
+                     "build_affinity_model", "gradient_bh", "step"):
+            counts[name] = 0
+
+            def spy(*args, _name=name, _real=getattr(optimizer, name), **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(optimizer, name, spy)
+        cfg = dataclasses.replace(SMALL_CFG, n_iter=3)
+        _, report = run(small_blobs(), cfg, verbose=False)
+        assert counts == {
+            "pca_fit": 1, "kmeans_fit": 1, "responsibility_matrix": 1, "macro_affinity": 1,
+            "build_affinity_model": 1, "gradient_bh": 4, "step": 3,
+        }
+        assert list(report.wall_times) == [
+            "pca", "kmeans", "macro", "affinity", "optimize", "total"
+        ]
+
+    def test_macro_correlation_scores_the_final_map(self, result):
+        # The run's own partition, rebuilt by the shared macro stage,
+        # against the returned map.
+        emb, report = result
+        _, km, macro = optimizer.macro_stage(small_blobs().x, report.config, {})
+        want = centroid_distance_correlation(km.t, macro.centroids(emb.y))
+        assert report.macro_correlation == want
+        assert 0.5 < want <= 1.0
 
     def test_verbose_progress_goes_to_stderr(self, capsys):
         cfg = dataclasses.replace(SMALL_CFG, n_iter=2, log_every=1)

@@ -41,7 +41,7 @@ T = _rng.normal(size=(3, 4))   # input centroids
 C = _rng.normal(size=(3, 2))   # map centroids
 P = build_affinity_model(X, n_neighbors=5, perplexity=2.0)[0]
 MACRO = MacroAffinity(
-    r=responsibility_matrix(X, T, d=2, d_z=4), p_macro=macro_affinity(T)
+    r=responsibility_matrix(X, T, d=2), p_macro=macro_affinity(T)
 )
 
 # (function, the argument to spoil, valid arguments)
@@ -50,8 +50,8 @@ CASES = [
     (kmeans_fit, "z", dict(z=X, k=3)),
     (exact_knn, "points", dict(points=X, k=2)),
     (exact_knn, "reference", dict(points=X, k=2, reference=T)),
-    (responsibility_matrix, "z", dict(z=X, t=T, d=2, d_z=4)),
-    (responsibility_matrix, "t", dict(z=X, t=T, d=2, d_z=4)),
+    (responsibility_matrix, "z", dict(z=X, t=T, d=2)),
+    (responsibility_matrix, "t", dict(z=X, t=T, d=2)),
     (macro_affinity, "t", dict(t=T)),
     (knn_preservation, "x", dict(x=X, y=Y, k=2)),
     (knn_preservation, "y", dict(x=X, y=Y, k=2)),
