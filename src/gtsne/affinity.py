@@ -26,8 +26,8 @@ import numpy as np
 from .core import as_points
 
 # Distances one kNN block may hold: against m searched rows the block
-# takes max(1, this // m) query rows, so each of its two (rows, m) working
-# arrays stays near 1 MB for any m. Larger blocks ran no faster on
+# takes max(1, this // m) query rows, so its one (rows, m) working array
+# stays near 1 MB for any m. Larger blocks ran no faster on
 # 1000-1500 points and raised the peak memory of a whole run; with the
 # cheaper selection, 2^18 and 2^19 still ran no faster than 2^17, on
 # 1500 points or on 20000 (2-core machine).
@@ -46,16 +46,20 @@ def exact_knn(points: np.ndarray, k: int, reference: np.ndarray | None = None):
     squared distances, each row ordered by ascending (squared distance,
     index), so equal distances go to the lower index.
 
-    Each block of query rows first computes the expanded form
-    |a|^2 + |b|^2 - 2 a.b on coordinates centered by the points' mean, one
-    matrix product per block. That form can cancel, so each pair gets its
-    own rounding-error bound, and approx +- bound brackets its true squared
-    distance. The k-th smallest upper end over the searched rows, found by
-    a partition by value, bounds the true k-th distance from above; every
-    row whose lower end does not exceed it is kept, which keeps every true
-    neighbor and every tie at the k-th distance. The kept candidates,
-    about k per query on spread input, are re-ranked by exact squared
-    distances from direct differences of the input.
+    Each block of query rows reads the expanded form |a|^2 + |b|^2 - 2 a.b,
+    on coordinates centered by the points' mean, straight from BLAS
+    products of augmented rows: the rows [a, |a|^2, 1] against the columns
+    [-2 b, 1, |b|^2 (1 +- slack)]. That form can cancel, so each pair's
+    slack is its own rounding-error bound, and the two products give an
+    upper and a lower end that bracket its true squared distance. The k-th
+    smallest upper end over the searched rows, found by a partition by
+    value, bounds the true k-th distance from above; every row whose lower
+    end does not exceed it is kept, which keeps every true neighbor and
+    every tie at the k-th distance. The kept candidates, about k per query
+    on spread input, are re-ranked by exact squared distances from direct
+    differences of the input. With k = 1 only the lower ends fill a
+    block; the upper end of each query's least lower end stands in for
+    the partition.
     """
     queries = _Queries.of(as_points(points, "points"))
     if reference is not None:
@@ -65,29 +69,50 @@ def exact_knn(points: np.ndarray, k: int, reference: np.ndarray | None = None):
 
 class _Queries(NamedTuple):
     """What a search needs of its query points alone: the points, their
-    mean, the points centered by it and the squared norms of those rows.
-    A caller that searches new references for the same points, as the
-    k-means assignment does every round, makes this once."""
+    mean, and the augmented rows [1, a, |a|^2, 1] of the points centered
+    by it (a is a centered point). A caller that searches new references
+    for the same points, as the k-means assignment does every round, makes
+    this once."""
 
     pts: np.ndarray
     mean: np.ndarray
-    centered: np.ndarray
-    sq_norm: np.ndarray
+    aug: np.ndarray
 
     @classmethod
     def of(cls, pts: np.ndarray) -> "_Queries":
+        n, dim = pts.shape
         mean = pts.mean(axis=0)
-        centered = pts - mean
-        return cls(pts, mean, centered, np.einsum("ij,ij->i", centered, centered))
+        aug = np.empty((n, dim + 3))
+        centered = np.subtract(pts, mean, out=aug[:, 1 : dim + 1])
+        aug[:, dim + 1] = np.einsum("ij,ij->i", centered, centered)
+        aug[:, [0, dim + 2]] = 1.0
+        return cls(pts, mean, aug)
+
+
+def _columns(centered: np.ndarray, sq_norm: np.ndarray, slack: float) -> np.ndarray:
+    # The (d + 3, m) matrix [high; -2 b^T; 1; low] of the searched rows b
+    # (centered), where high and low fold the norms |b|^2 (1 +- slack) into
+    # one row each. Its first d + 2 rows meet the query rows' first d + 2
+    # entries [1, a, |a|^2] in |a|^2 - 2 a.b + |b|^2 (1 + slack), and its
+    # last d + 2 rows meet [a, |a|^2, 1] in the same with 1 - slack: two
+    # products that share every row but one, from one array each side.
+    m, dim = centered.shape
+    cols = np.empty((dim + 3, m))
+    np.multiply(sq_norm, 1.0 + slack, out=cols[0])
+    np.multiply(centered.T, -2.0, out=cols[1 : dim + 1])
+    cols[dim + 1] = 1.0
+    np.multiply(sq_norm, 1.0 - slack, out=cols[dim + 2])
+    return cols
 
 
 def _nearest(queries: _Queries, k: int, reference: np.ndarray | None):
     # exact_knn on checked input: the points come prepared, and reference
     # is None or a finite (m, d) float64 matrix.
-    pts, mean, centered, sq_norm = queries
+    pts, mean, aug = queries
     n, dim = pts.shape
+    sq_norm = aug[:, dim + 1]
     if reference is None:
-        ref, ref_centered, ref_norm = pts, centered, sq_norm
+        ref, ref_centered, ref_norm = pts, aug[:, 1 : dim + 1], sq_norm
         limit = n - 1
     else:
         ref = reference
@@ -99,59 +124,69 @@ def _nearest(queries: _Queries, k: int, reference: np.ndarray | None):
     if not (1 <= k <= limit):
         raise ValueError(f"k={k} must lie in [1, {limit}]")
 
-    # Error bound of the expanded form in float64, for a query a and a
-    # searched row b, both centered by the points' mean. Each of |a|^2,
-    # |b|^2 and a.b is a d-term dot product, whose rounding error in any
-    # summation order is at most gamma_d times the sum of |a_t b_t|
-    # (Cauchy-Schwarz bounds that sum by |a||b|), and the final add and
-    # subtract round twice more, so |fl(approx) - d^2| <= gamma_(d+2)
-    # (|a| + |b|)^2 with gamma_m = m u / (1 - m u) and u = 2^-53. Below,
-    # slack = (d + 2) 4u and delta(a, b) = slack (|a|^2 + |b|^2) >=
-    # (d + 2) 2u (|a| + |b|)^2, twice the leading term of that bound, which
-    # leaves room for gamma's denominator, for the rounding of the
-    # centering (at most 2u (|a| + |b|)^2 on d^2) and for the few roundings
-    # of the candidate test itself. Nothing in it asks b to be one of the
-    # points: with a reference, |b|^2 is a reference row's norm.
+    # Error bound of the two products in float64, for a query a and a
+    # searched row b, both centered by the points' mean, with A = |a|^2,
+    # B = |b|^2, u = 2^-53 and gamma_j = j u / (1 - j u). The stored
+    # norms are d-term sums of squares, within gamma_d A and gamma_d B of
+    # the true ones. A folded entry fl(B) (1 +- slack) rounds once (1 +-
+    # slack is exact), within u B of its value. Each product is a
+    # (d + 2)-term dot product: d terms a_t (-2 b_t), where -2 b_t is
+    # exact, and two exact products by 1. In any summation order, BLAS's
+    # with or without fused multiply-adds, a term meets at most d + 1
+    # additions, so the sum is within gamma_(d+2) 2 |a||b| (Cauchy-Schwarz
+    # on the sum of |a_t b_t|) plus gamma_(d+1) (A + B) of the exact sum of
+    # the stored terms. The centering moves the true squared distance d^2
+    # by at most 2u (|a| + |b|)^2. To first order in u, each product is
+    # within E = (2d + 3)(A + B) u + B u + (2d + 8)|a||b| u <= (3d + 8)
+    # (A + B) u of d^2 + slack B (high) or d^2 - slack B (low), using
+    # 2|a||b| <= A + B. With slack = (d + 2) 4u, slack (A + B) exceeds
+    # that by d (A + B) u, which leaves room for the terms of order u^2
+    # (gamma's denominator, slack times the norms' rounding) and for the
+    # rounding of the bound's own term 2 slack A. Nothing in it asks b to
+    # be one of the points: with a reference, B is a reference row's norm.
     slack = 2.0 * (dim + 2) * np.finfo(np.float64).eps
-    col_delta = slack * ref_norm
-    # For query a, let high(b) = approx + slack |b|^2 and hi_k the k-th
-    # smallest high over the searched rows. Each of the k rows of smallest
-    # high has d^2 <= high + slack |a|^2 <= hi_k + slack |a|^2, so the true
-    # k-th d^2 is at most hi_k + slack |a|^2 too. Every row b whose d^2 is
-    # at most the true k-th, ties included, then has approx - delta(a, b)
-    # <= hi_k + slack |a|^2, that is approx - slack |b|^2 <= hi_k +
-    # 2 slack |a|^2, and only rows that pass this test are re-ranked.
-    # Bounding each pair by its own |b|^2, not by the largest norm, keeps
-    # one far outlier from admitting every row. For k = 1 the argmin of
-    # approx gives an upper value of hi_1, approx + slack |b|^2 at that
-    # row, without a second (rows, m) array.
+    cols = _columns(ref_centered, ref_norm, slack)
+    high_rows, high_cols = aug[:, : dim + 2], cols[: dim + 2]
+    low_rows, low_cols = aug[:, 1:], cols[1:]
+    # For query a, let hi_k be the k-th smallest high over the searched
+    # rows. Each of the k rows of smallest high has d^2 <= high - slack B
+    # + E <= hi_k + slack A, so the true k-th d^2 is at most hi_k + slack
+    # A too. Every row b whose d^2 is at most the true k-th, ties
+    # included, then has low <= d^2 - slack B + E <= hi_k + 2 slack A, and
+    # only rows that pass this test are re-ranked; the test's final add
+    # rounds to nearest, which keeps a float low that is at most the exact
+    # sum at most the rounded one. Bounding each pair by its own B, not by
+    # the largest norm, keeps one far outlier from admitting every row.
+    # For k = 1 the row of least low has a high, one (d + 2)-term dot
+    # product of its own, and that high serves as hi_1 without a second
+    # (rows, m) product.
     m = len(ref)
     rows = min(n, max(1, KNN_BLOCK_FLOATS // m))
     ids = np.empty((n, k), dtype=np.int64)
     sq = np.empty((n, k), dtype=np.float64)
-    # Every block reuses the same one or two (rows, m) buffers, so the
-    # search holds at most two of them and touches fresh pages only once.
-    approx_buf = np.empty((rows, m))
-    high_buf = np.empty((rows, m)) if k > 1 else None
+    # Every product of every block goes into the same (rows, m) buffer, so
+    # the search holds one of them and touches fresh pages only once.
+    buf = np.empty((rows, m))
+
+    def product(query_rows, searched_cols, start, stop):
+        out = np.matmul(query_rows[start:stop], searched_cols, out=buf[: stop - start])
+        if reference is None:
+            local = np.arange(stop - start)
+            out[local, start + local] = np.inf
+        return out
+
     for start in range(0, n, rows):
         stop = min(start + rows, n)
-        local = np.arange(stop - start)
-        approx = np.matmul(centered[start:stop], ref_centered.T, out=approx_buf[: stop - start])
-        approx *= -2.0
-        approx += sq_norm[start:stop, None]
-        approx += ref_norm[None, :]
-        if reference is None:
-            approx[local, start + local] = np.inf
-        if k == 1:
-            nearest = approx.argmin(axis=1)
-            hi_k = approx[local, nearest] + col_delta[nearest]
-        else:
-            high = np.add(approx, col_delta, out=high_buf[: stop - start])
+        if k > 1:
+            high = product(high_rows, high_cols, start, stop)
             high.partition(k - 1, axis=1)
-            hi_k = high[:, k - 1]
+            hi_k = high[:, k - 1].copy()
+        low = product(low_rows, low_cols, start, stop)
+        if k == 1:
+            nearest = low.argmin(axis=1)
+            hi_k = np.einsum("ij,ji->i", high_rows[start:stop], high_cols[:, nearest])
         bound = hi_k + 2.0 * slack * sq_norm[start:stop]
-        approx -= col_delta
-        r, c = np.divmod(np.flatnonzero(approx <= bound[:, None]), m)
+        r, c = np.divmod(np.flatnonzero(low <= bound[:, None]), m)
         exact = _sq_dists(pts, start + r, ref, c)
         # Rank each query's candidates in one (queries, widest) table
         # padded with +inf. The flat mask lists each query's candidates by

@@ -131,7 +131,7 @@ class EmbedConfig:
         help="0 = exact sums; the tree's opening angle on large maps the grid does not take",
     )
     gradient_mode: str = _knob("exact", choices=GRADIENT_MODES)
-    seed: int = 0
+    seed: int = _knob(0, help="run seed; the k-means and initial-map seeds derive from it")
     perplexity_tol: float = 1e-5      # calibration tolerance on 2^H
     init_stddev: float = 1e-2         # spread of the random initial map
     early_exaggeration: float = 1.0   # multiplier on the attraction, 1.0 disables
@@ -359,7 +359,6 @@ class RunReport:
     loss_trace: list
     wall_times: dict
     config: EmbedConfig
-    seed: int
     degenerate_rows: list
     unconverged_rows: list  # rows whose perplexity search missed the tolerance
     iterations_run: int

@@ -118,7 +118,9 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
             centroids[:, ax] = np.bincount(new_assignment, weights=z[:, ax], minlength=k)
         centroids /= counts[:, None]
 
-        within = ((z - centroids[new_assignment]) ** 2).sum(axis=1)
+        # c - z squares to the same bits as z - c, and with the gathered
+        # centroids on the left numpy reuses their temporary array.
+        within = ((centroids[new_assignment] - z) ** 2).sum(axis=1)
         trace.append(float(within.sum()))
 
         if assignment is not None and np.array_equal(new_assignment, assignment):

@@ -70,12 +70,16 @@ def line_continuity(y, segments, factor: float = 5.0) -> float:
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:
+    # Equal values sit side by side in the sorted order; a group holding
+    # sorted positions [start, end) takes ranks start + 1 .. end, whose
+    # mean (start + end + 1) / 2 is a half-integer, exact in float64.
     order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    ends = np.r_[starts[1:], len(v)]
     ranks = np.empty(len(v))
-    ranks[order] = np.arange(1, len(v) + 1)
-    _, inverse, counts = np.unique(v, return_inverse=True, return_counts=True)
-    sums = np.bincount(inverse, weights=ranks)
-    return sums[inverse] / counts[inverse]
+    ranks[order] = np.repeat((starts + ends + 1) / 2, ends - starts)
+    return ranks
 
 
 def _upper_distances(points: np.ndarray) -> np.ndarray:

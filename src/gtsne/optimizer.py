@@ -223,7 +223,6 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
         loss_trace=trace,
         wall_times=times,
         config=cfg,
-        seed=cfg.seed,
         degenerate_rows=degenerate_rows,
         unconverged_rows=unconverged_rows,
         iterations_run=iterations_run,

@@ -79,7 +79,7 @@ EMBED_FLAGS = {
         "0 = exact sums; the tree's opening angle on large maps the grid does not take",
     ),
     "--gradient-mode": ("gradient_mode", str, ("paper", "exact"), None),
-    "--seed": ("seed", int, None, None),
+    "--seed": ("seed", int, None, "run seed; the k-means and initial-map seeds derive from it"),
     "--perplexity-tol": ("perplexity_tol", float, None, None),
     "--init-stddev": ("init_stddev", float, None, None),
     "--early-exaggeration": ("early_exaggeration", float, None, None),

@@ -138,9 +138,10 @@ class TestKmeans:
 
     def test_assignment_memory_stays_bounded(self):
         # Points and centroids are 8 MB and 36 kB. Each assignment step
-        # holds one centered copy of the points and a (rows, k) block of
-        # about 1 MB; the inertia's differences take two more copies. Whole
-        # (256, k, d) difference chunks took the peak to over 45 MB.
+        # holds one augmented, centered copy of the points and a (rows, k)
+        # block of about 1 MB; the inertia's differences take one more
+        # copy. Whole (256, k, d) difference chunks took the peak to over
+        # 45 MB.
         rng = np.random.default_rng(13)
         z = rng.normal(size=(20000, 50))
         tracemalloc.start()

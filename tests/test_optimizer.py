@@ -166,7 +166,7 @@ class TestRun:
         emb, report = result
         assert emb.y.shape == (120, 2)
         assert np.all(np.isfinite(emb.y))
-        assert report.seed == SMALL_CFG.seed
+        assert report.config.seed == SMALL_CFG.seed
         assert report.iterations_run == SMALL_CFG.n_iter
         assert report.stop_reason == "max_iter"
         assert report.degenerate_rows == []

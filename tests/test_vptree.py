@@ -158,13 +158,14 @@ def test_cancellation_trap_admits_only_the_own_grid(monkeypatch, k, with_referen
     assert len(pts) * k <= pairs <= len(pts) * own_grid
 
 
-@pytest.mark.parametrize("k, blocks", [(90, 4), (1, 2)])
+@pytest.mark.parametrize("k, blocks", [(90, 3), (1, 2)])
 def test_search_memory_stays_within_a_few_blocks(k, blocks):
     # tracemalloc sees numpy's buffers and is deterministic. Besides its
-    # outputs and the centered points, a search holds one (rows, m) block
-    # for the expanded form, one for the k-th value when k > 1, at most a
-    # block of gathered rows in the re-rank, and arrays of a few entries
-    # per query row. k = 1 against 90 centroids is a k-means assignment.
+    # outputs, a search holds the augmented rows of the points and of the
+    # searched rows (d + 3 entries each), one (rows, m) block that both
+    # products fill in turn, at most a block of gathered rows in the
+    # re-rank, and arrays of a few entries per query row. k = 1 against 90
+    # centroids is a k-means assignment.
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(1500, 10))
     reference = pts[:90].copy() if k == 1 else None
@@ -175,6 +176,51 @@ def test_search_memory_stays_within_a_few_blocks(k, blocks):
     finally:
         tracemalloc.stop()
     assert peak <= ids.nbytes + sq.nbytes + blocks * affinity.KNN_BLOCK_FLOATS * 8
+
+
+def _brute_ranking(pts, k, reference):
+    # Every searched row by direct differences, ranked by (squared
+    # distance, index): a stable sort keeps equal distances in index order.
+    searched = pts if reference is None else reference
+    d2 = ((pts[:, None, :] - searched[None, :, :]) ** 2).sum(axis=2)
+    if reference is None:
+        np.fill_diagonal(d2, np.inf)
+    ids = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return ids, np.take_along_axis(d2, ids, axis=1)
+
+
+@pytest.mark.parametrize("with_reference", [False, True])
+def test_seeded_sweep_matches_brute_force_ranking(with_reference):
+    # Scales 2^-500 and 2^500 (about 1e-150 and 1e150) reach the far ends
+    # of the float range that the squared norms allow; offsets up to 1e9
+    # make the expanded form cancel; small integers give exact ties, which
+    # go to the lower index (power-of-two scales keep their distances
+    # exact in any summation order); one point 1e8 away, among normal
+    # draws so that its distances are far from tied, carries a bound of
+    # its own. Each case searches at k = 1, 2, a random k and the
+    # largest k.
+    rng = np.random.default_rng(20 + with_reference)
+    for case in range(48):
+        n, dim = int(rng.integers(2, 90)), int(rng.integers(1, 9))
+        if case % 3 == 0:
+            pts = rng.integers(-2, 3, size=(n, dim)).astype(float)
+        else:
+            pts = rng.normal(size=(n, dim))
+        scale = 2.0 ** float(rng.choice([-500, 0, 500]))
+        pts = pts * scale + float(rng.choice([0.0, 1e3, 1e9])) * (scale <= 1.0)
+        if case % 3 == 2 and scale <= 1.0:
+            pts[rng.integers(n)] += 1e8
+        reference = None
+        if with_reference:
+            reference = pts[rng.integers(0, n, size=int(rng.integers(1, 40)))]
+            if case % 2:
+                reference = reference + rng.normal(size=reference.shape) * scale
+        limit = n - 1 if reference is None else len(reference)
+        for k in sorted({1, min(2, limit), int(rng.integers(1, limit + 1)), limit}):
+            ids, sq = exact_knn(pts, k, reference=reference)
+            want_ids, want_sq = _brute_ranking(pts, k, reference)
+            assert np.array_equal(ids, want_ids), (case, k)
+            np.testing.assert_allclose(sq, want_sq, rtol=1e-12, atol=0)
 
 
 def test_build_rejects_bad_input():
