@@ -32,6 +32,11 @@ from .core import as_points
 # cheaper selection, 2^18 and 2^19 still ran no faster than 2^17, on
 # 1500 points or on 20000 (2-core machine).
 KNN_BLOCK_FLOATS = 1 << 17
+# Largest squared distance from the points' mean that a search takes. A
+# pair's products, its bound and its squared difference all stay within
+# about four times the larger of its two squared norms, so under this
+# limit none of them overflows.
+MAX_SQ_NORM = np.finfo(np.float64).max / 8
 
 
 def exact_knn(points: np.ndarray, k: int, reference: np.ndarray | None = None):
@@ -81,12 +86,26 @@ class _Queries(NamedTuple):
     @classmethod
     def of(cls, pts: np.ndarray) -> "_Queries":
         n, dim = pts.shape
-        mean = pts.mean(axis=0)
         aug = np.empty((n, dim + 3))
-        centered = np.subtract(pts, mean, out=aug[:, 1 : dim + 1])
-        aug[:, dim + 1] = np.einsum("ij,ij->i", centered, centered)
+        # Norms past MAX_SQ_NORM, inf included, are refused just below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean = pts.mean(axis=0)
+            centered = np.subtract(pts, mean, out=aug[:, 1 : dim + 1])
+            aug[:, dim + 1] = np.einsum("ij,ij->i", centered, centered)
+        _check_sq_norms(aug[:, dim + 1], "points")
         aug[:, [0, dim + 2]] = 1.0
         return cls(pts, mean, aug)
+
+
+def _check_sq_norms(sq_norm: np.ndarray, name: str) -> None:
+    widest = sq_norm.max()
+    if not widest <= MAX_SQ_NORM:
+        raise ValueError(
+            f"{name}: a squared distance from the points' mean of {widest:.3g} "
+            f"exceeds MAX_SQ_NORM = {MAX_SQ_NORM:.3g} (a distance of "
+            f"{math.sqrt(MAX_SQ_NORM):.3g}), past which squared distances "
+            "overflow; rescale the points"
+        )
 
 
 def _columns(centered: np.ndarray, sq_norm: np.ndarray, slack: float) -> np.ndarray:
@@ -118,11 +137,14 @@ def _nearest(queries: _Queries, k: int, reference: np.ndarray | None):
         ref = reference
         if ref.shape[1] != dim:
             raise ValueError(f"reference has width {ref.shape[1]}, points have width {dim}")
-        ref_centered = ref - mean
-        ref_norm = np.einsum("ij,ij->i", ref_centered, ref_centered)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ref_centered = ref - mean
+            ref_norm = np.einsum("ij,ij->i", ref_centered, ref_centered)
         limit = len(ref)
     if not (1 <= k <= limit):
         raise ValueError(f"k={k} must lie in [1, {limit}]")
+    if reference is not None:
+        _check_sq_norms(ref_norm, "reference")
 
     # Error bound of the two products in float64, for a query a and a
     # searched row b, both centered by the points' mean, with A = |a|^2,

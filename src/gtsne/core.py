@@ -36,6 +36,39 @@ def as_points(obj, name: str) -> np.ndarray:
     return a
 
 
+# Multiply-adds per BLAS call in chunked_matmul. OpenBLAS runs a product of
+# up to 2^18 on the calling thread. A larger one it splits over its thread
+# pool, whose workers then spin for about 0.1 s on the core that
+# gradient_bh's repulsion thread works on, and a split may sum in another
+# order, so the result's bits would depend on the BLAS thread count.
+BLAS_CHUNK_MACS = 2**18
+
+
+def chunked_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
+    """a @ b for matrices, as BLAS calls of at most BLAS_CHUNK_MACS
+    multiply-adds each.
+
+    The calls split a's rows or b's columns, whichever are more numerous,
+    and never the inner dimension; a product small enough for one call is
+    that one call, with the bits of a @ b. Writes into out when given.
+    """
+    m, inner = a.shape
+    n = b.shape[1]
+    if m * n * inner <= BLAS_CHUNK_MACS:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty((m, n))
+    if m >= n:
+        step = max(1, BLAS_CHUNK_MACS // (n * inner))
+        for i in range(0, m, step):
+            np.matmul(a[i : i + step], b, out=out[i : i + step])
+    else:
+        step = max(1, BLAS_CHUNK_MACS // (m * inner))
+        for j in range(0, n, step):
+            np.matmul(a, b[:, j : j + step], out=out[:, j : j + step])
+    return out
+
+
 @dataclass(frozen=True)
 class Dataset:
     """N points in R^D with optional integer class labels.

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from .affinity import _nearest, _Queries
-from .core import as_points
+from .core import as_points, chunked_matmul
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> np.ndarray:
@@ -95,9 +95,9 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
     if max_iter < 1:
         raise ValueError(f"max_iter={max_iter}: must be at least 1")
 
+    queries = _Queries.of(z)  # refuses z whose squared distances overflow
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(z, k, rng)
-    queries = _Queries.of(z)
     assignment = None
     trace = []
 
@@ -203,4 +203,4 @@ class MacroAffinity:
 
     def centroids(self, y: np.ndarray) -> np.ndarray:
         """(k, d) map centroids: the responsibility-weighted means of y."""
-        return (self.r @ y) / self.masses[:, None]
+        return chunked_matmul(self.r, y) / self.masses[:, None]

@@ -18,11 +18,25 @@ left. Attraction, centroid and k-means terms are always exact, so at
 bh_theta = 0 gradient_bh gives the exact gradient and its workspace the
 exact losses, in memory bounded by the row blocks rather than n x n.
 gradient_bh checks the map with core.as_points before any engine runs.
+
+The repulsion does not depend on the other terms, so gradient_bh runs it
+on one worker thread that the module makes on first use, while the
+calling thread computes the attraction and the map centroids; it then
+combines the terms in a fixed order, so g has the bits of a one-thread
+evaluation. Numpy releases the interpreter lock inside its array loops,
+FFTs and BLAS calls, so the two threads run on two cores. For that, the
+per-iteration BLAS calls stay small enough that OpenBLAS runs them on the
+calling thread (core.chunked_matmul): a split product would wake its
+thread pool, whose workers spin on the second core for about 0.1 s
+after each call.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -30,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .affinity import AffinityModel
-from .core import EmbedConfig, GRADIENT_MODES, as_points
+from .core import EmbedConfig, GRADIENT_MODES, as_points, chunked_matmul
 from .macro import MacroAffinity, student_t_kernel
 
 Q_FLOOR = 1e-300  # clamp for underflowed map affinities inside logs
@@ -263,16 +277,20 @@ def _exact_forces(y: np.ndarray):
 
     Returns (force, zsum) like _tree_forces. Each block of rows meets the
     columns from its first row on, so each pair's kernel is computed once
-    and reaches both ends. On the centred map, one BLAS product of the
-    rows [y_i, |y_i|^2, 1] with the columns [-2 y_j, 1, |y_j|^2 + 1]
-    gives a block's 1 + d^2; a clamp at 1 and a reciprocal turn it into
-    kernels in (0, 1], so coincident points add 1 to each other's zsum
-    and nothing to force. zsum's row and column sums are products with
-    ones; after squaring, one product with the columns [y_j, 1] gives
-    the rows' force and their kernel-squared sums, and one with the rows
-    [y_i, 1] the same for the later columns. The product's roundoff
-    grows with the squared radius about the mean, so maps wider than
-    _EXACT_PRODUCT_MAX_SQ go to _direct_forces instead.
+    and reaches both ends. On the centred map, the product of the rows
+    [y_i, |y_i|^2, 1] with the columns [-2 y_j, 1, |y_j|^2 + 1] gives a
+    block's 1 + d^2; a clamp at 1 and a reciprocal turn it into kernels
+    in (0, 1], so coincident points add 1 to each other's zsum and
+    nothing to force. zsum's row and column sums are products with ones;
+    after squaring, one product with the columns [y_j, 1] gives the
+    rows' force and their kernel-squared sums, and one with the rows
+    [y_i, 1] the same for the later columns. The matrix products go
+    through core.chunked_matmul, and OpenBLAS kept the sums with ones,
+    one matrix-vector product over a block each, on the calling thread
+    at n = 1500 and 4096. So the sums leave OpenBLAS's thread pool idle,
+    and their bits do not depend on the BLAS thread count. The product's
+    roundoff grows with the squared radius about the mean, so maps wider
+    than _EXACT_PRODUCT_MAX_SQ go to _direct_forces instead.
     """
     n, d = y.shape
     centred = y - y.mean(axis=0)
@@ -287,10 +305,15 @@ def _exact_forces(y: np.ndarray):
     force = np.zeros((n, d))
     zsum = np.zeros(n)
     rows = max(1, _EXACT_BLOCK_ENTRIES // n)
+    # Every block's kernels go into the one buffer, as a contiguous array:
+    # on 1500 points a fresh 1 MB array per block took 30% longer, and a
+    # strided window of a 2-D buffer 50% longer.
+    buf = np.empty(min(rows, n) * n)
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
         m = i1 - i0
-        k = left[i0:i1] @ right[i0:].T
+        k = buf[: m * (n - i0)].reshape(m, n - i0)
+        chunked_matmul(left[i0:i1], right[i0:].T, out=k)
         # Roundoff can leave a coincident pair's 1 + d^2 a little below 1.
         np.maximum(k, 1.0, out=k)
         np.reciprocal(k, out=k)
@@ -300,9 +323,9 @@ def _exact_forces(y: np.ndarray):
         zsum[i0:i1] += k @ ones[i0:]
         zsum[i1:] += ones[:m] @ later
         k *= k
-        a = k @ y1[i0:]
+        a = chunked_matmul(k, y1[i0:])
         force[i0:i1] += a[:, d:] * y[i0:i1] - a[:, :d]
-        b = later.T @ y1[i0:i1]
+        b = chunked_matmul(later.T, y1[i0:i1])
         force[i1:] += b[:, d:] * y[i1:] - b[:, :d]
     return force, zsum
 
@@ -406,17 +429,23 @@ def _grid_forces(y: np.ndarray, intervals: int):
         np.bincount(flat.ravel(), weights=(weight * q).ravel(), minlength=size * size)
         for q in (1.0, y[:, :1], y[:, 1:])
     ]).reshape(3, size, size)
-    # rfft2 pads the charges with zeros. On the way back only the first
-    # size rows and columns are needed, so the row pass keeps just those.
+    # rfft2 pads the charges with zeros. The products go straight into one
+    # array, and the transforms are dropped before the inverse FFTs, which
+    # takes a quarter off the grid's peak memory. On the way back only the
+    # first size rows and columns are needed, so the row pass keeps just
+    # those.
     q_hat = np.fft.rfft2(charges, s=(pad, pad))
-    conv = np.concatenate([kern_hat[:1] * q_hat[:1], kern_hat[1:] * q_hat])
+    conv = np.empty((4, *q_hat.shape[1:]), dtype=q_hat.dtype)
+    np.multiply(kern_hat[0], q_hat[0], out=conv[0])
+    np.multiply(kern_hat[1], q_hat, out=conv[1:])
+    del kern, kern_hat, charges, q_hat
     conv = np.fft.ifft(conv, axis=1)[:, :size]
     conv = np.fft.irfft(conv, n=pad, axis=2)[:, :, :size]
     at = np.einsum("cnk,nk->cn", conv.reshape(4, -1)[:, flat], weight)
 
     local = np.indices((p, p)).reshape(2, -1).T
     gap2 = ((local[:, None] - local[None]) ** 2).sum(axis=2) * spacing**2
-    own = ((weight @ (1.0 / (1.0 + gap2))) * weight).sum(axis=1)
+    own = (chunked_matmul(weight, 1.0 / (1.0 + gap2)) * weight).sum(axis=1)
     zsum = at[0] - own
     force = y * at[1][:, None] - at[2:].T
     return force, zsum
@@ -496,7 +525,7 @@ def _macro_gradient(y, macro, c, kern, q_macro, alpha, mode):
     w = (macro.p_macro - q_macro) * kern
     b = w.sum(axis=1)[:, None] * c - w @ c
     a = macro.r_by_mass if mode == "exact" else macro.r
-    return 4.0 * alpha * (a.T @ b)
+    return 4.0 * alpha * chunked_matmul(a.T, b)
 
 
 def _kmeans_gradient(y, macro, c, beta):
@@ -506,7 +535,7 @@ def _kmeans_gradient(y, macro, c, beta):
     # centroid collapses to y - R^T c. Differentiating through c adds
     # nothing: the centroids are exactly the responsibility-weighted
     # means, which zeroes that term.
-    return (2.0 * beta / len(y)) * (y - macro.r.T @ c)
+    return (2.0 * beta / len(y)) * (y - chunked_matmul(macro.r.T, c))
 
 
 def _clamped_kl(p: np.ndarray, kern: np.ndarray, z: float):
@@ -521,7 +550,9 @@ def _clamped_kl(p: np.ndarray, kern: np.ndarray, z: float):
         log_q = np.log(kern[mask]) - np.log(z) if z > 0 else np.full(v.shape, -np.inf)
     clamped = bool(np.any(log_q < _LOG_Q_FLOOR))
     log_q = np.maximum(log_q, _LOG_Q_FLOOR)
-    return float(v @ (np.log(v) - log_q)), clamped
+    # einsum, not a BLAS dot: OpenBLAS splits a dot of more than 10000
+    # terms over its threads, which then spin for about 0.1 s.
+    return float(np.einsum("i,i->", v, np.log(v) - log_q)), clamped
 
 
 def _kmeans_loss(y: np.ndarray, r: np.ndarray, c: np.ndarray) -> float:
@@ -581,6 +612,32 @@ def _attraction(y: np.ndarray, p: AffinityModel, exaggeration: float = 1.0):
     return att, pair_kern
 
 
+# The one thread that runs gradient_bh's repulsion while the calling
+# thread works out the other terms, made on first use. A forked child
+# holds the parent's executor but not its thread, so work sent to it
+# would never run: the child drops both and makes its own.
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+
+
+def _repulsion_worker() -> ThreadPoolExecutor:
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="gtsne-repulsion")
+        return _worker
+
+
+def _forget_worker() -> None:
+    global _worker, _worker_lock
+    _worker = None
+    _worker_lock = threading.Lock()  # another thread may have held it at the fork
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
 def _check_inputs(y, p, macro):
     if len(y) != p.n:
         raise ValueError(f"embedding has {len(y)} rows but P was built for {p.n}")
@@ -607,6 +664,13 @@ def gradient_bh(
     Embedding or a matrix, must be 2-D or 3-D and finite. Early
     exaggeration is a factor on the attraction only; the workspace's
     losses are always measured on p itself.
+
+    The repulsion (_repulsion, looked up by its module name at each call)
+    runs on the module's worker thread while this thread runs _attraction
+    and _macro_state; each term is computed on one thread, so g is the
+    same bit for bit as when the terms run one after the other. An error
+    on either thread reaches the caller once both have finished. A forked
+    child makes a worker of its own.
     """
     if cfg.gradient_mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient_mode {cfg.gradient_mode!r}")
@@ -614,10 +678,16 @@ def gradient_bh(
         raise ValueError(f"exaggeration={exaggeration}: must be finite and nonnegative")
     y = as_points(y, "y")
     _check_inputs(y, p, macro)
-    force, zsum, estimator = _repulsion(y, cfg.bh_theta)
+    pending = _repulsion_worker().submit(_repulsion, y, cfg.bh_theta)
+    try:
+        att, pair_kern = _attraction(y, p, exaggeration)
+        c, mkern, q_macro = _macro_state(y, macro)
+    finally:
+        # Also when this thread failed: the next call must not queue
+        # behind this one's repulsion, nor the caller change y under it.
+        wait((pending,))
+    force, zsum, estimator = pending.result()
     z_y = max(float(zsum.sum()), Q_FLOOR)
-    att, pair_kern = _attraction(y, p, exaggeration)
-    c, mkern, q_macro = _macro_state(y, macro)
     g = 4.0 * (att - force / z_y)
     g += _macro_gradient(y, macro, c, mkern, q_macro, cfg.alpha, cfg.gradient_mode)
     g += _kmeans_gradient(y, macro, c, cfg.beta)

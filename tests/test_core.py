@@ -16,7 +16,9 @@ from gtsne import (
     resolve_config,
 )
 from gtsne.core import (
+    BLAS_CHUNK_MACS,
     check_config,
+    chunked_matmul,
     config_to_text,
     parse_config_items,
     validate_config,
@@ -264,3 +266,31 @@ class TestCenterColumns:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="non-finite"):
             pca_fit(np.array([[1.0, 2.0], [3.0, np.inf]]), d_z=1)
+
+
+class TestChunkedMatmul:
+    @pytest.mark.parametrize("shape", [(90, 1000, 2), (300, 5, 4000), (4000, 90, 3), (1, 7, 1)])
+    def test_matches_the_plain_product(self, shape):
+        m, inner, n = shape
+        rng = np.random.default_rng(m + n)
+        a, b = rng.normal(size=(m, inner)), rng.normal(size=(inner, n))
+        want = a @ b
+        got = chunked_matmul(a, b)
+        if m * inner * n <= BLAS_CHUNK_MACS:
+            # One call: the plain product, bit for bit.
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+
+    @pytest.mark.parametrize("shape", [(32, 5, 4096), (4096, 90, 3)])
+    def test_fills_every_entry_of_out(self, shape):
+        # Split along b's columns, then along a's rows; a transposed view of
+        # b and a strided window of a larger buffer, as the exact sums use.
+        m, inner, n = shape
+        rng = np.random.default_rng(n)
+        a, bt = rng.normal(size=(m, inner)), rng.normal(size=(n, inner))
+        buf = np.full((m, n + 5), np.nan)
+        got = chunked_matmul(a, bt.T, out=buf[:, :n])
+        assert np.shares_memory(got, buf)
+        np.testing.assert_allclose(buf[:, :n], a @ bt.T, rtol=1e-13, atol=1e-12)
+        assert np.isnan(buf[:, n:]).all()

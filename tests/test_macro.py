@@ -1,6 +1,7 @@
 """k-means centroids, responsibilities, and centroid affinities."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,12 @@ class TestKmeans:
             kmeans_fit(np.ones((5, 2)), k=0)
         with pytest.raises(ValueError, match="non-finite|finite"):
             kmeans_fit(np.array([[np.nan, 0.0]]), k=1)
+        # Finite, but the squared distances overflow: refused before the
+        # seeding computes any of them.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="MAX_SQ_NORM"):
+                kmeans_fit(np.random.default_rng(0).normal(size=(20, 3)) * 1e155, k=3)
 
     @pytest.mark.parametrize("max_iter", [0, -1])
     def test_max_iter_below_one_rejected(self, max_iter):

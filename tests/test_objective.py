@@ -3,7 +3,13 @@ engines. gradient_bh at bh_theta = 0 is the exact gradient; the dense
 references it is checked against live in tests/oracles.py."""
 
 import dataclasses
+import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -803,3 +809,147 @@ class TestLazyLosses:
         assert ws.loss_total == parts[0] + cfg.alpha * parts[1] + cfg.beta * parts[2]
         assert not ws.underflow_clamped
         assert len(calls) == 1
+
+
+def one_thread_gradient(y, p, macro, cfg, exaggeration=1.0):
+    """gradient_bh's terms composed on the calling thread alone: (g, z_y,
+    engine, (total, micro, macro, kmeans, clamped))."""
+    force, zsum, engine = objective._repulsion(y, cfg.bh_theta)
+    z_y = max(float(zsum.sum()), objective.Q_FLOOR)
+    att, pair_kern = objective._attraction(y, p, exaggeration)
+    c, mkern, q_macro = objective._macro_state(y, macro)
+    g = 4.0 * (att - force / z_y)
+    g += objective._macro_gradient(y, macro, c, mkern, q_macro, cfg.alpha, cfg.gradient_mode)
+    g += objective._kmeans_gradient(y, macro, c, cfg.beta)
+    losses = objective._evaluate_losses(
+        y, p.val, pair_kern, z_y, macro, mkern, c, cfg.alpha, cfg.beta
+    )
+    return g, z_y, engine, tuple(losses)
+
+
+class TestRepulsionWorker:
+    """gradient_bh runs the repulsion on its worker thread while the
+    calling thread works out the other terms; the result is the one-thread
+    composition bit for bit."""
+
+    @pytest.mark.parametrize(
+        "engine, dims, scale, theta",
+        [("exact", 2, 3.0, 0.0), ("interpolation", 2, 1.0, 0.5), ("barnes_hut", 3, 3.0, 0.5)],
+    )
+    def test_matches_the_one_thread_composition(self, monkeypatch, engine, dims, scale, theta):
+        if engine == "barnes_hut":
+            monkeypatch.setattr(objective, "_EXACT_MAX_POINTS", 0)
+        _, p, macro, y, cfg = make_problem(
+            600, 5, 4, seed=8, y_scale=scale, out_dims=dims, bh_theta=theta
+        )
+        g, ws = gradient_bh(y, p, macro, cfg, exaggeration=4.0)
+        want_g, want_z, want_engine, want_losses = one_thread_gradient(
+            y, p, macro, cfg, exaggeration=4.0
+        )
+        assert ws.z_estimator == want_engine == engine
+        assert g.tobytes() == want_g.tobytes()
+        assert ws.z_y == want_z
+        got = (ws.loss_total, ws.loss_micro, ws.loss_macro, ws.loss_kmeans, ws.underflow_clamped)
+        assert got == want_losses
+
+    def test_repulsion_runs_on_another_thread_by_its_module_name(self, monkeypatch):
+        threads = []
+        real = objective._repulsion
+
+        def traced(y, theta):
+            threads.append(threading.get_ident())
+            return real(y, theta)
+
+        monkeypatch.setattr(objective, "_repulsion", traced)
+        _, p, macro, y, cfg = make_problem(50, 4, 3, seed=4)
+        gradient_bh(y, p, macro, cfg)
+        gradient_bh(y, p, macro, cfg)
+        assert len(threads) == 2
+        assert threads[0] == threads[1] != threading.get_ident()
+
+    def test_an_error_in_the_repulsion_reaches_the_caller(self, monkeypatch):
+        _, p, macro, y, cfg = make_problem(50, 4, 3, seed=5)
+        want, _ = gradient_bh(y, p, macro, cfg)
+
+        def broken(y, theta):
+            raise FloatingPointError("repulsion failed at 7 points")
+
+        with monkeypatch.context() as m:
+            m.setattr(objective, "_repulsion", broken)
+            with pytest.raises(FloatingPointError, match=r"^repulsion failed at 7 points$"):
+                gradient_bh(y, p, macro, cfg)
+        g, _ = gradient_bh(y, p, macro, cfg)
+        assert g.tobytes() == want.tobytes()
+
+    def test_concurrent_callers_share_one_worker(self, monkeypatch):
+        # Four callers race to make the worker, with thread switches every
+        # 10 us: one worker must serve them all, and every gradient must
+        # still be the one-thread composition.
+        _, p, macro, y, cfg = make_problem(300, 4, 3, seed=7)
+        want = one_thread_gradient(y, p, macro, cfg)[0].tobytes()
+        workers = set()
+        real = objective._repulsion
+
+        def traced(y, theta):
+            workers.add(threading.get_ident())
+            return real(y, theta)
+
+        monkeypatch.setattr(objective, "_repulsion", traced)
+        monkeypatch.setattr(objective, "_worker", None)
+        results = []
+
+        def caller():
+            for _ in range(10):
+                results.append(gradient_bh(y, p, macro, cfg)[0].tobytes())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(4)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120.0)
+            assert not any(t.is_alive() for t in callers)
+        finally:
+            sys.setswitchinterval(interval)
+            if objective._worker is not None:
+                objective._worker.shutdown()
+        assert len(results) == 40 and set(results) == {want}
+        assert len(workers) == 1
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_gets_a_worker_of_its_own(self):
+        # The parent's worker thread exists before the fork and does not
+        # survive it; the child must still finish a gradient.
+        _, p, macro, y, cfg = make_problem(200, 4, 3, seed=6)
+        want, _ = gradient_bh(y, p, macro, cfg)
+        read_end, write_end = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn about forking a threaded process.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                g, _ = gradient_bh(y, p, macro, cfg)
+                os.write(write_end, g.tobytes())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+            pytest.fail("the forked child's gradient did not finish within 60 s")
+        with os.fdopen(read_end, "rb") as fh:
+            got = fh.read()
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert got == want.tobytes()

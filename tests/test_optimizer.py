@@ -2,6 +2,10 @@
 
 import dataclasses
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -397,3 +401,45 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "iter=0" in captured.err
+
+
+# Runs both inputs in a fresh interpreter and prints, for each, the SHA-256
+# of the map's bytes and of the loss trace's repr.
+_BLAS_THREADS_PROBE = """
+import hashlib
+from gtsne import EmbedConfig, ThreeLinesSpec, gen_swiss_roll, gen_three_lines, run
+inputs = [
+    (gen_three_lines(ThreeLinesSpec(n_s=500, dims=10, seed=1)),
+     EmbedConfig(out_dims=3, early_exaggeration=12.0, early_exaggeration_iter=20,
+                 n_iter=30, log_every=5, seed=1)),
+    (gen_swiss_roll(n=1000, seed=1), EmbedConfig(n_iter=30, log_every=5, seed=1)),
+]
+for data, cfg in inputs:
+    emb, report = run(data, cfg, verbose=False)
+    print(hashlib.sha256(emb.y.tobytes()).hexdigest(),
+          hashlib.sha256(repr(report.loss_trace).encode()).hexdigest())
+"""
+
+
+def test_descent_bits_do_not_depend_on_blas_threads():
+    # A BLAS call large enough for OpenBLAS to split over its threads may
+    # sum in another order, and it wakes the pool, whose spinning workers
+    # take the core that gradient_bh's repulsion runs on. Every product
+    # and reduction the descent makes per iteration stays on the calling
+    # thread on a 1500-point 3-D map and a 1000-point 2-D map, so one and
+    # two BLAS threads give the same maps and losses.
+    src = str(Path(objective.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS_PROBE],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout.split())
+    names = ["three-lines map", "three-lines losses", "swiss-roll map", "swiss-roll losses"]
+    assert len(outputs[0]) == len(names)
+    differ = [name for name, a, b in zip(names, *outputs) if a != b]
+    assert differ == [], f"differ between 1 and 2 BLAS threads: {differ}"

@@ -223,6 +223,24 @@ def test_seeded_sweep_matches_brute_force_ranking(with_reference):
             np.testing.assert_allclose(sq, want_sq, rtol=1e-12, atol=0)
 
 
+@pytest.mark.parametrize("k", [1, 5])
+def test_points_whose_squared_distances_overflow_are_refused(k):
+    # Normal points scaled by 1e155 are finite, but their squared norms
+    # overflow; the search names the limit rather than failing inside.
+    pts = np.random.default_rng(k).normal(size=(50, 3))
+    with pytest.raises(ValueError, match=r"^points: .*MAX_SQ_NORM = 2\.25e\+307"):
+        exact_knn(pts * 1e155, k)
+    with pytest.raises(ValueError, match=r"^reference: .*MAX_SQ_NORM"):
+        exact_knn(pts, k, reference=pts[:10] * 1e155)
+    # Up to the limit, the search still ranks exactly.
+    centered = pts - pts.mean(axis=0)
+    wide = pts * np.sqrt(0.9 * affinity.MAX_SQ_NORM / (centered**2).sum(axis=1).max())
+    ids, sq = exact_knn(wide, k)
+    want_ids, want_sq = _brute_ranking(wide, k, None)
+    assert np.array_equal(ids, want_ids)
+    np.testing.assert_allclose(sq, want_sq, rtol=1e-12, atol=0)
+
+
 def test_build_rejects_bad_input():
     with pytest.raises(ValueError, match="nonempty"):
         exact_knn(np.zeros((0, 2)), 1)
