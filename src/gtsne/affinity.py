@@ -263,23 +263,26 @@ def _row_stats(shifted: np.ndarray, beta: np.ndarray, inf_as_zero: np.ndarray):
     # inf_as_zero, a copy of shifted with those entries zeroed, because
     # inf * 0 would poison them. probs is built in place (exponents, then
     # weights, then probabilities), so an evaluation holds one (rows, k)
-    # array of its own.
+    # array of its own. A row whose squared distances overflow gets a
+    # var of inf or NaN, and calibrate then takes no Newton step on it.
     probs = np.multiply(-beta[:, None], shifted)
     np.exp(probs, out=probs)
     total = probs.sum(axis=1)
     probs /= total[:, None]
     mean = np.einsum("ij,ij->i", inf_as_zero, probs)
     h_nats = np.log(total) + beta * mean
-    var = np.einsum("ij,ij,ij->i", inf_as_zero, inf_as_zero, probs) - mean * mean
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = np.einsum("ij,ij,ij->i", inf_as_zero, inf_as_zero, probs) - mean * mean
     return probs, h_nats, var
 
 
 # calibrate keeps each row's beta within this factor of its start, the
-# inverse of the row's mean finite distance. Long before either end a
-# row's weights stop changing: every weight but the ties at the minimum
-# has underflowed, or all finite weights are equal. The bound keeps beta
-# positive and finite, so a row whose target no beta reaches, which
-# spends every evaluation stepping outwards, never meets inf * 0.
+# inverse of the row's mean finite distance, and within the positive
+# normal floats. Long before either end a row's weights stop changing:
+# every weight but the ties at the minimum has underflowed, or all finite
+# weights are equal. The bound keeps beta positive and finite, so a row
+# whose target no beta reaches, which spends every evaluation stepping
+# outwards, never meets inf * 0.
 BETA_REACH = 1e80
 
 
@@ -322,11 +325,15 @@ def calibrate(
     shifted = d2 - np.where(finite, d2, np.inf).min(axis=1, keepdims=True)
     inf_as_zero = np.where(finite, shifted, 0.0)
 
-    mean = inf_as_zero.sum(axis=1) / finite.sum(axis=1)
     beta = np.ones(n)
-    np.divide(1.0, mean, out=beta, where=mean > 0.0)
-    floor = beta / BETA_REACH
-    ceiling = beta * BETA_REACH
+    # Every beta evaluated is a positive normal float. Only rows whose mean
+    # is below about 1e-228 or above about 1e228 get another start or bound.
+    tiny, big = np.finfo(np.float64).tiny, np.finfo(np.float64).max
+    with np.errstate(over="ignore"):
+        mean = inf_as_zero.sum(axis=1) / finite.sum(axis=1)
+        np.divide(1.0, np.clip(mean, tiny, big), out=beta, where=mean > 0.0)
+        floor = np.maximum(beta / BETA_REACH, tiny)
+        ceiling = np.minimum(beta * BETA_REACH, big)
     best_beta = beta.copy()
     best_gap = np.full(n, np.inf)
     lo = np.zeros(n)

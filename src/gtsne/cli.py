@@ -56,7 +56,7 @@ def _add_config_flags(p: argparse.ArgumentParser, names=None) -> None:
             continue
         flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
         kind = kinds[f.name]
-        opts = {"dest": f.name, "help": f.metadata.get("help")}
+        opts = {"dest": f.name, "help": f.metadata["help"]}
         if kind is bool:
             opts.update(action="store_const", const=not f.default)
         else:

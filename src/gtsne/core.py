@@ -129,10 +129,21 @@ class Embedding:
         return self.y.shape[1]
 
 
-def _knob(default, **cli):
-    """A config field whose `embed` flag is not the derived one: cli may
-    set the flag's name ("flag"), its "help" text and its "choices"."""
-    return field(default=default, metadata=cli)
+def _knob(default, help, **meta):
+    """A config field with its one description, the `embed` flag's help.
+    meta may give its own "rule" (a key of _RULES), its "choices" and a
+    "flag" other than the derived one."""
+    return field(default=default, metadata={"help": help, **meta})
+
+
+# A field's own constraint, which validate_config reads from its metadata:
+# rule -> (test, what the field must be).
+_RULES = {
+    "positive": (lambda v: v > 0, "must be positive"),
+    "nonnegative": (lambda v: v >= 0, "must be nonnegative"),
+    "fraction": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
+    "centroids": (lambda v: v >= 2, "need at least 2 centroids"),
+}
 
 
 @dataclass(frozen=True)
@@ -143,37 +154,49 @@ class EmbedConfig:
     resolve_config once the data shape is known (min(50, D, n) and
     3 * perplexity respectively). Each field is one 'key = value' line of
     a config file, parsed by its annotation, and one `embed` flag, '--'
-    plus the name with dashes unless its metadata says otherwise.
+    plus the name with dashes unless its metadata says otherwise. Its
+    metadata also holds its help text and the constraint validate_config
+    checks on it alone.
     """
 
-    perplexity: float = 30.0          # target effective neighbor count
-    alpha: float = _knob(1e-2, help="centroid-affinity loss weight")
-    beta: float = _knob(5e-2, help="soft k-means loss weight")
-    n_clusters: int = _knob(90, flag="--clusters", help="macro centroid count")
-    pca_dims: Optional[int] = _knob(None, help="spectral pre-reduction width")
-    out_dims: int = _knob(2, choices=(2, 3))
-    n_neighbors: Optional[int] = _knob(None, flag="--neighbors", help="neighbor list length")
-    learning_rate: float = 200.0
-    momentum_initial: float = 0.5
-    momentum_final: float = 0.8
-    momentum_switch_iter: int = _knob(250, flag="--momentum-switch")
-    n_iter: int = 1000
+    perplexity: float = _knob(30.0, "target effective neighbor count", rule="positive")
+    alpha: float = _knob(1e-2, "centroid-affinity loss weight", rule="nonnegative")
+    beta: float = _knob(5e-2, "soft k-means loss weight", rule="nonnegative")
+    n_clusters: int = _knob(90, "macro centroid count", rule="centroids", flag="--clusters")
+    pca_dims: Optional[int] = _knob(None, "spectral pre-reduction width", rule="positive")
+    out_dims: int = _knob(2, "map dimension", choices=(2, 3))
+    n_neighbors: Optional[int] = _knob(
+        None, "neighbor list length", rule="positive", flag="--neighbors"
+    )
+    learning_rate: float = _knob(200.0, "descent step size", rule="positive")
+    momentum_initial: float = _knob(0.5, "momentum before the switch", rule="fraction")
+    momentum_final: float = _knob(0.8, "momentum from the switch on", rule="fraction")
+    momentum_switch_iter: int = _knob(
+        250, "iteration where momentum switches", rule="nonnegative", flag="--momentum-switch"
+    )
+    n_iter: int = _knob(1000, "descent iterations", rule="positive")
     bh_theta: float = _knob(
-        0.5,
-        flag="--theta",
-        help="0 = exact sums; the tree's opening angle on large maps the grid does not take",
+        0.5, "0 = exact sums; the tree's opening angle on large maps the grid does not take",
+        rule="nonnegative", flag="--theta",
     )
-    gradient_mode: str = _knob("exact", choices=GRADIENT_MODES)
-    seed: int = _knob(0, help="run seed; the k-means and initial-map seeds derive from it")
-    perplexity_tol: float = 1e-5      # calibration tolerance on 2^H
-    init_stddev: float = 1e-2         # spread of the random initial map
-    early_exaggeration: float = 1.0   # multiplier on the attraction, 1.0 disables
-    early_exaggeration_iter: int = 250
+    gradient_mode: str = _knob(
+        "exact", "centroid gradient: paper holds responsibilities fixed, exact does not",
+        choices=GRADIENT_MODES,
+    )
+    seed: int = _knob(0, "run seed; the k-means and initial-map seeds derive from it")
+    perplexity_tol: float = _knob(1e-5, "calibration tolerance on 2^H", rule="positive")
+    init_stddev: float = _knob(1e-2, "spread of the random initial map", rule="positive")
+    early_exaggeration: float = _knob(
+        1.0, "multiplier on the attraction, 1.0 disables", rule="positive"
+    )
+    early_exaggeration_iter: int = _knob(
+        250, "iterations under early exaggeration", rule="nonnegative"
+    )
     pca_center: bool = _knob(
-        True, flag="--pca-no-center",
-        help="project against raw second moments instead of the covariance",
+        True, "project against raw second moments instead of the covariance",
+        flag="--pca-no-center",
     )
-    log_every: int = 50
+    log_every: int = _knob(50, "iterations between loss records", rule="positive")
 
 
 def _parse_bool(s: str) -> bool:
@@ -194,7 +217,6 @@ _PARSERS = {
     name: {bool: _parse_bool, Optional[int]: _parse_opt_int}.get(kind, kind)
     for name, kind in get_type_hints(EmbedConfig).items()
 }
-_FLOAT_FIELDS = tuple(name for name, parse in _PARSERS.items() if parse is float)
 
 
 def _format_value(v) -> str:
@@ -281,76 +303,38 @@ def validate_config(cfg: EmbedConfig, n: int, d_in: int) -> list[str]:
 
     Returns the list of violated constraints (empty when the config is
     valid), each naming the field, its value, and the broken rule. None
-    placeholders are resolved as in resolve_config before checking.
+    placeholders are resolved as in resolve_config before checking. Each
+    field is checked first on its own: a float must be finite, and the
+    value must keep its metadata's rule and choices. A rule that relates
+    two fields, or a field and the data shape, is checked only on fields
+    that passed, so one bad value gives one violation.
     """
     cfg = resolve_config(cfg, n, d_in)
-    bad = []
+    own = {}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        test, text = _RULES.get(f.metadata.get("rule"), (None, None))
+        choices = f.metadata.get("choices")
+        if _PARSERS[f.name] is float and not math.isfinite(value):
+            own[f.name] = f"{f.name}={value!r}: must be finite"
+        elif test and not test(value):
+            own[f.name] = f"{f.name}={value!r}: {text}"
+        elif choices and value not in choices:
+            own[f.name] = f"{f.name}={value!r}: must be one of {choices}"
+    bad = list(own.values())
 
-    def want(ok: bool, msg: str):
-        if not ok:
-            bad.append(msg)
+    def want(ok: bool, name: str, text: str, other: str | None = None):
+        if not (ok or name in own or other in own):
+            bad.append(f"{name}={getattr(cfg, name)!r}: {text}")
 
-    for name in _FLOAT_FIELDS:
-        value = getattr(cfg, name)
-        want(math.isfinite(value), f"{name}={value}: must be finite")
-    want(cfg.perplexity > 0, f"perplexity={cfg.perplexity}: must be positive")
-    want(cfg.alpha >= 0, f"alpha={cfg.alpha}: must be nonnegative")
-    want(cfg.beta >= 0, f"beta={cfg.beta}: must be nonnegative")
-    want(cfg.n_clusters >= 2, f"n_clusters={cfg.n_clusters}: need at least 2 centroids")
-    want(cfg.n_clusters <= n, f"n_clusters={cfg.n_clusters}: must be <= n={n}")
-    want(cfg.pca_dims >= 1, f"pca_dims={cfg.pca_dims}: must be positive")
-    want(cfg.pca_dims <= d_in, f"pca_dims={cfg.pca_dims}: must be <= input dim {d_in}")
-    want(cfg.pca_dims <= n, f"pca_dims={cfg.pca_dims}: must be <= n={n}")
-    want(
-        cfg.out_dims in (2, 3),
-        f"out_dims={cfg.out_dims}: map dimension must be 2 or 3 (repulsion engines)",
-    )
-    want(
-        cfg.out_dims < cfg.pca_dims,
-        f"out_dims={cfg.out_dims}: must be < pca_dims={cfg.pca_dims}",
-    )
-    want(cfg.n_neighbors >= 1, f"n_neighbors={cfg.n_neighbors}: must be positive")
-    want(
-        cfg.n_neighbors <= n - 1,
-        f"n_neighbors={cfg.n_neighbors}: must be <= n - 1 = {n - 1}",
-    )
-    want(
-        cfg.perplexity < cfg.n_neighbors,
-        f"perplexity={cfg.perplexity}: must be < n_neighbors={cfg.n_neighbors}",
-    )
-    want(cfg.learning_rate > 0, f"learning_rate={cfg.learning_rate}: must be positive")
-    want(
-        0 <= cfg.momentum_initial < 1,
-        f"momentum_initial={cfg.momentum_initial}: must lie in [0, 1)",
-    )
-    want(
-        0 <= cfg.momentum_final < 1,
-        f"momentum_final={cfg.momentum_final}: must lie in [0, 1)",
-    )
-    want(
-        cfg.momentum_switch_iter >= 0,
-        f"momentum_switch_iter={cfg.momentum_switch_iter}: must be nonnegative",
-    )
-    want(cfg.n_iter >= 1, f"n_iter={cfg.n_iter}: must be positive")
-    want(cfg.bh_theta >= 0, f"bh_theta={cfg.bh_theta}: must be nonnegative")
-    want(
-        cfg.gradient_mode in GRADIENT_MODES,
-        f"gradient_mode={cfg.gradient_mode!r}: must be one of {GRADIENT_MODES}",
-    )
-    want(
-        cfg.perplexity_tol > 0,
-        f"perplexity_tol={cfg.perplexity_tol}: must be positive",
-    )
-    want(cfg.init_stddev > 0, f"init_stddev={cfg.init_stddev}: must be positive")
-    want(
-        cfg.early_exaggeration > 0,
-        f"early_exaggeration={cfg.early_exaggeration}: must be positive",
-    )
-    want(
-        cfg.early_exaggeration_iter >= 0,
-        f"early_exaggeration_iter={cfg.early_exaggeration_iter}: must be nonnegative",
-    )
-    want(cfg.log_every >= 1, f"log_every={cfg.log_every}: must be positive")
+    want(cfg.n_clusters <= n, "n_clusters", f"must be <= n={n}")
+    want(cfg.pca_dims <= d_in, "pca_dims", f"must be <= input dim {d_in}")
+    want(cfg.pca_dims <= n, "pca_dims", f"must be <= n={n}")
+    want(cfg.out_dims < cfg.pca_dims, "out_dims", f"must be < pca_dims={cfg.pca_dims}",
+         other="pca_dims")
+    want(cfg.n_neighbors <= n - 1, "n_neighbors", f"must be <= n - 1 = {n - 1}")
+    want(cfg.perplexity < cfg.n_neighbors, "perplexity",
+         f"must be < n_neighbors={cfg.n_neighbors}", other="n_neighbors")
     return bad
 
 

@@ -18,18 +18,22 @@ from .affinity import _nearest, _Queries
 from .core import as_points, chunked_matmul
 
 
-def pairwise_sq_dists(a: np.ndarray, b: np.ndarray, chunk: int = 256) -> np.ndarray:
+_PAIRWISE_ROWS = 256
+
+
+def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of a and rows of b.
 
     Computed directly as sums of squared differences (not the expanded
     norm identity) so values carry no cancellation error; a is processed
-    in row chunks to bound the temporary (chunk, len(b), d) array.
+    _PAIRWISE_ROWS rows at a time to bound the temporary (rows, len(b), d)
+    array.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     out = np.empty((len(a), len(b)), dtype=np.float64)
-    for start in range(0, len(a), chunk):
-        stop = min(start + chunk, len(a))
+    for start in range(0, len(a), _PAIRWISE_ROWS):
+        stop = min(start + _PAIRWISE_ROWS, len(a))
         diff = a[start:stop, None, :] - b[None, :, :]
         out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
     return out
@@ -53,7 +57,6 @@ class CentroidModel:
     assignment: np.ndarray     # (n,) hard cluster of each point
     inertia: float             # final within-cluster sum of squares
     inertia_trace: np.ndarray  # per-iteration inertia, nonincreasing
-    seed: int
 
 
 def _plus_plus_init(z: np.ndarray, k: int, rng) -> np.ndarray:
@@ -132,7 +135,6 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
         assignment=assignment,
         inertia=trace[-1],
         inertia_trace=np.asarray(trace),
-        seed=seed,
     )
 
 

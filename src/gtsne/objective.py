@@ -487,10 +487,10 @@ class GradientWorkspace:
 
     z_y is the map-affinity normalizer (exact or estimated), c the (k, d)
     map centroids, q_macro their (k, k) affinities and z_estimator
-    "exact", "interpolation" or "barnes_hut". The loss_* values and
-    underflow_clamped are worked out from the byproducts the first time
-    one of them is read, so an iteration that logs nothing never pays for
-    them.
+    "exact", "interpolation" or "barnes_hut". losses, the objective's
+    parts at the evaluated map, is worked out from the byproducts the
+    first time it is read, so an iteration that logs nothing never pays
+    for it.
     """
 
     def __init__(self, z_y, c, q_macro, z_estimator, loss_inputs):
@@ -501,14 +501,8 @@ class GradientWorkspace:
         self._loss_inputs = loss_inputs
 
     @cached_property
-    def _losses(self) -> Losses:
+    def losses(self) -> Losses:
         return _evaluate_losses(*self._loss_inputs)
-
-    loss_total = property(lambda ws: ws._losses.total)
-    loss_micro = property(lambda ws: ws._losses.micro)
-    loss_macro = property(lambda ws: ws._losses.macro)
-    loss_kmeans = property(lambda ws: ws._losses.kmeans)
-    underflow_clamped = property(lambda ws: ws._losses.clamped)
 
 
 def _macro_state(y: np.ndarray, macro: MacroAffinity):
@@ -563,13 +557,13 @@ def _kmeans_loss(y: np.ndarray, r: np.ndarray, c: np.ndarray) -> float:
 
 
 class Losses(NamedTuple):
-    """The objective's parts at one map position."""
+    """The objective's parts at one map position, named as in LossRecord."""
 
     total: float
     micro: float
     macro: float
     kmeans: float
-    clamped: bool  # a map affinity fell below Q_FLOOR inside a log
+    underflow_clamped: bool  # a map affinity fell below Q_FLOOR inside a log
 
 
 def _evaluate_losses(y, val, pair_kern, z_y, macro, centroid_kern, c, alpha, beta):
@@ -659,7 +653,7 @@ def gradient_bh(
     other maps of at most _EXACT_MAX_POINTS points, and the Barnes-Hut
     tree with opening angle cfg.bh_theta for larger ones. Attraction,
     centroid, and k-means terms are exact, so at cfg.bh_theta = 0 g is
-    the exact gradient and ws.loss_* are the exact losses. The centroid
+    the exact gradient and ws.losses holds the exact losses. The centroid
     term follows cfg.gradient_mode; see the module docstring. y, an
     Embedding or a matrix, must be 2-D or 3-D and finite. Early
     exaggeration is a factor on the attraction only; the workspace's

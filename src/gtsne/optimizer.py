@@ -166,20 +166,16 @@ def run(data: Dataset, cfg: EmbedConfig, verbose: bool = True):
     def record(ws, iteration, gamma, max_update):
         rec = LossRecord(
             iteration=iteration,
-            total=ws.loss_total,
-            micro=ws.loss_micro,
-            macro=ws.loss_macro,
-            kmeans=ws.loss_kmeans,
             gamma=gamma,
             z_estimator=ws.z_estimator,
             max_update=max_update,
-            underflow_clamped=ws.underflow_clamped,
+            **ws.losses._asdict(),
         )
         trace.append(rec)
         if verbose:
             print(
-                f"iter={iteration} L={ws.loss_total:.6g} micro={ws.loss_micro:.6g} "
-                f"macro={ws.loss_macro:.6g} kmeans={ws.loss_kmeans:.6g}",
+                f"iter={iteration} L={rec.total:.6g} micro={rec.micro:.6g} "
+                f"macro={rec.macro:.6g} kmeans={rec.kmeans:.6g}",
                 file=sys.stderr,
             )
 

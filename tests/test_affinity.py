@@ -1,5 +1,6 @@
 """Perplexity calibration and the symmetric joint affinity model."""
 
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -197,6 +198,27 @@ class TestHardRows:
         assert len(betas) == max_iter + 1  # and one call refits the kept beta
         assert not cal.converged[0] and not cal.degenerate[0]
         assert abs(cal.perplexity[0] - target) > 1e-5
+
+    @pytest.mark.parametrize(
+        "d2, target",
+        [
+            # Means near 1e-300 and 1e300, where BETA_REACH times the start
+            # or the start over it leaves the float range.
+            ([0.0, 1e-300, 2e-300, 5e-300, np.inf], 0.5),
+            ([1e300, 2e300, 5e300, np.inf], 2.0),
+            # A subnormal mean, whose inverse overflows.
+            ([0.0, 1e-310, 3e-310, np.inf], 1.5),
+            # Squared distances whose sum overflows.
+            ([1e308, 1.5e308, 1.7e308, 1.7e308, np.inf], 2.5),
+        ],
+    )
+    def test_extreme_scales_evaluate_finite_betas(self, monkeypatch, d2, target):
+        betas = record_row_stats(monkeypatch)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.fit([d2], target)
+        for beta in betas:
+            assert np.all(np.isfinite(beta)) and np.all(beta > 0.0)
 
     def test_equal_finite_distances_meet_their_own_count(self):
         cal = self.fit([[3.0, 3.0, np.inf, 3.0], [4.0, 4.0, 4.0, 4.0]], 3.0 - 1e-9)

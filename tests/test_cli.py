@@ -60,31 +60,42 @@ class TestExitCodes:
 
 # Every `embed` config flag: flag -> (EmbedConfig field, type, choices, help).
 EMBED_FLAGS = {
-    "--perplexity": ("perplexity", float, None, None),
+    "--perplexity": ("perplexity", float, None, "target effective neighbor count"),
     "--alpha": ("alpha", float, None, "centroid-affinity loss weight"),
     "--beta": ("beta", float, None, "soft k-means loss weight"),
     "--clusters": ("n_clusters", int, None, "macro centroid count"),
     "--pca-dims": ("pca_dims", int, None, "spectral pre-reduction width"),
-    "--out-dims": ("out_dims", int, (2, 3), None),
+    "--out-dims": ("out_dims", int, (2, 3), "map dimension"),
     "--neighbors": ("n_neighbors", int, None, "neighbor list length"),
-    "--learning-rate": ("learning_rate", float, None, None),
-    "--momentum-initial": ("momentum_initial", float, None, None),
-    "--momentum-final": ("momentum_final", float, None, None),
-    "--momentum-switch": ("momentum_switch_iter", int, None, None),
-    "--n-iter": ("n_iter", int, None, None),
+    "--learning-rate": ("learning_rate", float, None, "descent step size"),
+    "--momentum-initial": ("momentum_initial", float, None, "momentum before the switch"),
+    "--momentum-final": ("momentum_final", float, None, "momentum from the switch on"),
+    "--momentum-switch": (
+        "momentum_switch_iter", int, None, "iteration where momentum switches"
+    ),
+    "--n-iter": ("n_iter", int, None, "descent iterations"),
     "--theta": (
         "bh_theta",
         float,
         None,
         "0 = exact sums; the tree's opening angle on large maps the grid does not take",
     ),
-    "--gradient-mode": ("gradient_mode", str, ("paper", "exact"), None),
+    "--gradient-mode": (
+        "gradient_mode",
+        str,
+        ("paper", "exact"),
+        "centroid gradient: paper holds responsibilities fixed, exact does not",
+    ),
     "--seed": ("seed", int, None, "run seed; the k-means and initial-map seeds derive from it"),
-    "--perplexity-tol": ("perplexity_tol", float, None, None),
-    "--init-stddev": ("init_stddev", float, None, None),
-    "--early-exaggeration": ("early_exaggeration", float, None, None),
-    "--early-exaggeration-iter": ("early_exaggeration_iter", int, None, None),
-    "--log-every": ("log_every", int, None, None),
+    "--perplexity-tol": ("perplexity_tol", float, None, "calibration tolerance on 2^H"),
+    "--init-stddev": ("init_stddev", float, None, "spread of the random initial map"),
+    "--early-exaggeration": (
+        "early_exaggeration", float, None, "multiplier on the attraction, 1.0 disables"
+    ),
+    "--early-exaggeration-iter": (
+        "early_exaggeration_iter", int, None, "iterations under early exaggeration"
+    ),
+    "--log-every": ("log_every", int, None, "iterations between loss records"),
     "--pca-no-center": (
         "pca_center", None, None,
         "project against raw second moments instead of the covariance",

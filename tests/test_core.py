@@ -2,7 +2,7 @@
 
 import math
 from dataclasses import fields
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 import pytest
@@ -197,6 +197,19 @@ class TestResolve:
         assert cfg.n_neighbors == 12 and cfg.pca_dims == 4
 
 
+# Fields that take any value of their type: no rule, no choices.
+FREE_FIELDS = {"seed", "pca_center"}
+# A value just outside each field rule, by the field's type.
+OUTSIDE = {
+    ("positive", int): 0,
+    ("positive", float): 0.0,
+    ("nonnegative", int): -1,
+    ("nonnegative", float): -math.ulp(0.0),
+    ("fraction", float): 1.0,
+    ("centroids", int): 1,
+}
+
+
 class TestValidate:
     def test_defaults_valid_on_three_line_walk_shape(self):
         assert validate_config(EmbedConfig(), n=2100, d_in=3) == []
@@ -254,6 +267,25 @@ class TestValidate:
             check_config(EmbedConfig(**{name: value}), n=200, d_in=5)
         assert f"{name}={value}: must be finite" in exc.value.violations
         assert all(v.startswith(f"{name}=") for v in exc.value.violations)
+
+    @pytest.mark.parametrize("f", fields(EmbedConfig), ids=lambda f: f.name)
+    def test_each_field_rule_gives_one_violation(self, f):
+        # Every other field keeps its valid default, so the one value just
+        # outside the field's rule or choices is the only violation.
+        assert validate_config(EmbedConfig(), n=200, d_in=10) == []
+        rule, choices = f.metadata.get("rule"), f.metadata.get("choices")
+        if f.name in FREE_FIELDS:
+            assert rule is None and choices is None
+            return
+        hint = get_type_hints(EmbedConfig)[f.name]
+        kind = (get_args(hint) or (hint,))[0]  # Optional[int] -> int
+        if rule is not None:
+            value = OUTSIDE[rule, kind]
+        else:
+            assert choices, f"{f.name} has no rule or choices and is not in FREE_FIELDS"
+            value = max(choices) + 1 if kind is int else ""
+        bad = validate_config(EmbedConfig(**{f.name: value}), n=200, d_in=10)
+        assert len(bad) == 1 and bad[0].startswith(f"{f.name}={value!r}:"), bad
 
     def test_check_config_returns_resolved(self):
         cfg = check_config(EmbedConfig(), n=2100, d_in=3)

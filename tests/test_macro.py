@@ -37,12 +37,12 @@ class TestPairwiseSqDists:
                 ref = ((a[i] - b[j]) ** 2).sum()
                 assert abs(got[i, j] - ref) <= 1e-15 * ref
 
-    def test_chunking_changes_nothing(self):
+    def test_chunking_changes_nothing(self, monkeypatch):
         rng = np.random.default_rng(1)
         a = rng.normal(size=(23, 4))
-        assert np.array_equal(
-            pairwise_sq_dists(a, a, chunk=3), pairwise_sq_dists(a, a, chunk=1000)
-        )
+        whole = pairwise_sq_dists(a, a)
+        monkeypatch.setattr(macro, "_PAIRWISE_ROWS", 3)
+        assert np.array_equal(pairwise_sq_dists(a, a), whole)
 
     def test_identical_rows_give_exact_zero(self):
         a = np.array([[0.1, 0.2], [3.0, -4.0]])

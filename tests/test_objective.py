@@ -55,8 +55,7 @@ def exact_gradient(y, p, macro, cfg):
 
 def exact_losses(y, p, macro, cfg):
     """(total, micro, macro, kmeans) at the exact normalizer."""
-    ws = exact_gradient(y, p, macro, cfg)[1]
-    return ws.loss_total, ws.loss_micro, ws.loss_macro, ws.loss_kmeans
+    return exact_gradient(y, p, macro, cfg)[1].losses[:4]
 
 
 def oracle_losses(y, p, macro, cfg):
@@ -345,8 +344,9 @@ class TestGradientExact:
         np.testing.assert_array_equal(ws.q_macro, ws.q_macro.T)
         assert np.abs(np.diag(ws.q_macro)).max() == 0.0
         assert abs(ws.q_macro.sum() - 1.0) <= 1e-12
-        want = ws.loss_micro + cfg.alpha * ws.loss_macro + cfg.beta * ws.loss_kmeans
-        assert abs(ws.loss_total - want) <= 1e-12 * max(1.0, abs(want))
+        losses = ws.losses
+        want = losses.micro + cfg.alpha * losses.macro + cfg.beta * losses.kmeans
+        assert abs(losses.total - want) <= 1e-12 * max(1.0, abs(want))
         # Centroids are the responsibility-weighted means of the map.
         resid = macro.r @ y - macro.r.sum(axis=1)[:, None] * ws.c
         assert np.abs(resid).max() < 1e-9
@@ -356,14 +356,14 @@ class TestGradientExact:
         y = y.copy()
         y[5:] += 1e151  # cross-gap kernel drops below the clamp floor
         g, ws = exact_gradient(y, p, macro, cfg)
-        assert ws.underflow_clamped
-        assert np.isfinite(ws.loss_total)
+        assert ws.losses.underflow_clamped
+        assert np.isfinite(ws.losses.total)
         assert np.all(np.isfinite(g))
 
     def test_no_underflow_on_tame_maps(self):
         _, p, macro, y, cfg = make_problem(10, 4, 3, seed=6)
         _, ws = exact_gradient(y, p, macro, cfg)
-        assert not ws.underflow_clamped
+        assert not ws.losses.underflow_clamped
 
     def test_unknown_mode_rejected(self):
         _, p, macro, y, cfg = make_problem(8, 4, 3, seed=1)
@@ -458,12 +458,12 @@ class TestGradientTree:
 
     def test_underflow_is_flagged_and_loss_stays_finite(self):
         _, p, macro, y, cfg = make_problem(10, 4, 3, seed=6)
-        assert not gradient_bh(y, p, macro, cfg)[1].underflow_clamped
+        assert not gradient_bh(y, p, macro, cfg)[1].losses.underflow_clamped
         y = y.copy()
         y[5:] += 1e151  # cross-gap kernel drops below the clamp floor
         g, ws = gradient_bh(y, p, macro, cfg)
-        assert ws.underflow_clamped
-        assert np.isfinite(ws.loss_total)
+        assert ws.losses.underflow_clamped
+        assert np.isfinite(ws.losses.total)
         assert np.all(np.isfinite(g))
 
     def test_unknown_mode_rejected(self):
@@ -480,10 +480,7 @@ class TestGradientTree:
         g, ws = gradient_bh(y, p, macro, cfg, exaggeration=4.0)
         _, ws_plain = gradient_bh(y, p, macro, cfg)
         np.testing.assert_array_equal(g, g_scaled)
-        assert (ws.loss_total, ws.loss_micro, ws.loss_macro, ws.loss_kmeans) == (
-            ws_plain.loss_total, ws_plain.loss_micro, ws_plain.loss_macro,
-            ws_plain.loss_kmeans,
-        )
+        assert ws.losses[:4] == ws_plain.losses[:4]
         for bad in (-1.0, float("nan"), float("inf")):
             with pytest.raises(ValueError, match="exaggeration"):
                 gradient_bh(y, p, macro, cfg, exaggeration=bad)
@@ -534,7 +531,7 @@ class TestReferenceSweeps:
         assert ws.z_estimator == ws_ref.z_estimator == engine
         assert np.array_equal(g, g_ref)
         assert ws.z_y == ws_ref.z_y
-        assert ws.loss_total == ws_ref.loss_total
+        assert ws.losses.total == ws_ref.losses.total
         tree = build_quadtree(y)
         got = objective._tree_forces(tree, y, theta)
         want = tree_forces_by_table(tree, y, theta)
@@ -786,7 +783,7 @@ class TestExactForces:
             tracemalloc.reset_peak()
             base = tracemalloc.get_traced_memory()[0]
             _, ws = gradient_bh(y5k, p, macro, cfg)
-            assert ws.z_estimator == "exact" and np.isfinite(ws.loss_total)
+            assert ws.z_estimator == "exact" and np.isfinite(ws.losses.total)
             gradient_peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -805,15 +802,15 @@ class TestLazyLosses:
         _, p, macro, y, cfg = make_problem(30, 4, 3, seed=2)
         _, ws = gradient_bh(y, p, macro, cfg)
         assert calls == []
-        parts = (ws.loss_micro, ws.loss_macro, ws.loss_kmeans)
-        assert ws.loss_total == parts[0] + cfg.alpha * parts[1] + cfg.beta * parts[2]
-        assert not ws.underflow_clamped
+        total, l_micro, l_macro, l_kmeans, clamped = ws.losses
+        assert total == l_micro + cfg.alpha * l_macro + cfg.beta * l_kmeans
+        assert not clamped
         assert len(calls) == 1
 
 
 def one_thread_gradient(y, p, macro, cfg, exaggeration=1.0):
     """gradient_bh's terms composed on the calling thread alone: (g, z_y,
-    engine, (total, micro, macro, kmeans, clamped))."""
+    engine, Losses)."""
     force, zsum, engine = objective._repulsion(y, cfg.bh_theta)
     z_y = max(float(zsum.sum()), objective.Q_FLOOR)
     att, pair_kern = objective._attraction(y, p, exaggeration)
@@ -824,7 +821,7 @@ def one_thread_gradient(y, p, macro, cfg, exaggeration=1.0):
     losses = objective._evaluate_losses(
         y, p.val, pair_kern, z_y, macro, mkern, c, cfg.alpha, cfg.beta
     )
-    return g, z_y, engine, tuple(losses)
+    return g, z_y, engine, losses
 
 
 class TestRepulsionWorker:
@@ -849,8 +846,7 @@ class TestRepulsionWorker:
         assert ws.z_estimator == want_engine == engine
         assert g.tobytes() == want_g.tobytes()
         assert ws.z_y == want_z
-        got = (ws.loss_total, ws.loss_micro, ws.loss_macro, ws.loss_kmeans, ws.underflow_clamped)
-        assert got == want_losses
+        assert ws.losses == want_losses
 
     def test_repulsion_runs_on_another_thread_by_its_module_name(self, monkeypatch):
         threads = []

@@ -281,17 +281,13 @@ class TestRun:
         _, ws = gradient_bh(y0, p, macro, resolved)
         rec = report.loss_trace[0]
         assert rec.iteration == 0
-        for got, want in (
-            (rec.total, ws.loss_total),
-            (rec.micro, ws.loss_micro),
-            (rec.macro, ws.loss_macro),
-            (rec.kmeans, ws.loss_kmeans),
-        ):
+        for got, want in zip((rec.total, rec.micro, rec.macro, rec.kmeans), ws.losses):
             assert got == pytest.approx(want, rel=1e-12, abs=0.0)
         # Against a 12x-valued P the same map reads 12 KL + 12 ln 12.
         p12 = AffinityModel(row=p.row, col=p.col, val=12 * p.val, n=p.n)
         _, scaled = gradient_bh(y0, p12, macro, resolved)
-        assert scaled.loss_micro == pytest.approx(12.0 * ws.loss_micro + 12.0 * np.log(12.0))
+        want = 12.0 * ws.losses.micro + 12.0 * np.log(12.0)
+        assert scaled.losses.micro == pytest.approx(want)
 
     def test_records_report_clamped_underflow(self, monkeypatch):
         # The workspace's flag reaches the record it was logged in; a spy
@@ -304,7 +300,7 @@ class TestRun:
             g, ws = gradient_bh(y, p, macro, cfg, **kwargs)
             calls.append(1)
             if len(calls) == 3:
-                ws._losses = ws._losses._replace(clamped=True)
+                ws.losses = ws.losses._replace(underflow_clamped=True)
             return g, ws
 
         monkeypatch.setattr(optimizer, "gradient_bh", spy)
