@@ -17,21 +17,16 @@ with it.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from . import core
 from .core import as_points
 
-# Distances one kNN block may hold: against m searched rows the block
-# takes max(1, this // m) query rows, so its one (rows, m) working array
-# stays near 1 MB for any m. Larger blocks ran no faster on
-# 1000-1500 points and raised the peak memory of a whole run; with the
-# cheaper selection, 2^18 and 2^19 still ran no faster than 2^17, on
-# 1500 points or on 20000 (2-core machine).
-KNN_BLOCK_FLOATS = 1 << 17
 # Largest squared distance from the points' mean that a search takes. A
 # pair's products, its bound and its squared difference all stay within
 # about four times the larger of its two squared norms, so under this
@@ -183,7 +178,7 @@ def _nearest(queries: _Queries, k: int, reference: np.ndarray | None):
     # product of its own, and that high serves as hi_1 without a second
     # (rows, m) product.
     m = len(ref)
-    rows = min(n, max(1, KNN_BLOCK_FLOATS // m))
+    rows = min(n, max(1, core.BLOCK_FLOATS // m))
     ids = np.empty((n, k), dtype=np.int64)
     sq = np.empty((n, k), dtype=np.float64)
     # Every product of every block goes into the same (rows, m) buffer, so
@@ -226,9 +221,9 @@ def _nearest(queries: _Queries, k: int, reference: np.ndarray | None):
 
 def _sq_dists(a: np.ndarray, a_rows: np.ndarray, b: np.ndarray, b_rows: np.ndarray):
     # |a[a_rows] - b[b_rows]|^2 pair by pair from direct differences. The
-    # rows gathered from a and b at one time hold at most KNN_BLOCK_FLOATS
+    # rows gathered from a and b at one time hold at most core.BLOCK_FLOATS
     # coordinates between them.
-    step = max(1, KNN_BLOCK_FLOATS // (2 * a.shape[1]))
+    step = max(1, core.BLOCK_FLOATS // (2 * a.shape[1]))
     out = np.empty(len(a_rows))
     for s in range(0, len(a_rows), step):
         diff = a.take(a_rows[s:s + step], axis=0)
@@ -376,24 +371,12 @@ def calibrate(
     return Calibration(probs, best_beta, achieved, best_gap <= tol, degenerate)
 
 
-@dataclass
-class ConditionalRow:
-    """Calibrated neighbor distribution of a single point.
+class ConditionalRow(namedtuple("ConditionalRow", ("neighbors", *Calibration._fields))):
+    """One point's calibrated row: the point indices of its neighbors, then
+    its entry of each Calibration field, with the scalars as Python floats
+    and bools."""
 
-    probs sums to 1 over the listed neighbors. beta is the fitted Gaussian
-    precision 1 / (2 sigma^2); perplexity is the achieved 2^H. converged
-    is False when the search ran out of evaluations before meeting the
-    tolerance. degenerate marks rows that fell back to uniform because
-    every neighbor distance was zero (duplicate points); they skip the
-    search and are not converged.
-    """
-
-    neighbors: np.ndarray
-    probs: np.ndarray
-    beta: float
-    perplexity: float
-    converged: bool = True
-    degenerate: bool = False
+    __slots__ = ()
 
     @property
     def sigma(self) -> float:
@@ -485,15 +468,5 @@ def build_affinity_model(
     """
     ids, sq = exact_knn(as_points(x, "x"), n_neighbors)
     cal = calibrate(sq, perplexity, tol=tol, max_iter=max_iter)
-    rows = [
-        ConditionalRow(
-            neighbors=ids[i],
-            probs=cal.probs[i],
-            beta=float(cal.beta[i]),
-            perplexity=float(cal.perplexity[i]),
-            converged=bool(cal.converged[i]),
-            degenerate=bool(cal.degenerate[i]),
-        )
-        for i in range(len(ids))
-    ]
+    rows = list(map(ConditionalRow, ids, cal.probs, *(a.tolist() for a in cal[1:])))
     return symmetrize(ids, cal.probs, len(ids)), rows

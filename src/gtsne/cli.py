@@ -10,7 +10,7 @@ import sys
 from dataclasses import fields, replace
 from typing import get_args, get_type_hints
 
-from .core import EmbedConfig, config_to_text, parse_config_items, resolve_config
+from .core import EmbedConfig, LossRecord, config_to_text, parse_config_items, resolve_config
 from .datasets import (
     ThreeLinesSpec,
     gen_blobs,
@@ -194,16 +194,13 @@ def _write_report(report, path) -> None:
         for key in ("degenerate_rows", "unconverged_rows"):
             if getattr(report, key):
                 fh.write(f"# {key} = {','.join(map(str, getattr(report, key)))}\n")
-        fh.write(
-            "iteration,loss,micro,macro,kmeans,gamma,z_estimator,max_update,"
-            "underflow_clamped\n"
-        )
+        # One column per LossRecord field, total written as loss; floats in
+        # full precision (str is repr) and flags as 0 or 1.
+        names = [f.name for f in fields(LossRecord)]
+        fh.write(",".join("loss" if name == "total" else name for name in names) + "\n")
         for rec in report.loss_trace:
-            fh.write(
-                f"{rec.iteration},{rec.total!r},{rec.micro!r},{rec.macro!r},"
-                f"{rec.kmeans!r},{rec.gamma!r},{rec.z_estimator},{rec.max_update!r},"
-                f"{int(rec.underflow_clamped)}\n"
-            )
+            cells = (getattr(rec, name) for name in names)
+            fh.write(",".join(str(int(v) if isinstance(v, bool) else v) for v in cells) + "\n")
 
 
 def cmd_evaluate(args) -> int:

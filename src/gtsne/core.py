@@ -36,6 +36,15 @@ def as_points(obj, name: str) -> np.ndarray:
     return a
 
 
+# Floats in one block of a blocked kernel, about 1 MB: the exact kNN
+# search's (rows, m) products and its re-rank gathers, the exact and
+# direct repulsion sums' kernel rows, and macro.pairwise_sq_dists'
+# (rows, m, d) differences. Each takes max(1, BLOCK_FLOATS // width) rows
+# per block, so its working arrays stay a few blocks for any width. Larger
+# kNN blocks ran no faster on 1000-1500 points or on 20000, and raised
+# the peak memory of a whole run (2-core machine).
+BLOCK_FLOATS = 1 << 17
+
 # Multiply-adds per BLAS call in chunked_matmul. OpenBLAS runs a product of
 # up to 2^18 on the calling thread. A larger one it splits over its thread
 # pool, whose workers then spin for about 0.1 s on the core that

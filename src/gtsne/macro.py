@@ -14,28 +14,31 @@ from functools import cached_property
 
 import numpy as np
 
+from . import core
 from .affinity import _nearest, _Queries
 from .core import as_points, chunked_matmul
-
-
-_PAIRWISE_ROWS = 256
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between rows of a and rows of b.
 
     Computed directly as sums of squared differences (not the expanded
-    norm identity) so values carry no cancellation error; a is processed
-    _PAIRWISE_ROWS rows at a time to bound the temporary (rows, len(b), d)
-    array.
+    norm identity) so values carry no cancellation error.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    out = np.empty((len(a), len(b)), dtype=np.float64)
-    for start in range(0, len(a), _PAIRWISE_ROWS):
-        stop = min(start + _PAIRWISE_ROWS, len(a))
-        diff = a[start:stop, None, :] - b[None, :, :]
-        out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
+    return _fill_sq_dists(a, b, np.empty((len(a), len(b))))
+
+
+def _fill_sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
+    # pairwise_sq_dists into out, which may be a strided view. Each block
+    # of a's rows holds one (rows, len(b), d) difference array of at most
+    # core.BLOCK_FLOATS entries, or of one row where a row is wider; rows
+    # are independent, so the blocking changes no bits.
+    rows = max(1, core.BLOCK_FLOATS // (len(b) * a.shape[1]))
+    for start in range(0, len(a), rows):
+        diff = a[start : start + rows, None, :] - b[None, :, :]
+        out[start : start + rows] = np.einsum("ijk,ijk->ij", diff, diff)
     return out
 
 
@@ -154,9 +157,15 @@ def responsibility_matrix(z: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:
     if not (0 < d < d_z):
         raise ValueError(f"need 0 < d < d_z, got d={d}, d_z={d_z}")
     scale = (d * d) / float(d_z * d_z)
-    # Chunked over z; the C-ordered copy keeps column sums in centroid order.
-    raw = 1.0 / (1.0 + scale * np.ascontiguousarray(pairwise_sq_dists(z, t).T))
-    return raw / raw.sum(axis=0, keepdims=True)
+    # Built in place in the (k, n) output, whose C order keeps the column
+    # sums in centroid order; beside it the work holds one block of z.
+    raw = np.empty((len(t), len(z)))
+    _fill_sq_dists(z, t, raw.T)
+    raw *= scale
+    raw += 1.0
+    np.reciprocal(raw, out=raw)
+    raw /= raw.sum(axis=0, keepdims=True)
+    return raw
 
 
 def macro_affinity(t: np.ndarray) -> np.ndarray:

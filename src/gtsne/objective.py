@@ -43,6 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import core
 from .affinity import AffinityModel
 from .core import EmbedConfig, GRADIENT_MODES, as_points, chunked_matmul
 from .macro import MacroAffinity, student_t_kernel
@@ -261,8 +262,6 @@ def _tree_forces(tree: QuadTree, y: np.ndarray, theta: float):
 # wide for the grid would lose: on a uniform square of side 80 the tree
 # is ahead at n=5100, 41 against 58 ms.
 _EXACT_MAX_POINTS = 4096
-# Kernel entries per block of the exact sums, about 1 MB per block array.
-_EXACT_BLOCK_ENTRIES = 2**17
 # Largest squared radius of the centred map that the exact sums read from
 # one product. The product's error in 1 + d^2 is a few eps * max |y|^2,
 # so under this bound every kernel keeps a relative error of about 1e-9
@@ -304,7 +303,7 @@ def _exact_forces(y: np.ndarray):
     y1 = np.column_stack([y, ones])
     force = np.zeros((n, d))
     zsum = np.zeros(n)
-    rows = max(1, _EXACT_BLOCK_ENTRIES // n)
+    rows = max(1, core.BLOCK_FLOATS // n)
     # Every block's kernels go into the one buffer, as a contiguous array:
     # on 1500 points a fresh 1 MB array per block took 30% longer, and a
     # strided window of a 2-D buffer 50% longer.
@@ -341,7 +340,7 @@ def _direct_forces(y: np.ndarray):
     n, d = y.shape
     force = np.empty((n, d))
     zsum = np.empty(n)
-    rows = max(1, _EXACT_BLOCK_ENTRIES // n)
+    rows = max(1, core.BLOCK_FLOATS // n)
     for i0 in range(0, n, rows):
         i1 = min(i0 + rows, n)
         diff = y[i0:i1, None, :] - y[None, :, :]
@@ -467,7 +466,7 @@ def _repulsion(y: np.ndarray, theta: float):
     """
     n, d = y.shape
     if d not in (2, 3):
-        raise ValueError(f"tree forces support 2-D or 3-D maps, got d={d}")
+        raise ValueError(f"the map must be 2-D or 3-D, got d={d}")
     if theta == 0.0:
         return (*_exact_forces(y), "exact")
     if d == 2:

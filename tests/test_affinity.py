@@ -11,12 +11,13 @@ from gtsne import (
     affinity,
     build_affinity_model,
     calibrate,
+    core,
     exact_knn,
     gen_swiss_roll,
     gen_three_lines,
     symmetrize,
 )
-from gtsne.affinity import AffinityModel
+from gtsne.affinity import AffinityModel, Calibration, ConditionalRow
 from oracles import brute_knn, calibrate_row, dense_affinities, row_perplexity, solve_beta
 
 # d2 = (1, 4, 9) at effective neighbor count 2, solved independently by
@@ -348,6 +349,30 @@ class TestBuildAffinityModel:
         assert all(abs(row.perplexity - 4.0) > 1e-5 for row in rows)
         assert abs(model.total() - 1.0) < 1e-9
 
+    @pytest.mark.parametrize("max_iter", [200, 2])
+    def test_rows_are_the_search_and_the_calibration(self, max_iter):
+        # Row i holds exact_knn's row i, then calibrate's entry i of every
+        # Calibration field, bit for bit, with Python scalars. Twelve copies
+        # of one point give degenerate rows; max_iter=2 leaves the other
+        # rows unconverged.
+        x = np.concatenate([gen_swiss_roll(n=200, seed=1).x, np.zeros((12, 3))])
+        _, rows = build_affinity_model(x, n_neighbors=10, perplexity=5, max_iter=max_iter)
+        ids, sq = exact_knn(x, 10)
+        cal = calibrate(sq, 5, max_iter=max_iter)
+        assert ConditionalRow._fields == ("neighbors", *Calibration._fields)
+        assert len(rows) == len(x)
+        for i, row in enumerate(rows):
+            assert np.array_equal(row.neighbors, ids[i])
+            assert np.array_equal(row.probs, cal.probs[i])
+            for name in Calibration._fields[1:]:
+                assert getattr(row, name) == getattr(cal, name)[i], (i, name)
+            assert type(row.beta) is float and type(row.perplexity) is float
+            assert type(row.converged) is bool and type(row.degenerate) is bool
+        assert any(row.degenerate for row in rows)
+        assert any(row.converged for row in rows) == (max_iter == 200)
+        # The bench's tracer rebuilds the precisions this way.
+        assert np.array_equal(np.array([r.beta for r in rows]), cal.beta)
+
 
 class TestExactKnnReference:
     """exact_knn searching a separate reference set, row by row against
@@ -426,7 +451,7 @@ class TestExactKnnReference:
         rng = np.random.default_rng(10)
         points, reference = rng.normal(size=(40, 3)), rng.normal(size=(12, 3))
         ids, sq = exact_knn(points, 3, reference=reference)
-        monkeypatch.setattr(affinity, "KNN_BLOCK_FLOATS", 1)
+        monkeypatch.setattr(core, "BLOCK_FLOATS", 1)
         one_ids, one_sq = exact_knn(points, 3, reference=reference)
         assert np.array_equal(ids, one_ids)
         assert np.array_equal(sq, one_sq)

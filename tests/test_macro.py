@@ -9,6 +9,7 @@ import pytest
 from gtsne import (
     MacroAffinity,
     ThreeLinesSpec,
+    core,
     exact_knn,
     gen_swiss_roll,
     gen_three_lines,
@@ -41,8 +42,30 @@ class TestPairwiseSqDists:
         rng = np.random.default_rng(1)
         a = rng.normal(size=(23, 4))
         whole = pairwise_sq_dists(a, a)
-        monkeypatch.setattr(macro, "_PAIRWISE_ROWS", 3)
+        # Three rows of 23 x 4 differences per block.
+        monkeypatch.setattr(core, "BLOCK_FLOATS", 3 * 23 * 4)
         assert np.array_equal(pairwise_sq_dists(a, a), whole)
+
+    @pytest.mark.parametrize("kernel", ["pairwise_sq_dists", "responsibility_matrix"])
+    def test_memory_stays_within_the_output_and_a_few_blocks(self, kernel):
+        # tracemalloc sees numpy's buffers and is deterministic. Besides the
+        # 4.8 MB output, a call holds the difference array of one block of
+        # z's rows (at most core.BLOCK_FLOATS entries), briefly the next
+        # one too, and a few entries per row; blocks of 256 rows, each
+        # (256, 300, 50) wide, peaked at 66 MB.
+        rng = np.random.default_rng(0)
+        z, t = rng.normal(size=(2000, 50)), rng.normal(size=(300, 50))
+        call = {
+            "pairwise_sq_dists": lambda: pairwise_sq_dists(z, t),
+            "responsibility_matrix": lambda: responsibility_matrix(z, t, d=2),
+        }[kernel]
+        tracemalloc.start()
+        try:
+            out = call()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 3 * core.BLOCK_FLOATS * 8
 
     def test_identical_rows_give_exact_zero(self):
         a = np.array([[0.1, 0.2], [3.0, -4.0]])

@@ -9,7 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gtsne import affinity, exact_knn
+from gtsne import affinity, core, exact_knn
 from oracles import brute_knn
 
 
@@ -74,7 +74,7 @@ def test_knn_all_matches_single_queries(monkeypatch):
     rng = np.random.default_rng(6)
     pts = rng.normal(size=(40, 2))
     ids, sq = exact_knn(pts, 4)
-    monkeypatch.setattr(affinity, "KNN_BLOCK_FLOATS", 1)
+    monkeypatch.setattr(core, "BLOCK_FLOATS", 1)
     one_ids, one_sq = exact_knn(pts, 4)
     assert np.array_equal(ids, one_ids)
     np.testing.assert_allclose(sq, one_sq)
@@ -175,7 +175,7 @@ def test_search_memory_stays_within_a_few_blocks(k, blocks):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= ids.nbytes + sq.nbytes + blocks * affinity.KNN_BLOCK_FLOATS * 8
+    assert peak <= ids.nbytes + sq.nbytes + blocks * core.BLOCK_FLOATS * 8
 
 
 def _brute_ranking(pts, k, reference):
