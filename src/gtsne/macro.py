@@ -39,6 +39,7 @@ def _fill_sq_dists(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
     for start in range(0, len(a), rows):
         diff = a[start : start + rows, None, :] - b[None, :, :]
         out[start : start + rows] = np.einsum("ijk,ijk->ij", diff, diff)
+        del diff  # before the next block's is made
     return out
 
 

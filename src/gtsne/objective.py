@@ -21,14 +21,14 @@ gradient_bh checks the map with core.as_points before any engine runs.
 
 The repulsion does not depend on the other terms, so gradient_bh runs it
 on one worker thread that the module makes on first use, while the
-calling thread computes the attraction and the map centroids; it then
-combines the terms in a fixed order, so g has the bits of a one-thread
-evaluation. Numpy releases the interpreter lock inside its array loops,
-FFTs and BLAS calls, so the two threads run on two cores. For that, the
-per-iteration BLAS calls stay small enough that OpenBLAS runs them on the
-calling thread (core.chunked_matmul): a split product would wake its
-thread pool, whose workers spin on the second core for about 0.1 s
-after each call.
+calling thread computes the attraction, the map centroids and the macro
+and k-means gradient terms; after the wait only their combination is
+left, in a fixed order, so g has the bits of a one-thread evaluation.
+Numpy releases the interpreter lock in its array loops, FFTs and BLAS
+calls, so the two threads run on two cores. Per-iteration BLAS calls
+stay small enough that OpenBLAS runs them on the calling thread
+(core.chunked_matmul): a split product would wake its thread pool, whose
+workers spin on the second core for about 0.1 s after each call.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -316,8 +316,7 @@ def _exact_forces(y: np.ndarray):
         # Roundoff can leave a coincident pair's 1 + d^2 a little below 1.
         np.maximum(k, 1.0, out=k)
         np.reciprocal(k, out=k)
-        own = np.arange(m)
-        k[own, own] = 0.0
+        np.fill_diagonal(k, 0.0)
         later = k[:, m:]
         zsum[i0:i1] += k @ ones[i0:]
         zsum[i1:] += ones[:m] @ later
@@ -345,10 +344,10 @@ def _direct_forces(y: np.ndarray):
         i1 = min(i0 + rows, n)
         diff = y[i0:i1, None, :] - y[None, :, :]
         k = 1.0 / (1.0 + np.einsum("ijd,ijd->ij", diff, diff))
-        own = np.arange(i1 - i0)
-        k[own, i0 + own] = 0.0
+        np.fill_diagonal(k[:, i0:], 0.0)
         zsum[i0:i1] = k.sum(axis=1)
         force[i0:i1] = np.einsum("ij,ijd->id", k * k, diff)
+        del diff, k  # before the next block's arrays are made
     return force, zsum
 
 
@@ -631,15 +630,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_worker)
 
 
-def _check_inputs(y, p, macro):
-    if len(y) != p.n:
-        raise ValueError(f"embedding has {len(y)} rows but P was built for {p.n}")
-    if macro.r.shape[1] != len(y):
-        raise ValueError(
-            f"responsibilities cover {macro.r.shape[1]} points, embedding has {len(y)}"
-        )
-
-
 def gradient_bh(
     y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig, exaggeration=1.0
 ):
@@ -659,8 +649,9 @@ def gradient_bh(
     losses are always measured on p itself.
 
     The repulsion (_repulsion, looked up by its module name at each call)
-    runs on the module's worker thread while this thread runs _attraction
-    and _macro_state; each term is computed on one thread, so g is the
+    runs on the module's worker thread while this thread runs _attraction,
+    _macro_state, _macro_gradient and _kmeans_gradient; after the wait it
+    only adds the terms up. Each term is computed on one thread, so g is the
     same bit for bit as when the terms run one after the other. An error
     on either thread reaches the caller once both have finished. A forked
     child makes a worker of its own.
@@ -670,19 +661,26 @@ def gradient_bh(
     if not (math.isfinite(exaggeration) and exaggeration >= 0.0):
         raise ValueError(f"exaggeration={exaggeration}: must be finite and nonnegative")
     y = as_points(y, "y")
-    _check_inputs(y, p, macro)
+    if len(y) != p.n:
+        raise ValueError(f"embedding has {len(y)} rows but P was built for {p.n}")
+    if macro.r.shape[1] != len(y):
+        raise ValueError(
+            f"responsibilities cover {macro.r.shape[1]} points, embedding has {len(y)}"
+        )
     pending = _repulsion_worker().submit(_repulsion, y, cfg.bh_theta)
     try:
         att, pair_kern = _attraction(y, p, exaggeration)
         c, mkern, q_macro = _macro_state(y, macro)
+        g_macro = _macro_gradient(y, macro, c, mkern, q_macro, cfg.alpha, cfg.gradient_mode)
+        g_kmeans = _kmeans_gradient(y, macro, c, cfg.beta)
     finally:
         # Also when this thread failed: the next call must not queue
         # behind this one's repulsion, nor the caller change y under it.
-        wait((pending,))
+        pending.exception()  # waits, and raises none of the worker's errors
     force, zsum, estimator = pending.result()
     z_y = max(float(zsum.sum()), Q_FLOOR)
     g = 4.0 * (att - force / z_y)
-    g += _macro_gradient(y, macro, c, mkern, q_macro, cfg.alpha, cfg.gradient_mode)
-    g += _kmeans_gradient(y, macro, c, cfg.beta)
+    g += g_macro
+    g += g_kmeans
     loss_inputs = (y, p.val, pair_kern, z_y, macro, mkern, c, cfg.alpha, cfg.beta)
     return g, GradientWorkspace(z_y, c, q_macro, estimator, loss_inputs)

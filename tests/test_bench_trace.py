@@ -2,8 +2,11 @@
 
 perfbench/run.py --trace 1 patches the program's stages and reads its
 calibration rows, timing spans and gradient workspace, then checks them
-against its reference code. One roll-1k operation in a fresh interpreter
-takes a few seconds; its trace file goes to the ignored .perfbench_out/.
+against its reference code. One operation of each workload in a fresh
+interpreter takes a few seconds; its trace file goes to the ignored
+.perfbench_out/. lines-3d is the only run here of the exact sums on a 3-D
+map inside the bench, whose check of the final micro loss against the
+exact KL reads the final gradient's workspace.
 """
 
 import json
@@ -11,14 +14,17 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_traced_roll_1k_is_correct():
+@pytest.mark.parametrize("workload", ["roll-1k", "lines-3d"])
+def test_traced_workload_is_correct(workload):
     done = subprocess.run(
         [
             sys.executable, str(ROOT / "perfbench" / "run.py"),
-            "--workload", "roll-1k", "--seed", "7", "--seconds", "0", "--trace", "1",
+            "--workload", workload, "--seed", "7", "--seconds", "0", "--trace", "1",
         ],
         capture_output=True, text=True, timeout=600, cwd=ROOT,
     )

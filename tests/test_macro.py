@@ -67,6 +67,20 @@ class TestPairwiseSqDists:
             tracemalloc.stop()
         assert peak <= out.nbytes + 3 * core.BLOCK_FLOATS * 8
 
+    def test_one_block_is_alive_at_a_time(self):
+        # A block's difference array goes before the next one is made: the
+        # peak is the output plus about one block (1.9 blocks while the two
+        # overlapped).
+        rng = np.random.default_rng(0)
+        z, t = rng.normal(size=(2000, 50)), rng.normal(size=(300, 50))
+        tracemalloc.start()
+        try:
+            out = pairwise_sq_dists(z, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= out.nbytes + 1.5 * core.BLOCK_FLOATS * 8
+
     def test_identical_rows_give_exact_zero(self):
         a = np.array([[0.1, 0.2], [3.0, -4.0]])
         d2 = pairwise_sq_dists(a, a)

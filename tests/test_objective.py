@@ -14,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gtsne import objective
+from gtsne import core, objective
 from gtsne.affinity import AffinityModel, build_affinity_model
 from gtsne.core import Embedding, EmbedConfig
 from gtsne.datasets import gen_swiss_roll
@@ -740,6 +740,21 @@ class TestExactForces:
         assert np.abs(zsum - want_zsum).max() <= 1e-9 * want_zsum.max()
 
     @pytest.mark.parametrize("dims", [2, 3])
+    def test_direct_differences_hold_one_block_at_a_time(self, dims):
+        # A block's differences (dims blocks of entries), kernels and
+        # squared kernels go before the next block's are made; while they
+        # overlapped, 1500 points peaked at 5.1 (2-D) and 7.0 (3-D) blocks.
+        y = np.random.default_rng(dims).normal(scale=1e4, size=(1500, dims))
+        tracemalloc.start()
+        try:
+            force, zsum = objective._direct_forces(y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        held = peak - force.nbytes - zsum.nbytes
+        assert held <= (dims + 2.5) * core.BLOCK_FLOATS * 8
+
+    @pytest.mark.parametrize("dims", [2, 3])
     def test_coincident_points(self, dims):
         y = np.tile([0.3, -0.7, 0.1][:dims], (700, 1))
         force, zsum = objective._exact_forces(y)
@@ -874,6 +889,60 @@ class TestRepulsionWorker:
             m.setattr(objective, "_repulsion", broken)
             with pytest.raises(FloatingPointError, match=r"^repulsion failed at 7 points$"):
                 gradient_bh(y, p, macro, cfg)
+        g, _ = gradient_bh(y, p, macro, cfg)
+        assert g.tobytes() == want.tobytes()
+
+    def test_the_caller_finishes_its_terms_before_it_waits(self, monkeypatch):
+        # The repulsion holds back until the k-means term is done, which
+        # only a caller that works out that term before its wait allows.
+        _, p, macro, y, cfg = make_problem(50, 4, 3, seed=3)
+        want = one_thread_gradient(y, p, macro, cfg)[0]
+        kmeans_done = threading.Event()
+        threads = []
+        real_kmeans, real_repulsion = objective._kmeans_gradient, objective._repulsion
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            out = real_kmeans(*args)
+            kmeans_done.set()
+            return out
+
+        def held(y, theta):
+            if not kmeans_done.wait(timeout=10.0):
+                raise TimeoutError("the k-means term did not run while the repulsion did")
+            return real_repulsion(y, theta)
+
+        monkeypatch.setattr(objective, "_kmeans_gradient", spy)
+        monkeypatch.setattr(objective, "_repulsion", held)
+        g, _ = gradient_bh(y, p, macro, cfg)
+        assert threads == [threading.get_ident()]
+        assert g.tobytes() == want.tobytes()
+
+    def test_an_error_in_a_caller_term_waits_for_the_worker(self, monkeypatch):
+        _, p, macro, y, cfg = make_problem(50, 4, 3, seed=5)
+        want = one_thread_gradient(y, p, macro, cfg)[0]
+        raised = threading.Event()
+        finished = []
+        real = objective._repulsion
+
+        def late(y, theta):
+            # Starts its sums only once the caller's term has failed.
+            raised.wait(timeout=10.0)
+            time.sleep(0.05)
+            out = real(y, theta)
+            finished.append(True)
+            return out
+
+        def broken(*args):
+            raised.set()
+            raise FloatingPointError("macro term failed at 7 points")
+
+        with monkeypatch.context() as m:
+            m.setattr(objective, "_repulsion", late)
+            m.setattr(objective, "_macro_gradient", broken)
+            with pytest.raises(FloatingPointError, match=r"^macro term failed at 7 points$"):
+                gradient_bh(y, p, macro, cfg)
+            assert finished == [True]
         g, _ = gradient_bh(y, p, macro, cfg)
         assert g.tobytes() == want.tobytes()
 
