@@ -11,7 +11,11 @@ symmetrization.
 The kNN search, exact_knn, is the package's one exact nearest-neighbor
 routine: with a separate reference set it also makes the k-means
 assignment (macro.kmeans_fit), and metrics.knn_preservation scores maps
-with it.
+with it, searching the input on the package's worker thread while the
+caller searches the map. The search's block products go through
+core.chunked_matmul, so each search runs on the thread that called it and
+never wakes OpenBLAS's thread pool, whose spinning workers would take the
+other search's core.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ def exact_knn(points: np.ndarray, k: int, reference: np.ndarray | None = None):
     on spread input, are re-ranked by exact squared distances from direct
     differences of the input. With k = 1 only the lower ends fill a
     block; the upper end of each query's least lower end stands in for
-    the partition.
+    the partition. The bounds hold in any summation order, so ids and sq
+    depend neither on how core.chunked_matmul splits the products nor on
+    the BLAS thread count.
     """
     queries = _Queries.of(as_points(points, "points"))
     if reference is not None:
@@ -186,7 +192,7 @@ def _nearest(queries: _Queries, k: int, reference: np.ndarray | None):
     buf = np.empty((rows, m))
 
     def product(query_rows, searched_cols, start, stop):
-        out = np.matmul(query_rows[start:stop], searched_cols, out=buf[: stop - start])
+        out = core.chunked_matmul(query_rows[start:stop], searched_cols, out=buf[: stop - start])
         if reference is None:
             local = np.arange(stop - start)
             out[local, start + local] = np.inf

@@ -2,12 +2,17 @@
 
 Everything downstream (affinities, macro model, optimizer, CLI) speaks in
 terms of these types. They are plain frozen dataclasses around float64
-arrays; treat the arrays as read-only once constructed.
+arrays; treat the arrays as read-only once constructed. The module also
+holds what the kernels share: the block budget, chunked_matmul, and the
+package's one worker thread, which side_by_side runs work on.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import Optional, get_type_hints
 
@@ -76,6 +81,62 @@ def chunked_matmul(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None):
         for j in range(0, n, step):
             np.matmul(a, b[:, j : j + step], out=out[:, j : j + step])
     return out
+
+
+# The package's one worker thread, made on first use: gradient_bh's
+# repulsion and knn_preservation's input-side search run on it through
+# side_by_side. A forked child holds the parent's executor but not its
+# thread, so work sent to it would never run: the child drops both and
+# makes its own.
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
+_WORKER_NAME = "gtsne-worker"  # the prefix of its thread's name
+
+
+def _the_worker() -> ThreadPoolExecutor:
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, thread_name_prefix=_WORKER_NAME)
+        return _worker
+
+
+def _forget_worker() -> None:
+    global _worker, _worker_lock
+    _worker = None
+    _worker_lock = threading.Lock()  # another thread may have held it at the fork
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_worker)
+
+
+def side_by_side(on_worker, on_caller):
+    """(on_worker(), on_caller()), the first run on the package's worker
+    thread while the calling thread runs the second.
+
+    Returns once both have ended, also when either raised, so neither
+    outlives the call. The caller's error is raised first, the worker's
+    otherwise. Called on the worker thread itself, whose queue would wait
+    for this very call, it runs both there, on_worker first. Numpy
+    releases the interpreter lock in its array loops, FFTs and BLAS calls,
+    so the two parts run on two cores; keep each one a few large calls.
+    """
+    if threading.current_thread().name.startswith(_WORKER_NAME):
+        try:
+            theirs = on_worker()
+        finally:
+            # An error here replaces on_worker's, as the caller's comes first.
+            mine = on_caller()
+        return theirs, mine
+    pending = _the_worker().submit(on_worker)
+    try:
+        mine = on_caller()
+    finally:
+        # Also when on_caller failed: the worker's part may still read the
+        # caller's arrays, and the next call must not queue behind it.
+        pending.exception()  # waits, and raises none of the worker's errors
+    return pending.result(), mine
 
 
 @dataclass(frozen=True)

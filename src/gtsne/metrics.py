@@ -3,22 +3,30 @@
 All three scores are invariant to rigid motions of the map: neighbor
 overlap and break detection depend only on distances, the centroid score
 only on distance ranks.
+
+knn_preservation is the second user of the package's one worker thread
+(core.side_by_side), after objective.gradient_bh: the input's search runs
+there while the calling thread searches the map. Both searches keep their
+BLAS products on their own threads (core.chunked_matmul), so OpenBLAS's
+thread pool stays idle and the two run on two cores.
 """
 
 from __future__ import annotations
 
 import warnings
+from functools import partial
 
 import numpy as np
 
 from .affinity import exact_knn
-from .core import as_points
+from .core import as_points, side_by_side
 from .macro import pairwise_sq_dists
 
 
 def knn_preservation(x, y, k: int) -> float:
     """Mean fraction of each point's k nearest input neighbors that are
-    also among its k nearest map neighbors. Both sides use exact search.
+    also among its k nearest map neighbors. Both sides use exact search,
+    side by side on two threads (core.side_by_side).
     """
     xs = as_points(x, "x")
     ys = as_points(y, "y")
@@ -29,10 +37,9 @@ def knn_preservation(x, y, k: int) -> float:
         raise ValueError(f"k={k} must lie in [1, {n - 1}]")
     # One key per (point, neighbor) pair; rows hold distinct ids, so the
     # keys shared by both sides count the overlap.
+    (x_ids, _), (y_ids, _) = side_by_side(partial(exact_knn, xs, k), partial(exact_knn, ys, k))
     owner = np.arange(n)[:, None] * n
-    high = owner + exact_knn(xs, k)[0]
-    low = owner + exact_knn(ys, k)[0]
-    overlap = len(np.intersect1d(high, low, assume_unique=True))
+    overlap = len(np.intersect1d(owner + x_ids, owner + y_ids, assume_unique=True))
     return overlap / (n * k)
 
 

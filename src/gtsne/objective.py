@@ -20,25 +20,23 @@ exact losses, in memory bounded by the row blocks rather than n x n.
 gradient_bh checks the map with core.as_points before any engine runs.
 
 The repulsion does not depend on the other terms, so gradient_bh runs it
-on one worker thread that the module makes on first use, while the
-calling thread computes the attraction, the map centroids and the macro
-and k-means gradient terms; after the wait only their combination is
-left, in a fixed order, so g has the bits of a one-thread evaluation.
-Numpy releases the interpreter lock in its array loops, FFTs and BLAS
-calls, so the two threads run on two cores. Per-iteration BLAS calls
-stay small enough that OpenBLAS runs them on the calling thread
-(core.chunked_matmul): a split product would wake its thread pool, whose
-workers spin on the second core for about 0.1 s after each call.
+on the package's one worker thread (core.side_by_side, which
+metrics.knn_preservation shares), while the calling thread computes the
+attraction, the map centroids and the macro and k-means gradient terms;
+after the wait only their combination is left, in a fixed order, so g
+has the bits of a one-thread evaluation. Numpy releases the interpreter
+lock in its array loops, FFTs and BLAS calls, so the two threads run on
+two cores. Per-iteration BLAS calls stay small enough that OpenBLAS
+runs them on the calling thread (core.chunked_matmul): a split product
+would wake its thread pool, whose workers spin on the second core for
+about 0.1 s after each call.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -604,32 +602,6 @@ def _attraction(y: np.ndarray, p: AffinityModel, exaggeration: float = 1.0):
     return att, pair_kern
 
 
-# The one thread that runs gradient_bh's repulsion while the calling
-# thread works out the other terms, made on first use. A forked child
-# holds the parent's executor but not its thread, so work sent to it
-# would never run: the child drops both and makes its own.
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
-
-
-def _repulsion_worker() -> ThreadPoolExecutor:
-    global _worker
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="gtsne-repulsion")
-        return _worker
-
-
-def _forget_worker() -> None:
-    global _worker, _worker_lock
-    _worker = None
-    _worker_lock = threading.Lock()  # another thread may have held it at the fork
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_worker)
-
-
 def gradient_bh(
     y, p: AffinityModel, macro: MacroAffinity, cfg: EmbedConfig, exaggeration=1.0
 ):
@@ -649,12 +621,12 @@ def gradient_bh(
     losses are always measured on p itself.
 
     The repulsion (_repulsion, looked up by its module name at each call)
-    runs on the module's worker thread while this thread runs _attraction,
-    _macro_state, _macro_gradient and _kmeans_gradient; after the wait it
-    only adds the terms up. Each term is computed on one thread, so g is the
-    same bit for bit as when the terms run one after the other. An error
-    on either thread reaches the caller once both have finished. A forked
-    child makes a worker of its own.
+    runs on the package's worker thread (core.side_by_side) while this
+    thread runs _attraction, _macro_state, _macro_gradient and
+    _kmeans_gradient; after the wait it only adds the terms up. Each term
+    is computed on one thread, so g is the same bit for bit as when the
+    terms run one after the other. An error on either thread reaches the
+    caller once both have finished, this thread's first.
     """
     if cfg.gradient_mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient_mode {cfg.gradient_mode!r}")
@@ -667,17 +639,17 @@ def gradient_bh(
         raise ValueError(
             f"responsibilities cover {macro.r.shape[1]} points, embedding has {len(y)}"
         )
-    pending = _repulsion_worker().submit(_repulsion, y, cfg.bh_theta)
-    try:
+
+    def caller_terms():
         att, pair_kern = _attraction(y, p, exaggeration)
         c, mkern, q_macro = _macro_state(y, macro)
         g_macro = _macro_gradient(y, macro, c, mkern, q_macro, cfg.alpha, cfg.gradient_mode)
         g_kmeans = _kmeans_gradient(y, macro, c, cfg.beta)
-    finally:
-        # Also when this thread failed: the next call must not queue
-        # behind this one's repulsion, nor the caller change y under it.
-        pending.exception()  # waits, and raises none of the worker's errors
-    force, zsum, estimator = pending.result()
+        return att, pair_kern, c, mkern, q_macro, g_macro, g_kmeans
+
+    (force, zsum, estimator), (att, pair_kern, c, mkern, q_macro, g_macro, g_kmeans) = (
+        core.side_by_side(partial(_repulsion, y, cfg.bh_theta), caller_terms)
+    )
     z_y = max(float(zsum.sum()), Q_FLOOR)
     g = 4.0 * (att - force / z_y)
     g += g_macro

@@ -1,7 +1,13 @@
-"""Data types, config serialization, and validation."""
+"""Data types, config serialization, validation, chunked products and the worker thread."""
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 from dataclasses import fields
+from pathlib import Path
 from typing import get_args, get_type_hints
 
 import numpy as np
@@ -12,6 +18,7 @@ from gtsne import (
     Dataset,
     EmbedConfig,
     Embedding,
+    core,
     pca_fit,
     resolve_config,
 )
@@ -21,6 +28,7 @@ from gtsne.core import (
     chunked_matmul,
     config_to_text,
     parse_config_items,
+    side_by_side,
     validate_config,
 )
 
@@ -326,3 +334,67 @@ class TestChunkedMatmul:
         assert np.shares_memory(got, buf)
         np.testing.assert_allclose(buf[:, :n], a @ bt.T, rtol=1e-13, atol=1e-12)
         assert np.isnan(buf[:, n:]).all()
+
+
+class TestSideBySide:
+    """core.side_by_side runs one part on the package's worker thread and
+    the other on the caller; each test has a deadline, so a hang fails."""
+
+    def test_the_callers_error_wins_once_the_worker_is_done(self):
+        worker_done = threading.Event()
+        seen = []
+
+        def worker_part():
+            time.sleep(0.05)
+            worker_done.set()
+            raise KeyError("worker part failed")
+
+        def caller_part():
+            raise FloatingPointError("caller part failed")
+
+        def call():
+            try:
+                side_by_side(worker_part, caller_part)
+            except FloatingPointError as exc:
+                seen.append((str(exc), worker_done.is_set()))
+
+        t = threading.Thread(target=call, daemon=True)
+        t.start()
+        t.join(timeout=30.0)
+        assert not t.is_alive()
+        assert seen == [("caller part failed", True)]
+
+    def test_a_call_on_the_worker_thread_finishes(self):
+        # Queued on the worker, the call would wait for itself; it runs
+        # both parts there instead, and its caller's error still wins. A
+        # worker stuck that way would also hang the interpreter's exit,
+        # so the check runs in a child process with a deadline.
+        src = str(Path(core.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", _ON_THE_WORKER],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "caller part failed\n"
+
+
+_ON_THE_WORKER = """
+import threading
+from gtsne import core
+
+def fail(what):
+    raise FloatingPointError(what)
+
+worker = core._the_worker()
+theirs, mine = worker.submit(core.side_by_side, threading.get_ident, threading.get_ident).result()
+assert theirs == mine != threading.get_ident()
+pending = worker.submit(
+    core.side_by_side, lambda: fail("worker part failed"), lambda: fail("caller part failed")
+)
+try:
+    pending.result()
+except FloatingPointError as exc:
+    print(exc)
+"""

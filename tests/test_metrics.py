@@ -1,8 +1,15 @@
 """Structure evaluation metrics."""
 
+import os
+import signal
+import time
+import warnings
+
 import numpy as np
 import pytest
 
+from gtsne import EmbedConfig, ThreeLinesSpec, gen_swiss_roll, gen_three_lines, run
+from gtsne.affinity import exact_knn
 from gtsne.metrics import (
     centroid_distance_correlation,
     knn_preservation,
@@ -48,6 +55,83 @@ class TestKnnPreservation:
             knn_preservation(x, x, k=5)
         with pytest.raises(ValueError, match="rows"):
             knn_preservation(x, x[:-1], k=1)
+
+
+# The bench's two workloads at seed 1: (input, map after the full run).
+@pytest.fixture(scope="module")
+def seed1_maps():
+    roll = gen_swiss_roll(n=1000, seed=1)
+    lines = gen_three_lines(ThreeLinesSpec(n_s=500, dims=10, seed=1))
+    lines_cfg = EmbedConfig(
+        out_dims=3, early_exaggeration=12.0, early_exaggeration_iter=125, n_iter=200, seed=1
+    )
+    return [
+        (roll.x, run(roll, EmbedConfig(n_iter=300, seed=1), verbose=False)[0].y),
+        (lines.x, run(lines, lines_cfg, verbose=False)[0].y),
+    ]
+
+
+class TestKnnPreservationOnTwoThreads:
+    """knn_preservation searches x on the package's worker thread while
+    the caller searches y."""
+
+    @pytest.mark.parametrize("k", [1, 10])
+    def test_equals_the_one_thread_composition(self, seed1_maps, k):
+        for x, y in seed1_maps:
+            n = len(x)
+            owner = np.arange(n)[:, None] * n
+            high = owner + exact_knn(x, k)[0]
+            low = owner + exact_knn(y, k)[0]
+            want = len(np.intersect1d(high, low, assume_unique=True)) / (n * k)
+            assert knn_preservation(x, y, k).hex() == want.hex()
+
+    def test_an_input_side_refusal_reaches_the_caller(self):
+        # Finite points whose squared norms overflow: exact_knn's own
+        # message, raised from the worker's search of x.
+        rng = np.random.default_rng(2)
+        x = rng.normal(size=(50, 3)) * 1e155
+        y = rng.normal(size=(50, 2))
+        with pytest.raises(ValueError) as direct:
+            exact_knn(x, 5)
+        with pytest.raises(ValueError, match=r"^points: .*MAX_SQ_NORM") as scored:
+            knn_preservation(x, y, k=5)
+        assert str(scored.value) == str(direct.value)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_can_score(self):
+        # The parent's worker exists before the fork and does not survive
+        # it; the child makes its own and still scores.
+        rng = np.random.default_rng(3)
+        x, y = rng.normal(size=(300, 5)), rng.normal(size=(300, 2))
+        want = knn_preservation(x, y, k=10)
+        read_end, write_end = os.pipe()
+        with warnings.catch_warnings():
+            # Python 3.12 and later warn about forking a threaded process.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                os.write(write_end, knn_preservation(x, y, k=10).hex().encode())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write_end)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            time.sleep(0.05)
+        else:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            os.close(read_end)
+            pytest.fail("the forked child's score did not finish within 60 s")
+        with os.fdopen(read_end, "rb") as fh:
+            got = fh.read().decode()
+        assert os.waitstatus_to_exitcode(status) == 0
+        assert got == want.hex()
 
 
 class TestLineContinuity:

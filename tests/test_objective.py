@@ -960,7 +960,7 @@ class TestRepulsionWorker:
             return real(y, theta)
 
         monkeypatch.setattr(objective, "_repulsion", traced)
-        monkeypatch.setattr(objective, "_worker", None)
+        monkeypatch.setattr(core, "_worker", None)
         results = []
 
         def caller():
@@ -978,8 +978,8 @@ class TestRepulsionWorker:
             assert not any(t.is_alive() for t in callers)
         finally:
             sys.setswitchinterval(interval)
-            if objective._worker is not None:
-                objective._worker.shutdown()
+            if core._worker is not None:
+                core._worker.shutdown()
         assert len(results) == 40 and set(results) == {want}
         assert len(workers) == 1
 

@@ -400,10 +400,13 @@ class TestRun:
 
 
 # Runs both inputs in a fresh interpreter and prints, for each, the SHA-256
-# of the map's bytes and of the loss trace's repr.
+# of the map's bytes and of the loss trace's repr and the map's
+# knn_preservation score in hex; then the SHA-256 of exact_knn(x, 90)'s ids
+# and squared distances on the three-lines input.
 _BLAS_THREADS_PROBE = """
 import hashlib
-from gtsne import EmbedConfig, ThreeLinesSpec, gen_swiss_roll, gen_three_lines, run
+from gtsne import (EmbedConfig, ThreeLinesSpec, exact_knn, gen_swiss_roll,
+                   gen_three_lines, knn_preservation, run)
 inputs = [
     (gen_three_lines(ThreeLinesSpec(n_s=500, dims=10, seed=1)),
      EmbedConfig(out_dims=3, early_exaggeration=12.0, early_exaggeration_iter=20,
@@ -413,7 +416,10 @@ inputs = [
 for data, cfg in inputs:
     emb, report = run(data, cfg, verbose=False)
     print(hashlib.sha256(emb.y.tobytes()).hexdigest(),
-          hashlib.sha256(repr(report.loss_trace).encode()).hexdigest())
+          hashlib.sha256(repr(report.loss_trace).encode()).hexdigest(),
+          knn_preservation(data.x, emb.y, 10).hex())
+ids, sq = exact_knn(inputs[0][0].x, 90)
+print(hashlib.sha256(ids.tobytes() + sq.tobytes()).hexdigest())
 """
 
 
@@ -423,7 +429,8 @@ def test_descent_bits_do_not_depend_on_blas_threads():
     # take the core that gradient_bh's repulsion runs on. Every product
     # and reduction the descent makes per iteration stays on the calling
     # thread on a 1500-point 3-D map and a 1000-point 2-D map, so one and
-    # two BLAS threads give the same maps and losses.
+    # two BLAS threads give the same maps and losses. So do the two-thread
+    # score and the search, whose products stay on their threads too.
     src = str(Path(objective.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
@@ -435,7 +442,10 @@ def test_descent_bits_do_not_depend_on_blas_threads():
         )
         assert done.returncode == 0, done.stderr
         outputs.append(done.stdout.split())
-    names = ["three-lines map", "three-lines losses", "swiss-roll map", "swiss-roll losses"]
+    names = [
+        "three-lines map", "three-lines losses", "three-lines score",
+        "swiss-roll map", "swiss-roll losses", "swiss-roll score", "three-lines neighbours",
+    ]
     assert len(outputs[0]) == len(names)
     differ = [name for name, a, b in zip(names, *outputs) if a != b]
     assert differ == [], f"differ between 1 and 2 BLAS threads: {differ}"
