@@ -9,10 +9,10 @@ All three stages work on whole arrays: a blocked exact kNN search, one
 safeguarded Newton search over the (n, k) distance matrix, and a pair-key
 symmetrization.
 The kNN search, exact_knn, is the package's one exact nearest-neighbor
-routine: with a separate reference set it also makes the k-means
-assignment (macro.kmeans_fit), and metrics.knn_preservation scores maps
-with it, searching the input on the package's worker thread while the
-caller searches the map. The search's block products go through
+routine and its one way in: with the centroids as a separate reference
+set it makes each round's k-means assignment (macro.kmeans_fit), and
+metrics.knn_preservation scores maps with it, searching the input on the
+package's worker thread while the caller searches the map. The search's block products go through
 core.chunked_matmul, so each search runs on the thread that called it and
 never wakes OpenBLAS's thread pool, whose spinning workers would take the
 other search's core.
@@ -67,75 +67,23 @@ def exact_knn(points: np.ndarray, k: int, reference: np.ndarray | None = None):
     depend neither on how core.chunked_matmul splits the products nor on
     the BLAS thread count.
     """
-    queries = _Queries.of(as_points(points, "points"))
-    if reference is not None:
-        reference = as_points(reference, "reference")
-    return _nearest(queries, k, reference)
-
-
-class _Queries(NamedTuple):
-    """What a search needs of its query points alone: the points, their
-    mean, and the augmented rows [1, a, |a|^2, 1] of the points centered
-    by it (a is a centered point). A caller that searches new references
-    for the same points, as the k-means assignment does every round, makes
-    this once."""
-
-    pts: np.ndarray
-    mean: np.ndarray
-    aug: np.ndarray
-
-    @classmethod
-    def of(cls, pts: np.ndarray) -> "_Queries":
-        n, dim = pts.shape
-        aug = np.empty((n, dim + 3))
-        # Norms past MAX_SQ_NORM, inf included, are refused just below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean = pts.mean(axis=0)
-            centered = np.subtract(pts, mean, out=aug[:, 1 : dim + 1])
-            aug[:, dim + 1] = np.einsum("ij,ij->i", centered, centered)
-        _check_sq_norms(aug[:, dim + 1], "points")
-        aug[:, [0, dim + 2]] = 1.0
-        return cls(pts, mean, aug)
-
-
-def _check_sq_norms(sq_norm: np.ndarray, name: str) -> None:
-    widest = sq_norm.max()
-    if not widest <= MAX_SQ_NORM:
-        raise ValueError(
-            f"{name}: a squared distance from the points' mean of {widest:.3g} "
-            f"exceeds MAX_SQ_NORM = {MAX_SQ_NORM:.3g} (a distance of "
-            f"{math.sqrt(MAX_SQ_NORM):.3g}), past which squared distances "
-            "overflow; rescale the points"
-        )
-
-
-def _columns(centered: np.ndarray, sq_norm: np.ndarray, slack: float) -> np.ndarray:
-    # The (d + 3, m) matrix [high; -2 b^T; 1; low] of the searched rows b
-    # (centered), where high and low fold the norms |b|^2 (1 +- slack) into
-    # one row each. Its first d + 2 rows meet the query rows' first d + 2
-    # entries [1, a, |a|^2] in |a|^2 - 2 a.b + |b|^2 (1 + slack), and its
-    # last d + 2 rows meet [a, |a|^2, 1] in the same with 1 - slack: two
-    # products that share every row but one, from one array each side.
-    m, dim = centered.shape
-    cols = np.empty((dim + 3, m))
-    np.multiply(sq_norm, 1.0 + slack, out=cols[0])
-    np.multiply(centered.T, -2.0, out=cols[1 : dim + 1])
-    cols[dim + 1] = 1.0
-    np.multiply(sq_norm, 1.0 - slack, out=cols[dim + 2])
-    return cols
-
-
-def _nearest(queries: _Queries, k: int, reference: np.ndarray | None):
-    # exact_knn on checked input: the points come prepared, and reference
-    # is None or a finite (m, d) float64 matrix.
-    pts, mean, aug = queries
+    pts = as_points(points, "points")
     n, dim = pts.shape
+    # The augmented rows [1, a, |a|^2, 1] of the centered points a.
+    aug = np.empty((n, dim + 3))
+    # Norms past MAX_SQ_NORM, inf included, are refused just below.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = pts.mean(axis=0)
+        centered = np.subtract(pts, mean, out=aug[:, 1 : dim + 1])
+        aug[:, dim + 1] = np.einsum("ij,ij->i", centered, centered)
     sq_norm = aug[:, dim + 1]
+    check_sq_norms(sq_norm, "points")
+    aug[:, [0, dim + 2]] = 1.0
     if reference is None:
-        ref, ref_centered, ref_norm = pts, aug[:, 1 : dim + 1], sq_norm
+        ref, ref_centered, ref_norm = pts, centered, sq_norm
         limit = n - 1
     else:
-        ref = reference
+        ref = as_points(reference, "reference")
         if ref.shape[1] != dim:
             raise ValueError(f"reference has width {ref.shape[1]}, points have width {dim}")
         with np.errstate(over="ignore", invalid="ignore"):
@@ -145,7 +93,7 @@ def _nearest(queries: _Queries, k: int, reference: np.ndarray | None):
     if not (1 <= k <= limit):
         raise ValueError(f"k={k} must lie in [1, {limit}]")
     if reference is not None:
-        _check_sq_norms(ref_norm, "reference")
+        check_sq_norms(ref_norm, "reference")
 
     # Error bound of the two products in float64, for a query a and a
     # searched row b, both centered by the points' mean, with A = |a|^2,
@@ -223,6 +171,35 @@ def _nearest(queries: _Queries, k: int, reference: np.ndarray | None):
         ids[start:stop] = c[take]
         sq[start:stop] = exact[take]
     return ids, sq
+
+
+def check_sq_norms(sq_norm: np.ndarray, name: str) -> None:
+    """Refuse squared distances from the points' mean past MAX_SQ_NORM,
+    inf and NaN included, with a message that starts with name."""
+    widest = sq_norm.max()
+    if not widest <= MAX_SQ_NORM:
+        raise ValueError(
+            f"{name}: a squared distance from the points' mean of {widest:.3g} "
+            f"exceeds MAX_SQ_NORM = {MAX_SQ_NORM:.3g} (a distance of "
+            f"{math.sqrt(MAX_SQ_NORM):.3g}), past which squared distances "
+            "overflow; rescale the points"
+        )
+
+
+def _columns(centered: np.ndarray, sq_norm: np.ndarray, slack: float) -> np.ndarray:
+    # The (d + 3, m) matrix [high; -2 b^T; 1; low] of the searched rows b
+    # (centered), where high and low fold the norms |b|^2 (1 +- slack) into
+    # one row each. Its first d + 2 rows meet the query rows' first d + 2
+    # entries [1, a, |a|^2] in |a|^2 - 2 a.b + |b|^2 (1 + slack), and its
+    # last d + 2 rows meet [a, |a|^2, 1] in the same with 1 - slack: two
+    # products that share every row but one, from one array each side.
+    m, dim = centered.shape
+    cols = np.empty((dim + 3, m))
+    np.multiply(sq_norm, 1.0 + slack, out=cols[0])
+    np.multiply(centered.T, -2.0, out=cols[1 : dim + 1])
+    cols[dim + 1] = 1.0
+    np.multiply(sq_norm, 1.0 - slack, out=cols[dim + 2])
+    return cols
 
 
 def _sq_dists(a: np.ndarray, a_rows: np.ndarray, b: np.ndarray, b_rows: np.ndarray):
@@ -321,6 +298,10 @@ def calibrate(
     n, k = d2.shape
     if not (0 < target_perplexity < k):
         raise ValueError(f"target perplexity {target_perplexity} must lie in (0, {k})")
+    if not tol >= 0.0:
+        raise ValueError(f"tol={tol}: must be nonnegative")
+    if not max_iter >= 1:
+        raise ValueError(f"max_iter={max_iter}: must be at least 1")
 
     degenerate = np.all(d2 == 0.0, axis=1)
     shifted = d2 - np.where(finite, d2, np.inf).min(axis=1, keepdims=True)

@@ -139,6 +139,19 @@ def side_by_side(on_worker, on_caller):
     return pending.result(), mine
 
 
+def as_labels(labels) -> np.ndarray:
+    """labels as int64, refusing float labels that are not whole numbers
+    within the int64 range (NaN and inf included) rather than truncating
+    them."""
+    labels = np.asarray(labels)
+    if labels.dtype.kind == "f":
+        whole = (np.abs(labels) < 2.0**63) & (labels == np.trunc(labels))
+        if not np.all(whole):
+            bad = labels[~whole][:3].tolist()
+            raise ValueError(f"labels must be integers, got {bad}")
+    return labels.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class Dataset:
     """N points in R^D with optional integer class labels.
@@ -158,13 +171,7 @@ class Dataset:
             raise ValueError(f"need at least 2 points, got {x.shape[0]}")
         object.__setattr__(self, "x", x)
         if self.labels is not None:
-            labels = np.asarray(self.labels)
-            if labels.dtype.kind == "f":
-                whole = (np.abs(labels) < 2.0**63) & (labels == np.trunc(labels))
-                if not np.all(whole):
-                    bad = labels[~whole][:3].tolist()
-                    raise ValueError(f"labels must be integers, got {bad}")
-            labels = labels.astype(np.int64)
+            labels = as_labels(self.labels)
             if labels.shape != (x.shape[0],):
                 raise ValueError(
                     f"labels must have length {x.shape[0]}, got shape {labels.shape}"

@@ -5,6 +5,7 @@ All generators are deterministic per seed and return Dataset objects.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -30,10 +31,12 @@ class ThreeLinesSpec:
 
 
 def gen_three_lines(spec: ThreeLinesSpec) -> Dataset:
-    if spec.n_s < 2:
+    if not spec.n_s >= 2:
         raise ValueError("need at least 2 points per line")
-    if spec.dims < 1:
+    if not spec.dims >= 1:
         raise ValueError("dims must be positive")
+    if not 0.0 <= spec.velocity_std < math.inf:
+        raise ValueError(f"velocity_std={spec.velocity_std}: must be finite and nonnegative")
     rng = np.random.default_rng(spec.seed)
     velocities = rng.normal(0.0, spec.velocity_std, size=(spec.n_s, spec.dims))
     walk = np.vstack(
@@ -63,12 +66,12 @@ def gen_blobs(
     centered at the origin, then each class's points in class order; the
     point count splits as evenly as possible across classes.
     """
-    if n < 2 or n_classes < 1 or dims < 1:
+    if not (n >= 2 and n_classes >= 1 and dims >= 1):
         raise ValueError("need n >= 2, n_classes >= 1, dims >= 1")
-    if n < n_classes:
+    if not n >= n_classes:
         raise ValueError("need at least one point per class")
-    if cluster_std < 0:
-        raise ValueError("cluster_std must be nonnegative")
+    if not 0.0 <= cluster_std < math.inf:
+        raise ValueError(f"cluster_std={cluster_std}: must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     box = 5.0 * cluster_std
     centers = rng.uniform(-box, box, size=(n_classes, dims))
@@ -84,7 +87,7 @@ def gen_blobs(
 
 def gen_sphere(n: int = 600, seed: int = 0) -> Dataset:
     """Points uniform on the unit sphere (normalized Gaussian draws)."""
-    if n < 2:
+    if not n >= 2:
         raise ValueError("need at least 2 points")
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, 3))
@@ -103,10 +106,10 @@ def gen_swiss_roll(n: int = 1000, noise: float = 0.0, seed: int = 0) -> Dataset:
     uniform on [0, 21]; rows are (t cos t, h, t sin t) plus optional
     Gaussian noise. Labels are the sample quartile of t.
     """
-    if n < 2:
+    if not n >= 2:
         raise ValueError("need at least 2 points")
-    if noise < 0:
-        raise ValueError("noise must be nonnegative")
+    if not 0.0 <= noise < math.inf:
+        raise ValueError(f"noise={noise}: must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, size=n)
     h = rng.uniform(0.0, 21.0, size=n)

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import csv
+import math
 import os
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, as_points
+from .core import Dataset, as_labels, as_points
 
 # Matplotlib's tab10, a readable default for up to 10 classes; labels
 # beyond that cycle.
@@ -47,10 +48,10 @@ def read_csv(path, has_header: bool = False, label_column=None) -> Dataset:
     """Load a numeric CSV into a Dataset.
 
     label_column may be a column name (requires a header) or a 0-based
-    index; that column becomes integer labels, the rest must be numeric.
-    Blank lines and '#' comment lines are skipped. Ragged rows and
-    non-numeric cells raise ValueError naming the row and column. Parsing
-    uses float(), which is locale-independent.
+    index; that column becomes integer labels, the rest must be finite
+    numbers. Blank lines and '#' comment lines are skipped. Ragged rows
+    and non-numeric or non-finite cells raise ValueError naming the file,
+    line and column. Parsing uses float(), which is locale-independent.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -103,12 +104,14 @@ def read_csv(path, has_header: bool = False, label_column=None) -> Dataset:
     for r, (row, lineno) in enumerate(zip(rows, numbers)):
         for c, j in enumerate(data_cols):
             try:
-                x[r, c] = float(row[j])
+                x[r, c] = value = float(row[j])
+                problem = None if math.isfinite(value) else "not finite"
             except ValueError:
+                problem = "not numeric"
+            if problem:
                 raise ValueError(
-                    f"{path}: line {lineno}, column {j + 1}: "
-                    f"{row[j]!r} is not numeric"
-                ) from None
+                    f"{path}: line {lineno}, column {j + 1}: {row[j]!r} is {problem}"
+                )
         if label_idx is not None:
             labels[r] = _parse_label(
                 row[label_idx], f"{path}: line {lineno}, column {label_idx + 1}"
@@ -155,7 +158,7 @@ def write_csv(obj, path, labels=None, header: bool = True) -> None:
         if labels is None:
             labels = obj.labels
     if labels is not None:
-        labels = np.asarray(labels)
+        labels = as_labels(labels)
         if len(labels) != len(mat):
             raise ValueError("labels length does not match row count")
     with open(path, "w", newline="") as fh:
@@ -167,7 +170,7 @@ def write_csv(obj, path, labels=None, header: bool = True) -> None:
         for i, row in enumerate(mat):
             cells = ["%.17g" % v for v in row]
             if labels is not None:
-                cells.append(str(int(labels[i])))
+                cells.append(str(labels[i]))
             fh.write(",".join(cells) + "\n")
 
 
@@ -182,8 +185,10 @@ class PlotSpec:
     palette: tuple = PALETTE
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0 or self.point_radius <= 0:
-            raise ValueError("width, height, and point_radius must be positive")
+        for name in ("width", "height", "point_radius"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name}={value}: must be positive and finite")
         if not (0 <= self.margin < 0.5):
             raise ValueError("margin must lie in [0, 0.5)")
         if not self.palette:

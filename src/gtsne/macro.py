@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import core
-from .affinity import _nearest, _Queries
+from .affinity import check_sq_norms, exact_knn
 from .core import as_points, chunked_matmul
 
 
@@ -87,39 +87,43 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
 
     Each assignment step is one exact nearest-centroid search, exact_knn
     with the centroids as reference: a matrix product per block, and
-    direct differences only where rounding could swap the order; the work
-    on z alone (its mean, centered copy and norms) is done once per fit.
-    Ties in assignment go to the lowest centroid index. A cluster left
-    empty by an assignment step captures the point currently farthest
-    from its own centroid (one point per empty cluster, in cluster order),
-    so no cluster is ever empty and the recorded inertia never increases.
-    Stops at an assignment fixpoint or after max_iter rounds.
+    direct differences only where rounding could swap the order. Ties in
+    assignment go to the lowest centroid index. A cluster left empty by an
+    assignment step captures the point farthest from its own centroid
+    among the clusters that keep another member (one point per empty
+    cluster, in cluster order), so no cluster is ever empty and the
+    recorded inertia never increases. Stops at an assignment fixpoint or
+    after max_iter rounds.
     """
     z = as_points(z, "z")
     n = len(z)
     if not (1 <= k <= n):
         raise ValueError(f"k={k} must lie in [1, n={n}]")
-    if max_iter < 1:
+    if not max_iter >= 1:
         raise ValueError(f"max_iter={max_iter}: must be at least 1")
+    # Refused before the seeding computes any squared distance, as every
+    # assignment step would refuse it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        check_sq_norms(((z - z.mean(axis=0)) ** 2).sum(axis=1), "z")
 
-    queries = _Queries.of(z)  # refuses z whose squared distances overflow
     rng = np.random.default_rng(seed)
     centroids = _plus_plus_init(z, k, rng)
     assignment = None
     trace = []
 
     for _ in range(max_iter):
-        nearest, sq = _nearest(queries, 1, centroids)
+        nearest, sq = exact_knn(z, 1, reference=centroids)
         new_assignment = nearest[:, 0]
 
         counts = np.bincount(new_assignment, minlength=k)
-        if np.any(counts == 0):
-            own = sq[:, 0]
-            for empty in np.flatnonzero(counts == 0):
-                donor = int(own.argmax())
-                new_assignment[donor] = empty
-                own[donor] = -1.0  # a point can rescue only one cluster
-            counts = np.bincount(new_assignment, minlength=k)
+        own = sq[:, 0]
+        for empty in np.flatnonzero(counts == 0):
+            # Since k <= n, some cluster has a member to spare. A moved
+            # point's cluster now has one member, so it moves only once.
+            donor = int(np.where(counts[new_assignment] > 1, own, -1.0).argmax())
+            counts[new_assignment[donor]] -= 1
+            new_assignment[donor] = empty
+            counts[empty] = 1
 
         for ax in range(z.shape[1]):
             centroids[:, ax] = np.bincount(new_assignment, weights=z[:, ax], minlength=k)

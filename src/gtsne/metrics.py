@@ -52,8 +52,8 @@ def line_continuity(y, segments, factor: float = 5.0) -> float:
     distance; the fraction pools every pair across segments.
     """
     ys = as_points(y, "y")
-    if factor <= 1.0:
-        raise ValueError("factor must exceed 1")
+    if not factor > 1.0:
+        raise ValueError(f"factor={factor}: must exceed 1")
     if not segments:
         raise ValueError("need at least one segment")
     spans = sorted((int(a), int(b)) for a, b in segments)

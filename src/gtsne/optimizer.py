@@ -9,6 +9,7 @@ every log_every iterations plus the final state.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -46,10 +47,10 @@ class OptimizerState:
 
 def init_embedding(n: int, d: int, stddev: float, seed: int) -> Embedding:
     """Draw the initial map from an isotropic Gaussian."""
-    if n < 1 or d < 1:
+    if not (n >= 1 and d >= 1):
         raise ValueError("n and d must be positive")
-    if stddev < 0:
-        raise ValueError("stddev must be nonnegative")
+    if not 0.0 <= stddev < math.inf:
+        raise ValueError(f"stddev={stddev}: must be finite and nonnegative")
     rng = np.random.default_rng(seed)
     return Embedding(y=rng.normal(0.0, stddev, size=(n, d)))
 
@@ -77,9 +78,15 @@ def step(
     """One descent update: gains, then velocity, then position.
 
     Returns the new position matrix; state is updated in place. Raises on
-    a non-finite gradient so a diverging run fails loudly, and, like every
-    function that takes points, ValueError on a y that as_points rejects.
+    a non-finite gradient so a diverging run fails loudly, ValueError on a
+    learning_rate that is not positive and finite or a gamma outside
+    [0, 1), and, like every function that takes points, ValueError on a y
+    that as_points rejects.
     """
+    if not 0.0 < learning_rate < math.inf:
+        raise ValueError(f"learning_rate={learning_rate}: must be positive and finite")
+    if not 0.0 <= gamma < 1.0:
+        raise ValueError(f"gamma={gamma}: must lie in [0, 1)")
     y = as_points(y, "y")
     if not np.all(np.isfinite(g)):
         raise RuntimeError(

@@ -490,9 +490,9 @@ def lloyd_by_cluster(z, centroids, max_iter=300):
     members, taken one cluster at a time.
 
     Assignment ties and empty clusters follow the package's kmeans_fit: an
-    empty cluster takes the point farthest from its own centroid, one
-    point per empty cluster in cluster order. Returns (centroids,
-    assignment, inertia trace).
+    empty cluster takes the point farthest from its own centroid among
+    the clusters with more than one member, one point per empty cluster
+    in cluster order. Returns (centroids, assignment, inertia trace).
     """
     z = np.asarray(z, dtype=np.float64)
     centroids = np.array(centroids, dtype=np.float64)
@@ -506,9 +506,11 @@ def lloyd_by_cluster(z, centroids, max_iter=300):
         own = d2[np.arange(n), new_assignment].copy()
         empties = [j for j in range(k) if not np.any(new_assignment == j)]
         for empty in empties:
-            donor = int(own.argmax())
+            spare = [
+                i for i in range(n) if np.count_nonzero(new_assignment == new_assignment[i]) > 1
+            ]
+            donor = max(spare, key=lambda i: (own[i], -i))
             new_assignment[donor] = empty
-            own[donor] = -1.0
         for j in range(k):
             centroids[j] = z[new_assignment == j].mean(axis=0)
         within = ((z - centroids[new_assignment]) ** 2).sum(axis=1)

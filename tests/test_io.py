@@ -91,6 +91,13 @@ class TestReadCsv:
         with pytest.raises(ValueError, match="line 3, column 2: 'oops'"):
             read_csv(p)
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_names_file_line_and_column(self, tmp_path, cell):
+        p = tmp_path / "pts.csv"
+        p.write_text(f"# note\n1,2\n3,{cell}\n")
+        with pytest.raises(ValueError, match=f"pts.csv: line 3, column 2: '{cell}' is not finite"):
+            read_csv(p)
+
     def test_label_name_needs_header(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("1,2\n")
@@ -147,6 +154,14 @@ class TestWriteCsv:
         p = tmp_path / "out.csv"
         write_csv(np.array([[1.0], [2.0]]), p, labels=[7, 8])
         assert p.read_text() == "y0,label\n1,7\n2,8\n"
+
+    @pytest.mark.parametrize("labels", [[1.5, 2.7], [1.0, np.nan], [0.0, 2.0**63]])
+    def test_labels_that_are_not_int64_are_refused(self, tmp_path, labels):
+        # Truncated, [1.5, 2.7] used to come back from read_csv as [1, 2].
+        path = tmp_path / "out.csv"
+        with pytest.raises(ValueError, match="labels must be integers"):
+            write_csv(np.zeros((2, 2)), path, labels=labels)
+        assert not path.exists()
 
     def test_label_length_mismatch(self, tmp_path):
         with pytest.raises(ValueError, match="labels length"):

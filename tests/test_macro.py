@@ -10,7 +10,6 @@ from gtsne import (
     MacroAffinity,
     ThreeLinesSpec,
     core,
-    exact_knn,
     gen_swiss_roll,
     gen_three_lines,
     kmeans_fit,
@@ -92,7 +91,7 @@ class TestPairwiseSqDists:
 LLOYD_INPUTS = [
     (gen_swiss_roll(n=1000, seed=0).x, 90),
     (gen_three_lines(ThreeLinesSpec(n_s=500, dims=10, seed=0)).x, 90),
-    (np.array([[0.0, 0.0]] * 6 + [[10.0, 0.0]] * 6 + [[0.0, 10.0], [0.1, 9.9]]), 4),
+    (np.array([[0.0, 0.0]] * 6 + [[10.0, 0.0]] * 6 + [[0.0, 10.0]] * 2), 4),
     (np.random.default_rng(14).normal(size=(1000, 5)) + 1e4, 90),
     (np.indices((8, 8, 8), dtype=np.float64).reshape(3, -1).T, 90),
 ]
@@ -138,14 +137,26 @@ class TestKmeans:
             np.testing.assert_allclose(km.t[j], members.mean(axis=0), atol=1e-8)
 
     def test_duplicate_heavy_data_repairs_empty_clusters(self):
-        # Only three distinct positions but four clusters: at least one
-        # assignment step must leave a cluster empty and get repaired.
-        z = np.array([[0.0, 0.0]] * 6 + [[10.0, 0.0]] * 6 + [[0.0, 10.0], [0.1, 9.9]])
+        # Only three distinct positions but four clusters: the seeding's
+        # fourth pick lands on a chosen position, and an assignment step,
+        # which sends equal points to one cluster, leaves a cluster empty.
+        # Four nonempty clusters therefore show that the repair ran.
+        z = np.array([[0.0, 0.0]] * 6 + [[10.0, 0.0]] * 6 + [[0.0, 10.0]] * 2)
         km = kmeans_fit(z, k=4, seed=0)
         counts = np.bincount(km.assignment, minlength=4)
         assert np.all(counts > 0)
         assert np.all(np.diff(km.inertia_trace) <= 1e-9)
         assert np.all(np.isfinite(km.t))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_repair_takes_no_cluster_s_only_member(self, seed):
+        # Two distinct points, three clusters: the empty cluster's donor
+        # must come from the pair at the origin, not the lone point at
+        # (1, 0), whose cluster would otherwise average no members.
+        km = kmeans_fit([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], k=3, seed=seed)
+        assert sorted(km.assignment.tolist()) == [0, 1, 2]
+        assert sorted(km.t.tolist()) == [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
+        assert km.inertia == 0.0
 
     @pytest.mark.parametrize("z, k", LLOYD_INPUTS, ids=LLOYD_IDS)
     def test_centroids_match_the_per_cluster_loop(self, z, k):
@@ -156,30 +167,12 @@ class TestKmeans:
         assert np.array_equal(km.assignment, assignment)
         assert np.array_equal(km.inertia_trace, trace)
 
-    @pytest.mark.parametrize("z, k", LLOYD_INPUTS, ids=LLOYD_IDS)
-    def test_prepared_points_match_the_per_round_search(self, monkeypatch, z, k):
-        # The fit centers z and takes its norms once; every round must
-        # assign exactly as a fresh exact_knn call against the centroids.
-        km = kmeans_fit(z, k=k, seed=0)
-        rounds = []
-
-        def per_round(queries, k, reference):
-            rounds.append(k)
-            return exact_knn(z, k, reference=reference)
-
-        monkeypatch.setattr(macro, "_nearest", per_round)
-        fresh = kmeans_fit(z, k=k, seed=0)
-        assert rounds == [1] * len(km.inertia_trace)
-        assert np.array_equal(km.t, fresh.t)
-        assert np.array_equal(km.assignment, fresh.assignment)
-        assert np.array_equal(km.inertia_trace, fresh.inertia_trace)
-
     def test_assignment_memory_stays_bounded(self):
         # Points and centroids are 8 MB and 36 kB. Each assignment step
         # holds one augmented, centered copy of the points and a (rows, k)
         # block of about 1 MB; the inertia's differences take one more
-        # copy. Whole (256, k, d) difference chunks took the peak to over
-        # 45 MB.
+        # copy, after the step's are gone. Whole (256, k, d) difference
+        # chunks took the peak to over 45 MB.
         rng = np.random.default_rng(13)
         z = rng.normal(size=(20000, 50))
         tracemalloc.start()
@@ -218,7 +211,7 @@ class TestKmeans:
             with pytest.raises(ValueError, match="MAX_SQ_NORM"):
                 kmeans_fit(np.random.default_rng(0).normal(size=(20, 3)) * 1e155, k=3)
 
-    @pytest.mark.parametrize("max_iter", [0, -1])
+    @pytest.mark.parametrize("max_iter", [0, -1, float("nan")])
     def test_max_iter_below_one_rejected(self, max_iter):
         with pytest.raises(ValueError, match=f"max_iter={max_iter}"):
             kmeans_fit(np.ones((5, 2)), k=2, max_iter=max_iter)

@@ -348,6 +348,15 @@ class TestRun:
         assert np.array_equal(emb.y, emb_ref.y)
         assert report.iterations_run == report_ref.iterations_run
 
+    def test_more_clusters_than_distinct_points(self):
+        # 60 distinct 5-D points, each three times, and the default 90
+        # clusters: k-means must fill its empty clusters without emptying
+        # another, whose centroid would then be 0 / 0.
+        x = np.repeat(np.random.default_rng(3).normal(size=(60, 5)), 3, axis=0)
+        emb, report = run(Dataset(x=x), EmbedConfig(n_iter=5), verbose=False)
+        assert report.config.n_clusters == 90
+        assert np.all(np.isfinite(emb.y)) and np.isfinite(report.loss_trace[-1].total)
+
     def test_fewer_points_than_default_reduction_width(self):
         # 30 points in 100-D: the reduction defaults to 30 directions,
         # one per point, instead of 50.

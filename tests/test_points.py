@@ -1,9 +1,12 @@
 """One check for every point matrix: each exported function that takes
 points hands them to core.as_points, so all of them reject the same bad
-input with a message that names the argument."""
+input with a message that names the argument. Scalar arguments are held
+to the same rule: NaN, and any other value outside an argument's range,
+fails its check and is named."""
 
 import ast
 import inspect
+import math
 import os
 from pathlib import Path
 
@@ -16,10 +19,16 @@ from gtsne import (
     EmbedConfig,
     Embedding,
     MacroAffinity,
+    ThreeLinesSpec,
     build_affinity_model,
+    calibrate,
     centroid_distance_correlation,
     exact_knn,
+    gen_blobs,
+    gen_swiss_roll,
+    gen_three_lines,
     gradient_bh,
+    init_embedding,
     kmeans_fit,
     knn_preservation,
     line_continuity,
@@ -30,6 +39,7 @@ from gtsne import (
     write_csv,
 )
 from gtsne.core import as_points
+from gtsne.io import PlotSpec
 from gtsne.optimizer import OptimizerState
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gtsne"
@@ -88,12 +98,59 @@ FINITE_CHECKS = {
     ("core", "as_points"): "the one check of a point matrix",
     ("core", "resolve_config"): "3 * perplexity, a config scalar",
     ("core", "validate_config"): "the float config fields",
+    ("io", "read_csv"): "each parsed cell, so the message can name its line and column",
     ("affinity", "calibrate"): "the (n, k) distance matrix, where inf is allowed",
     ("objective", "_repulsion"): "the extent of a finite map, which can overflow",
     ("objective", "gradient_bh"): "the exaggeration factor",
     ("optimizer", "step"): "the gradient",
     ("optimizer", "run"): "the map after each step",
 }
+
+
+def _three_lines(velocity_std):
+    return gen_three_lines(ThreeLinesSpec(n_s=5, velocity_std=velocity_std))
+
+
+def _step(learning_rate, gamma):
+    state = OptimizerState(velocity=np.zeros_like(Y), gains=np.ones_like(Y))
+    return step(Y, state, np.ones_like(Y), learning_rate=learning_rate, gamma=gamma)
+
+
+# (function, the scalar argument to spoil, valid arguments, values it
+# refuses). NaN used to pass every comparison written as "fail if v < 0".
+SCALAR_CASES = [
+    (line_continuity, "factor", dict(y=Y, segments=[(0, 12)], factor=5.0), [math.nan, 1.0]),
+    (gen_swiss_roll, "noise", dict(n=5, noise=0.1), [math.nan, math.inf, -0.1]),
+    (gen_blobs, "cluster_std", dict(n=5, cluster_std=1.0), [math.nan, math.inf, -1.0]),
+    (_three_lines, "velocity_std", dict(velocity_std=6.0), [math.nan, math.inf, -1.0]),
+    (init_embedding, "stddev", dict(n=5, d=2, stddev=1e-2, seed=0), [math.nan, math.inf, -1.0]),
+    (_step, "learning_rate", dict(learning_rate=1.0, gamma=0.5), [math.nan, math.inf, 0.0]),
+    (_step, "gamma", dict(learning_rate=1.0, gamma=0.5), [math.nan, math.inf, 1.0, -0.5]),
+    (calibrate, "tol", dict(sq_distances=[[1.0, 4.0, 9.0]], target_perplexity=2.0, tol=1e-5),
+     [math.nan, -1.0]),
+    # A NaN max_iter never stopped a row that cannot reach its target.
+    (calibrate, "max_iter", dict(sq_distances=[[1.0, 4.0, 9.0]], target_perplexity=2.0),
+     [math.nan, 0]),
+    (PlotSpec, "width", dict(width=800.0), [math.nan, math.inf, 0.0]),
+    (PlotSpec, "height", dict(height=800.0), [math.nan, math.inf, 0.0]),
+    (PlotSpec, "point_radius", dict(point_radius=3.0), [math.nan, math.inf, 0.0]),
+    (PlotSpec, "margin", dict(margin=0.05), [math.nan, 0.5]),
+]
+
+
+@pytest.mark.parametrize(
+    "fn, arg, kwargs, bad",
+    [(fn, arg, kwargs, bad) for fn, arg, kwargs, bads in SCALAR_CASES for bad in bads],
+    ids=[
+        f"{fn.__name__.lstrip('_')}-{arg}-{bad}"
+        for fn, arg, _, bads in SCALAR_CASES
+        for bad in bads
+    ],
+)
+def test_bad_scalar_is_rejected_by_name(fn, arg, kwargs, bad):
+    fn(**kwargs)  # the valid arguments pass
+    with pytest.raises(ValueError, match=arg):
+        fn(**{**kwargs, arg: bad})
 
 
 @pytest.mark.parametrize("fn, arg, kwargs", CASES, ids=CASE_IDS)
