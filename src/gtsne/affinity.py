@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import core
-from .core import as_points
+from .core import as_points, in_interval
 
 # Largest squared distance from the points' mean that a search takes. A
 # pair's products, its bound and its squared difference all stay within
@@ -90,8 +90,7 @@ def exact_knn(points: np.ndarray, k: int, reference: np.ndarray | None = None):
             ref_centered = ref - mean
             ref_norm = np.einsum("ij,ij->i", ref_centered, ref_centered)
         limit = len(ref)
-    if not (1 <= k <= limit):
-        raise ValueError(f"k={k} must lie in [1, {limit}]")
+    in_interval(k, "k", 1, limit, "[]", integer=True)
     if reference is not None:
         check_sq_norms(ref_norm, "reference")
 
@@ -296,12 +295,9 @@ def calibrate(
         row = int(np.flatnonzero(~finite.any(axis=1))[0])
         raise ValueError(f"row {row}: all neighbor distances are infinite")
     n, k = d2.shape
-    if not (0 < target_perplexity < k):
-        raise ValueError(f"target perplexity {target_perplexity} must lie in (0, {k})")
-    if not tol >= 0.0:
-        raise ValueError(f"tol={tol}: must be nonnegative")
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter={max_iter}: must be at least 1")
+    in_interval(target_perplexity, "target_perplexity", 0, k, "()")
+    in_interval(tol, "tol", 0, math.inf, "[]")
+    in_interval(max_iter, "max_iter", 1, integer=True)
 
     degenerate = np.all(d2 == 0.0, axis=1)
     shifted = d2 - np.where(finite, d2, np.inf).min(axis=1, keepdims=True)

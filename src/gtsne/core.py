@@ -41,6 +41,26 @@ def as_points(obj, name: str) -> np.ndarray:
     return a
 
 
+_INTEGERS, _NUMBERS = (int, np.integer), (int, float, np.integer, np.floating)
+
+
+def in_interval(value, name: str, low, high=math.inf, ends: str = "[)", integer: bool = False):
+    """value, if it is a number from low to high, each end closed or open
+    as the brackets in ends say (NaN lies in no interval), and with integer
+    an int or a numpy integer; a bool is no number. Otherwise a ValueError
+    of the package's one form for scalars, 'name=value: must be ...'."""
+    if (
+        isinstance(value, _INTEGERS if integer else _NUMBERS)
+        and not isinstance(value, bool)
+        and (low <= value if ends[0] == "[" else low < value)
+        and (value <= high if ends[1] == "]" else value < high)
+    ):
+        return value
+    shown = value.item() if isinstance(value, np.generic) else value
+    what = "an integer" if integer else "a number"
+    raise ValueError(f"{name}={shown!r}: must be {what} in {ends[0]}{low}, {high}{ends[1]}")
+
+
 # Floats in one block of a blocked kernel, about 1 MB: the exact kNN
 # search's (rows, m) products and its re-rank gathers, the exact and
 # direct repulsion sums' kernel rows, and macro.pairwise_sq_dists'
@@ -213,13 +233,15 @@ def _knob(default, help, **meta):
     return field(default=default, metadata={"help": help, **meta})
 
 
-# A field's own constraint, which validate_config reads from its metadata:
-# rule -> (test, what the field must be).
+# A numeric field's own constraint, which validate_config reads from its
+# metadata: rule -> the interval (low, high, ends) of in_interval. A field
+# without a rule may be any number, an int field any integer.
 _RULES = {
-    "positive": (lambda v: v > 0, "must be positive"),
-    "nonnegative": (lambda v: v >= 0, "must be nonnegative"),
-    "fraction": (lambda v: 0 <= v < 1, "must lie in [0, 1)"),
-    "centroids": (lambda v: v >= 2, "need at least 2 centroids"),
+    None: (-math.inf, math.inf, "()"),
+    "positive": (0, math.inf, "()"),
+    "nonnegative": (0, math.inf, "[)"),
+    "fraction": (0, 1, "[)"),
+    "centroids": (2, math.inf, "[)"),
 }
 
 
@@ -260,7 +282,9 @@ class EmbedConfig:
         "exact", "centroid gradient: paper holds responsibilities fixed, exact does not",
         choices=GRADIENT_MODES,
     )
-    seed: int = _knob(0, "run seed; the k-means and initial-map seeds derive from it")
+    seed: int = _knob(
+        0, "run seed; the k-means and initial-map seeds derive from it", rule="nonnegative"
+    )
     perplexity_tol: float = _knob(1e-5, "calibration tolerance on 2^H", rule="positive")
     init_stddev: float = _knob(1e-2, "spread of the random initial map", rule="positive")
     early_exaggeration: float = _knob(
@@ -381,23 +405,25 @@ def validate_config(cfg: EmbedConfig, n: int, d_in: int) -> list[str]:
     Returns the list of violated constraints (empty when the config is
     valid), each naming the field, its value, and the broken rule. None
     placeholders are resolved as in resolve_config before checking. Each
-    field is checked first on its own: a float must be finite, and the
-    value must keep its metadata's rule and choices. A rule that relates
-    two fields, or a field and the data shape, is checked only on fields
-    that passed, so one bad value gives one violation.
+    field is checked first on its own: a number in its rule's interval
+    (in_interval; an integer for an int field), a bool field's type, and
+    its choices. A rule that relates two fields, or a field and the data
+    shape, is checked only on fields that passed: one bad value, one violation.
     """
     cfg = resolve_config(cfg, n, d_in)
     own = {}
     for f in fields(cfg):
-        value = getattr(cfg, f.name)
-        test, text = _RULES.get(f.metadata.get("rule"), (None, None))
-        choices = f.metadata.get("choices")
-        if _PARSERS[f.name] is float and not math.isfinite(value):
-            own[f.name] = f"{f.name}={value!r}: must be finite"
-        elif test and not test(value):
-            own[f.name] = f"{f.name}={value!r}: {text}"
-        elif choices and value not in choices:
-            own[f.name] = f"{f.name}={value!r}: must be one of {choices}"
+        value, parser = getattr(cfg, f.name), _PARSERS[f.name]
+        rule, choices = _RULES[f.metadata.get("rule")], f.metadata.get("choices")
+        try:
+            if parser in (float, int, _parse_opt_int):
+                in_interval(value, f.name, *rule, integer=parser is not float)
+            elif parser is _parse_bool and not isinstance(value, (bool, np.bool_)):
+                raise ValueError(f"{f.name}={value!r}: must be a bool")
+            if choices and value not in choices:
+                raise ValueError(f"{f.name}={value!r}: must be one of {choices}")
+        except ValueError as exc:
+            own[f.name] = str(exc)
     bad = list(own.values())
 
     def want(ok: bool, name: str, text: str, other: str | None = None):

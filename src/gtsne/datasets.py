@@ -5,13 +5,12 @@ All generators are deterministic per seed and return Dataset objects.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, as_points, in_interval
 
 
 @dataclass(frozen=True)
@@ -20,7 +19,8 @@ class ThreeLinesSpec:
 
     A single velocity sequence with N(0, velocity_std^2) entries is shared
     by all three lines, so the lines are congruent and differ only by
-    their start offsets. Labels are the line ids.
+    their start offsets. Labels are the line ids. The fields are checked
+    when the spec is made, starts by as_points.
     """
 
     n_s: int = 700           # points per line
@@ -29,25 +29,26 @@ class ThreeLinesSpec:
     starts: Optional[np.ndarray] = None  # (3, dims); default 0, 50, 160 times ones
     seed: int = 0
 
+    def __post_init__(self):
+        in_interval(self.n_s, "n_s", 2, integer=True)
+        in_interval(self.dims, "dims", 1, integer=True)
+        in_interval(self.velocity_std, "velocity_std", 0)
+        if self.starts is not None:
+            starts = as_points(self.starts, "starts")
+            if starts.shape != (3, self.dims):
+                raise ValueError(f"starts must have shape (3, {self.dims}), got {starts.shape}")
+            object.__setattr__(self, "starts", starts)
+
 
 def gen_three_lines(spec: ThreeLinesSpec) -> Dataset:
-    if not spec.n_s >= 2:
-        raise ValueError("need at least 2 points per line")
-    if not spec.dims >= 1:
-        raise ValueError("dims must be positive")
-    if not 0.0 <= spec.velocity_std < math.inf:
-        raise ValueError(f"velocity_std={spec.velocity_std}: must be finite and nonnegative")
     rng = np.random.default_rng(spec.seed)
     velocities = rng.normal(0.0, spec.velocity_std, size=(spec.n_s, spec.dims))
     walk = np.vstack(
         [np.zeros(spec.dims), np.cumsum(velocities[: spec.n_s - 1], axis=0)]
     )
-    if spec.starts is None:
+    starts = spec.starts
+    if starts is None:
         starts = np.array([0.0, 50.0, 160.0])[:, None] * np.ones(spec.dims)
-    else:
-        starts = np.asarray(spec.starts, dtype=np.float64)
-        if starts.shape != (3, spec.dims):
-            raise ValueError(f"starts must have shape (3, {spec.dims})")
     x = np.vstack([start + walk for start in starts])
     labels = np.repeat(np.arange(3), spec.n_s)
     return Dataset(x=x, labels=labels, name="three_lines")
@@ -66,12 +67,10 @@ def gen_blobs(
     centered at the origin, then each class's points in class order; the
     point count splits as evenly as possible across classes.
     """
-    if not (n >= 2 and n_classes >= 1 and dims >= 1):
-        raise ValueError("need n >= 2, n_classes >= 1, dims >= 1")
-    if not n >= n_classes:
-        raise ValueError("need at least one point per class")
-    if not 0.0 <= cluster_std < math.inf:
-        raise ValueError(f"cluster_std={cluster_std}: must be finite and nonnegative")
+    in_interval(n, "n", 2, integer=True)
+    in_interval(dims, "dims", 1, integer=True)
+    in_interval(n_classes, "n_classes", 1, n, "[]", integer=True)  # a point per class
+    in_interval(cluster_std, "cluster_std", 0)
     rng = np.random.default_rng(seed)
     box = 5.0 * cluster_std
     centers = rng.uniform(-box, box, size=(n_classes, dims))
@@ -87,8 +86,7 @@ def gen_blobs(
 
 def gen_sphere(n: int = 600, seed: int = 0) -> Dataset:
     """Points uniform on the unit sphere (normalized Gaussian draws)."""
-    if not n >= 2:
-        raise ValueError("need at least 2 points")
+    in_interval(n, "n", 2, integer=True)
     rng = np.random.default_rng(seed)
     g = rng.normal(size=(n, 3))
     norms = np.linalg.norm(g, axis=1)
@@ -106,10 +104,8 @@ def gen_swiss_roll(n: int = 1000, noise: float = 0.0, seed: int = 0) -> Dataset:
     uniform on [0, 21]; rows are (t cos t, h, t sin t) plus optional
     Gaussian noise. Labels are the sample quartile of t.
     """
-    if not n >= 2:
-        raise ValueError("need at least 2 points")
-    if not 0.0 <= noise < math.inf:
-        raise ValueError(f"noise={noise}: must be finite and nonnegative")
+    in_interval(n, "n", 2, integer=True)
+    in_interval(noise, "noise", 0)
     rng = np.random.default_rng(seed)
     t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, size=n)
     h = rng.uniform(0.0, 21.0, size=n)

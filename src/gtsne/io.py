@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, as_labels, as_points
+from .core import Dataset, as_labels, as_points, in_interval
 
 # Matplotlib's tab10, a readable default for up to 10 classes; labels
 # beyond that cycle.
@@ -92,9 +92,9 @@ def read_csv(path, has_header: bool = False, label_column=None) -> Dataset:
                 raise ValueError(f"{path}: no column named {label_column!r}")
             label_idx = header.index(label_column)
         else:
-            label_idx = int(label_column)
-            if not (0 <= label_idx < width):
-                raise ValueError(f"label column index {label_idx} out of range")
+            if isinstance(label_column, str):
+                label_column = int(label_column)
+            label_idx = in_interval(label_column, "label_column", 0, width, integer=True)
 
     data_cols = [j for j in range(width) if j != label_idx]
     if not data_cols:
@@ -186,11 +186,8 @@ class PlotSpec:
 
     def __post_init__(self):
         for name in ("width", "height", "point_radius"):
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name}={value}: must be positive and finite")
-        if not (0 <= self.margin < 0.5):
-            raise ValueError("margin must lie in [0, 0.5)")
+            in_interval(getattr(self, name), name, 0, math.inf, "()")
+        in_interval(self.margin, "margin", 0, 0.5)
         if not self.palette:
             raise ValueError("palette must not be empty")
 
@@ -216,9 +213,9 @@ def render_svg(y, path, labels=None, spec: Optional[PlotSpec] = None) -> None:
         labels = np.asarray(labels)
         if len(labels) != n:
             raise ValueError("labels length does not match point count")
-        uniq = np.unique(labels)
-        slot = {v: i % len(spec.palette) for i, v in enumerate(uniq)}
-        colors = [spec.palette[slot[v]] for v in labels]
+        # np.unique puts every NaN label in one slot, after the others.
+        slot = np.unique(labels, return_inverse=True)[1]
+        colors = [spec.palette[i % len(spec.palette)] for i in slot]
     else:
         colors = [spec.palette[0]] * n
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import core
 from .affinity import check_sq_norms, exact_knn
-from .core import as_points, chunked_matmul
+from .core import as_points, chunked_matmul, in_interval
 
 
 def pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -96,11 +96,8 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
     after max_iter rounds.
     """
     z = as_points(z, "z")
-    n = len(z)
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} must lie in [1, n={n}]")
-    if not max_iter >= 1:
-        raise ValueError(f"max_iter={max_iter}: must be at least 1")
+    in_interval(k, "k", 1, len(z), "[]", integer=True)
+    in_interval(max_iter, "max_iter", 1, integer=True)
     # Refused before the seeding computes any squared distance, as every
     # assignment step would refuse it.
     with np.errstate(over="ignore", invalid="ignore"):
@@ -159,8 +156,7 @@ def responsibility_matrix(z: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:
     d_z = z.shape[1]
     if d_z != t.shape[1]:
         raise ValueError(f"t has width {t.shape[1]}, z has width {d_z}")
-    if not (0 < d < d_z):
-        raise ValueError(f"need 0 < d < d_z, got d={d}, d_z={d_z}")
+    in_interval(d, "d", 0, d_z, "()", integer=True)
     scale = (d * d) / float(d_z * d_z)
     # Built in place in the (k, n) output, whose C order keeps the column
     # sums in centroid order; beside it the work holds one block of z.

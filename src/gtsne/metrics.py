@@ -13,13 +13,14 @@ thread pool stays idle and the two run on two cores.
 
 from __future__ import annotations
 
+import math
 import warnings
 from functools import partial
 
 import numpy as np
 
 from .affinity import exact_knn
-from .core import as_points, side_by_side
+from .core import as_points, in_interval, side_by_side
 from .macro import pairwise_sq_dists
 
 
@@ -33,8 +34,7 @@ def knn_preservation(x, y, k: int) -> float:
     if len(xs) != len(ys):
         raise ValueError("x and y must have the same number of rows")
     n = len(xs)
-    if not (1 <= k <= n - 1):
-        raise ValueError(f"k={k} must lie in [1, {n - 1}]")
+    in_interval(k, "k", 1, n - 1, "[]", integer=True)
     # One key per (point, neighbor) pair; rows hold distinct ids, so the
     # keys shared by both sides count the overlap.
     (x_ids, _), (y_ids, _) = side_by_side(partial(exact_knn, xs, k), partial(exact_knn, ys, k))
@@ -46,26 +46,22 @@ def knn_preservation(x, y, k: int) -> float:
 def line_continuity(y, segments, factor: float = 5.0) -> float:
     """Fraction of consecutive within-segment pairs torn apart in the map.
 
-    segments is a list of (start, end) half-open index ranges that must be
-    disjoint with at least 2 points each. A pair breaks when its map
-    distance exceeds factor times its segment's median consecutive
+    segments is a list of (start, end) half-open index ranges, integers,
+    that must be disjoint with at least 2 points each. A pair breaks when
+    its map distance exceeds factor times its segment's median consecutive
     distance; the fraction pools every pair across segments.
     """
     ys = as_points(y, "y")
-    if not factor > 1.0:
-        raise ValueError(f"factor={factor}: must exceed 1")
-    if not segments:
+    in_interval(factor, "factor", 1, math.inf, "(]")
+    if len(segments) == 0:
         raise ValueError("need at least one segment")
-    spans = sorted((int(a), int(b)) for a, b in segments)
-    prev_end = -1
-    for a, b in spans:
-        if not (0 <= a < b <= len(ys)):
-            raise ValueError(f"segment ({a}, {b}) out of range")
-        if b - a < 2:
-            raise ValueError(f"segment ({a}, {b}) needs at least 2 points")
-        if a < prev_end:
-            raise ValueError("segments overlap")
-        prev_end = b
+    n = len(ys)
+    for i, (a, b) in enumerate(segments):
+        in_interval(a, f"segments[{i}][0]", 0, n - 2, "[]", integer=True)
+        in_interval(b, f"segments[{i}][1]", a + 2, n, "[]", integer=True)  # 2 points or more
+    spans = sorted((a, b) for a, b in segments)
+    if any(a < end for (_, end), (a, _) in zip(spans, spans[1:])):
+        raise ValueError("segments overlap")
     breaks = 0
     total = 0
     for a, b in spans:

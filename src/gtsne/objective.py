@@ -43,7 +43,7 @@ import numpy as np
 
 from . import core
 from .affinity import AffinityModel
-from .core import EmbedConfig, GRADIENT_MODES, as_points, chunked_matmul
+from .core import EmbedConfig, GRADIENT_MODES, as_points, chunked_matmul, in_interval
 from .macro import MacroAffinity, student_t_kernel
 
 Q_FLOOR = 1e-300  # clamp for underflowed map affinities inside logs
@@ -70,8 +70,6 @@ class QuadTree:
     first_child: np.ndarray  # (m,) id of the first child, -1 at leaves
     n_child: np.ndarray      # (m,) number of children, 0 at leaves
     is_leaf: np.ndarray      # (m,) bool
-    n_points: int
-    dim: int
 
     @property
     def n_nodes(self) -> int:
@@ -182,8 +180,6 @@ def build_quadtree(y: np.ndarray) -> QuadTree:
         first_child=first_child,
         n_child=n_child,
         is_leaf=is_leaf,
-        n_points=n,
-        dim=d,
     )
 
 
@@ -630,8 +626,7 @@ def gradient_bh(
     """
     if cfg.gradient_mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient_mode {cfg.gradient_mode!r}")
-    if not (math.isfinite(exaggeration) and exaggeration >= 0.0):
-        raise ValueError(f"exaggeration={exaggeration}: must be finite and nonnegative")
+    in_interval(exaggeration, "exaggeration", 0)
     y = as_points(y, "y")
     if len(y) != p.n:
         raise ValueError(f"embedding has {len(y)} rows but P was built for {p.n}")

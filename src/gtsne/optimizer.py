@@ -25,6 +25,7 @@ from .core import (
     RunReport,
     as_points,
     check_config,
+    in_interval,
 )
 from .macro import MacroAffinity, kmeans_fit, macro_affinity, responsibility_matrix
 from .metrics import centroid_distance_correlation
@@ -47,10 +48,9 @@ class OptimizerState:
 
 def init_embedding(n: int, d: int, stddev: float, seed: int) -> Embedding:
     """Draw the initial map from an isotropic Gaussian."""
-    if not (n >= 1 and d >= 1):
-        raise ValueError("n and d must be positive")
-    if not 0.0 <= stddev < math.inf:
-        raise ValueError(f"stddev={stddev}: must be finite and nonnegative")
+    in_interval(n, "n", 1, integer=True)
+    in_interval(d, "d", 1, integer=True)
+    in_interval(stddev, "stddev", 0)
     rng = np.random.default_rng(seed)
     return Embedding(y=rng.normal(0.0, stddev, size=(n, d)))
 
@@ -83,10 +83,8 @@ def step(
     [0, 1), and, like every function that takes points, ValueError on a y
     that as_points rejects.
     """
-    if not 0.0 < learning_rate < math.inf:
-        raise ValueError(f"learning_rate={learning_rate}: must be positive and finite")
-    if not 0.0 <= gamma < 1.0:
-        raise ValueError(f"gamma={gamma}: must lie in [0, 1)")
+    in_interval(learning_rate, "learning_rate", 0, math.inf, "()")
+    in_interval(gamma, "gamma", 0, 1)
     y = as_points(y, "y")
     if not np.all(np.isfinite(g)):
         raise RuntimeError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import as_points
+from .core import as_points, in_interval
 
 
 @dataclass(frozen=True)
@@ -58,8 +58,7 @@ def pca_fit(data, d_z: int, center: bool = True) -> PcaEmbedding:
     """
     x = as_points(data, "data")
     n, d_in = x.shape
-    if not (1 <= d_z <= min(n, d_in)):
-        raise ValueError(f"d_z={d_z} must lie in [1, min(n={n}, d_in={d_in})]")
+    in_interval(d_z, "d_z", 1, min(n, d_in), "[]", integer=True)
 
     means = x.mean(axis=0) if center else np.zeros(d_in)
     xc = x - means

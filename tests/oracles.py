@@ -354,8 +354,6 @@ def build_quadtree_by_level(y, max_depth=80, identical_check_depth=8):
         first_child=children[np.arange(total_nodes), has_child.argmax(axis=1)],
         n_child=has_child.sum(axis=1),
         is_leaf=np.concatenate(leaves),
-        n_points=n,
-        dim=d,
     )
 
 

@@ -142,9 +142,11 @@ class TestCalibrateRow:
             calibrate(np.array([[1.0, -1.0]]), 1.5)
         with pytest.raises(ValueError, match="nonnegative"):
             calibrate(np.array([[1.0, np.nan]]), 1.5)
-        with pytest.raises(ValueError, match="target perplexity"):
+        with pytest.raises(
+            ValueError, match=r"target_perplexity=2\.0: must be a number in \(0, 2\)"
+        ):
             calibrate(np.array([[1.0, 2.0]]), 2.0)
-        with pytest.raises(ValueError, match="target perplexity"):
+        with pytest.raises(ValueError, match="target_perplexity=0.0"):
             calibrate(np.array([[1.0, 2.0]]), 0.0)
         with pytest.raises(ValueError, match="row 1: all neighbor distances are infinite"):
             calibrate(np.array([[1.0, 2.0], [np.inf, np.inf]]), 1.5)
@@ -458,7 +460,7 @@ class TestExactKnnReference:
 
     def test_rejects_bad_reference(self):
         points = np.arange(12.0).reshape(6, 2)
-        with pytest.raises(ValueError, match=r"k=4 must lie in \[1, 3\]"):
+        with pytest.raises(ValueError, match=r"k=4: must be an integer in \[1, 3\]"):
             exact_knn(points, 4, reference=points[:3])
         with pytest.raises(ValueError, match="k=0"):
             exact_knn(points, 0, reference=points[:3])

@@ -113,7 +113,7 @@ class TestReadCsv:
     def test_label_index_out_of_range(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("1,2\n")
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(ValueError, match=r"label_column=5: must be an integer in \[0, 2\)"):
             read_csv(p, label_column=5)
 
     def test_label_only_file_rejected(self, tmp_path):
@@ -264,6 +264,24 @@ class TestRenderSvg:
         text = p.read_text()
         assert text.count(f'fill="{PALETTE[0]}"') == 1  # label -1
         assert text.count(f'fill="{PALETTE[1]}"') == 2  # label 5
+
+    @pytest.mark.parametrize(
+        "labels", [[np.nan, np.nan, 1.0], ["b", "b", "a"]], ids=["nan", "strings"]
+    )
+    def test_nan_and_string_labels(self, tmp_path, labels):
+        # NaN labels once raised a bare KeyError; all of them share one
+        # slot, after the other labels.
+        p = tmp_path / "a.svg"
+        render_svg(np.zeros((3, 2)), p, labels=labels)
+        text = p.read_text()
+        assert text.count(f'fill="{PALETTE[0]}"') == 1  # 1.0 or "a"
+        assert text.count(f'fill="{PALETTE[1]}"') == 2
+
+    def test_labels_beyond_the_palette_wrap_around(self, tmp_path):
+        p = tmp_path / "a.svg"
+        spec = PlotSpec(palette=("#000000", "#111111"))
+        render_svg(np.zeros((3, 2)), p, labels=[7, 8, 9], spec=spec)
+        assert p.read_text().count('fill="#000000"') == 2  # labels 7 and 9
 
     def test_unlabeled_points_use_first_color(self, tmp_path):
         p = tmp_path / "a.svg"

@@ -271,7 +271,7 @@ class TestResponsibilities:
         assert peak < 25e6
 
     def test_width_ratio_validated(self):
-        with pytest.raises(ValueError, match="d < d_z"):
+        with pytest.raises(ValueError, match=r"d=2: must be an integer in \(0, 2\)"):
             responsibility_matrix(np.ones((3, 2)), np.ones((2, 2)), d=2)
 
     @pytest.mark.parametrize("side", ["z", "t"])

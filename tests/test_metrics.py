@@ -151,6 +151,8 @@ class TestLineContinuity:
         y = np.vstack([a, b])
         # 5 gaps in the first segment, 4 in the second, one torn.
         assert line_continuity(y, [(0, 6), (6, 11)]) == pytest.approx(1.0 / 9.0)
+        # Segments as an integer array, which once failed on its truth value.
+        assert line_continuity(y, np.array([[0, 6], [6, 11]])) == pytest.approx(1.0 / 9.0)
 
     def test_threshold_is_relative_to_the_segment(self):
         # A coarse segment with the same shape breaks nowhere even though
@@ -171,10 +173,14 @@ class TestLineContinuity:
             line_continuity(y, [(0, 10)], factor=1.0)
         with pytest.raises(ValueError, match="segment"):
             line_continuity(y, [])
-        with pytest.raises(ValueError, match="out of range"):
+        with pytest.raises(
+            ValueError, match=r"segments\[0\]\[1\]=11: must be an integer in \[2, 10\]"
+        ):
             line_continuity(y, [(0, 11)])
-        with pytest.raises(ValueError, match="at least 2"):
-            line_continuity(y, [(3, 4)])
+        with pytest.raises(
+            ValueError, match=r"segments\[0\]\[1\]=4: must be an integer in \[5, 10\]"
+        ):
+            line_continuity(y, [(3, 4)])  # fewer than 2 points
         with pytest.raises(ValueError, match="overlap"):
             line_continuity(y, [(0, 5), (4, 9)])
 

@@ -133,7 +133,6 @@ class TestQuadtree:
         rng = np.random.default_rng(11)
         y = rng.normal(size=(200, 2))
         tree = build_quadtree(y)
-        assert tree.n_points == 200
         assert tree.count[0] == 200
         internal = ~tree.is_leaf
         for node in np.flatnonzero(internal):
@@ -186,7 +185,7 @@ class TestQuadtree:
         rng = np.random.default_rng(2)
         y = rng.normal(size=(64, 3))
         tree = build_quadtree(y)
-        assert tree.dim == 3
+        assert tree.com.shape[1] == 3
         assert tree.n_child.max() <= 8
         assert tree.count[tree.is_leaf].sum() == 64
 

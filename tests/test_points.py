@@ -1,13 +1,16 @@
-"""One check for every point matrix: each exported function that takes
-points hands them to core.as_points, so all of them reject the same bad
-input with a message that names the argument. Scalar arguments are held
-to the same rule: NaN, and any other value outside an argument's range,
-fails its check and is named."""
+"""One check for every point matrix: each exported function or class that
+takes points hands them to core.as_points, so all of them reject the same
+bad input with a message that names the argument. Scalar arguments have
+their one check too, core.in_interval: NaN, any other value outside an
+argument's range, and a count that is not an integer are refused with
+'name=value: must be ...'."""
 
 import ast
 import inspect
 import math
 import os
+import re
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +28,7 @@ from gtsne import (
     centroid_distance_correlation,
     exact_knn,
     gen_blobs,
+    gen_sphere,
     gen_swiss_roll,
     gen_three_lines,
     gradient_bh,
@@ -34,6 +38,7 @@ from gtsne import (
     line_continuity,
     macro_affinity,
     pca_fit,
+    read_csv,
     responsibility_matrix,
     step,
     write_csv,
@@ -54,8 +59,11 @@ MACRO = MacroAffinity(
     r=responsibility_matrix(X, T, d=2), p_macro=macro_affinity(T)
 )
 
-# (function, the argument to spoil, valid arguments)
+# (function or class, the argument to spoil, valid arguments)
 CASES = [
+    (Dataset, "x", dict(x=X)),
+    (Embedding, "y", dict(y=Y)),
+    (ThreeLinesSpec, "starts", dict(dims=2, starts=[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])),
     (pca_fit, "data", dict(data=X, d_z=2)),
     (kmeans_fit, "z", dict(z=X, k=3)),
     (exact_knn, "points", dict(points=X, k=2)),
@@ -86,7 +94,7 @@ CASES = [
 CASE_IDS = [f"{fn.__name__}-{arg}" for fn, arg, _ in CASES]
 
 # Parameter names that carry points in the exported functions' signatures.
-POINT_ARGS = {"data", "obj", "points", "reference", "x", "y", "z", "t", "c"}
+POINT_ARGS = {"data", "obj", "points", "reference", "starts", "x", "y", "z", "t", "c"}
 # Exported functions with such a parameter that are not in CASES, and why.
 NOT_CHECKED_HERE = {
     "run": "takes a Dataset, which checked its x when it was made",
@@ -97,18 +105,12 @@ NOT_CHECKED_HERE = {
 FINITE_CHECKS = {
     ("core", "as_points"): "the one check of a point matrix",
     ("core", "resolve_config"): "3 * perplexity, a config scalar",
-    ("core", "validate_config"): "the float config fields",
     ("io", "read_csv"): "each parsed cell, so the message can name its line and column",
     ("affinity", "calibrate"): "the (n, k) distance matrix, where inf is allowed",
     ("objective", "_repulsion"): "the extent of a finite map, which can overflow",
-    ("objective", "gradient_bh"): "the exaggeration factor",
     ("optimizer", "step"): "the gradient",
     ("optimizer", "run"): "the map after each step",
 }
-
-
-def _three_lines(velocity_std):
-    return gen_three_lines(ThreeLinesSpec(n_s=5, velocity_std=velocity_std))
 
 
 def _step(learning_rate, gamma):
@@ -116,41 +118,120 @@ def _step(learning_rate, gamma):
     return step(Y, state, np.ones_like(Y), learning_rate=learning_rate, gamma=gamma)
 
 
+def _read_csv(label_column):
+    # Three point columns, then the labels.
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "pts.csv")
+        write_csv(X[:, :3], path, labels=np.arange(len(X)), header=False)
+        return read_csv(path, label_column=label_column)
+
+
+NAN, INF = math.nan, math.inf
+# Values every count refuses besides NaN: a fraction and a bool.
+NOT_COUNTS = [NAN, 2.5, True]
+SQ = [[1.0, 4.0, 9.0]]  # one calibration row of 3 neighbor distances
+GRAD = dict(y=Y, p=P, macro=MACRO, cfg=EmbedConfig(), exaggeration=1.0)
+
 # (function, the scalar argument to spoil, valid arguments, values it
-# refuses). NaN used to pass every comparison written as "fail if v < 0".
+# refuses), one entry for each scalar argument of an exported function or
+# class and of PlotSpec, all checked by core.in_interval. NaN used to pass
+# every comparison written as "fail if v < 0".
 SCALAR_CASES = [
-    (line_continuity, "factor", dict(y=Y, segments=[(0, 12)], factor=5.0), [math.nan, 1.0]),
-    (gen_swiss_roll, "noise", dict(n=5, noise=0.1), [math.nan, math.inf, -0.1]),
-    (gen_blobs, "cluster_std", dict(n=5, cluster_std=1.0), [math.nan, math.inf, -1.0]),
-    (_three_lines, "velocity_std", dict(velocity_std=6.0), [math.nan, math.inf, -1.0]),
-    (init_embedding, "stddev", dict(n=5, d=2, stddev=1e-2, seed=0), [math.nan, math.inf, -1.0]),
-    (_step, "learning_rate", dict(learning_rate=1.0, gamma=0.5), [math.nan, math.inf, 0.0]),
-    (_step, "gamma", dict(learning_rate=1.0, gamma=0.5), [math.nan, math.inf, 1.0, -0.5]),
-    (calibrate, "tol", dict(sq_distances=[[1.0, 4.0, 9.0]], target_perplexity=2.0, tol=1e-5),
-     [math.nan, -1.0]),
+    (exact_knn, "k", dict(points=X, k=2), NOT_COUNTS + [0, 12]),
+    (calibrate, "target_perplexity", dict(sq_distances=SQ, target_perplexity=2.0),
+     [NAN, 0.0, 3.0]),
+    (calibrate, "tol", dict(sq_distances=SQ, target_perplexity=2.0, tol=1e-5), [NAN, -1.0]),
     # A NaN max_iter never stopped a row that cannot reach its target.
-    (calibrate, "max_iter", dict(sq_distances=[[1.0, 4.0, 9.0]], target_perplexity=2.0),
-     [math.nan, 0]),
-    (PlotSpec, "width", dict(width=800.0), [math.nan, math.inf, 0.0]),
-    (PlotSpec, "height", dict(height=800.0), [math.nan, math.inf, 0.0]),
-    (PlotSpec, "point_radius", dict(point_radius=3.0), [math.nan, math.inf, 0.0]),
-    (PlotSpec, "margin", dict(margin=0.05), [math.nan, 0.5]),
+    (calibrate, "max_iter", dict(sq_distances=SQ, target_perplexity=2.0), NOT_COUNTS + [0]),
+    (ThreeLinesSpec, "n_s", dict(n_s=5), NOT_COUNTS + [1]),
+    (ThreeLinesSpec, "dims", dict(dims=2), NOT_COUNTS + [0]),
+    (ThreeLinesSpec, "velocity_std", dict(velocity_std=6.0), [NAN, INF, -1.0]),
+    (gen_blobs, "n", dict(n=5), NOT_COUNTS + [1]),
+    (gen_blobs, "dims", dict(n=5, dims=2), NOT_COUNTS + [0]),
+    (gen_blobs, "n_classes", dict(n=5, n_classes=2), NOT_COUNTS + [0, 6]),
+    (gen_blobs, "cluster_std", dict(n=5, cluster_std=1.0), [NAN, INF, -1.0]),
+    (gen_sphere, "n", dict(n=5), NOT_COUNTS + [1]),
+    (gen_swiss_roll, "n", dict(n=5), NOT_COUNTS + [1]),
+    (gen_swiss_roll, "noise", dict(n=5, noise=0.1), [NAN, INF, -0.1]),
+    (_read_csv, "label_column", dict(label_column=3), NOT_COUNTS + [-1, 4, "-1"]),
+    (PlotSpec, "width", dict(width=800.0), [NAN, INF, 0.0]),
+    (PlotSpec, "height", dict(height=800.0), [NAN, INF, 0.0]),
+    (PlotSpec, "point_radius", dict(point_radius=3.0), [NAN, INF, 0.0]),
+    (PlotSpec, "margin", dict(margin=0.05), [NAN, 0.5, -0.1]),
+    (kmeans_fit, "k", dict(z=X, k=3), NOT_COUNTS + [0, 13]),
+    (kmeans_fit, "max_iter", dict(z=X, k=3, max_iter=5), NOT_COUNTS + [0]),
+    (responsibility_matrix, "d", dict(z=X, t=T, d=2), NOT_COUNTS + [0, 4]),
+    (knn_preservation, "k", dict(x=X, y=Y, k=2), NOT_COUNTS + [0, 12]),
+    (line_continuity, "factor", dict(y=Y, segments=[(0, 12)], factor=5.0), [NAN, 1.0]),
+    # Each bound of each segment; an end must leave the segment 2 points.
+    (line_continuity, "segments", dict(y=Y, segments=[(0, 6), (6, 12)]),
+     [[(NAN, 12)], [(2.5, 12)], [(True, 12)], [(-1, 12)], [(11, 12)],
+      [(0, NAN)], [(0, 40.5)], [(0, True)], [(0, 13)], [(0, 6), (6, 7)]]),
+    (gradient_bh, "exaggeration", GRAD, [NAN, INF, -1.0]),
+    (init_embedding, "n", dict(n=5, d=2, stddev=1e-2, seed=0), NOT_COUNTS + [0]),
+    (init_embedding, "d", dict(n=5, d=2, stddev=1e-2, seed=0), NOT_COUNTS + [0]),
+    (init_embedding, "stddev", dict(n=5, d=2, stddev=1e-2, seed=0), [NAN, INF, -1.0]),
+    (_step, "learning_rate", dict(learning_rate=1.0, gamma=0.5), [NAN, INF, 0.0]),
+    (_step, "gamma", dict(learning_rate=1.0, gamma=0.5), [NAN, INF, 1.0, -0.5]),
+    (pca_fit, "d_z", dict(data=X, d_z=2), NOT_COUNTS + [0, 5]),
 ]
+
+# Numeric parameters of exported functions and classes that are not in
+# SCALAR_CASES, and why: by parameter name, then by owner.
+FREE_SCALARS = {"seed": "numpy's default_rng takes any seed it can use and refuses the rest"}
+NOT_RANGE_CHECKED = {
+    "build_affinity_model": "hands its scalars on to exact_knn (as k) and calibrate",
+    "resolve_config": "n and d_in are a data shape",
+    "symmetrize": "n must equal the row count of the neighbor ids, which it checks",
+    "EmbedConfig": "validate_config checks its fields (tests/test_core.py)",
+    "RunReport": "a record that run() fills in, not an input",
+}
+
+
+def _owner(fn):
+    return fn.__name__.lstrip("_")
 
 
 @pytest.mark.parametrize(
     "fn, arg, kwargs, bad",
     [(fn, arg, kwargs, bad) for fn, arg, kwargs, bads in SCALAR_CASES for bad in bads],
-    ids=[
-        f"{fn.__name__.lstrip('_')}-{arg}-{bad}"
-        for fn, arg, _, bads in SCALAR_CASES
-        for bad in bads
-    ],
+    ids=[f"{_owner(fn)}-{arg}-{bad}" for fn, arg, _, bads in SCALAR_CASES for bad in bads],
 )
 def test_bad_scalar_is_rejected_by_name(fn, arg, kwargs, bad):
     fn(**kwargs)  # the valid arguments pass
-    with pytest.raises(ValueError, match=arg):
+    with pytest.raises(ValueError) as exc:
         fn(**{**kwargs, arg: bad})
+    # One form, 'name=value: must be ...'; a segment bound is named by its
+    # place in segments, and a label column given as text by its number.
+    message = str(exc.value)
+    name, _, rest = message.partition("=")
+    shown, _, rule = rest.partition(": must be ")
+    assert rule, message
+    if name != arg:
+        i, j = map(int, re.fullmatch(rf"{arg}\[(\d+)\]\[(\d+)\]", name).groups())
+        bad = bad[i][j]
+    assert shown == repr(int(bad) if isinstance(bad, str) else bad), message
+
+
+def test_every_scalar_argument_is_in_the_table():
+    tabled = {(_owner(fn), arg) for fn, arg, _, _ in SCALAR_CASES}
+    missing = []
+    for name, obj in [(name, getattr(gtsne, name)) for name in gtsne.__all__] + [
+        ("PlotSpec", PlotSpec)
+    ]:
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)) or name in NOT_RANGE_CHECKED:
+            continue
+        for arg, param in inspect.signature(obj).parameters.items():
+            numeric = param.annotation in ("int", "float", "Optional[int]") or (
+                param.annotation is param.empty
+                and isinstance(param.default, (int, float))
+                and not isinstance(param.default, bool)
+            )
+            if numeric and arg not in FREE_SCALARS and (name, arg) not in tabled:
+                missing.append(f"{name}({arg})")
+    assert not missing, f"scalar arguments not covered by SCALAR_CASES: {missing}"
+    # The walk finds no annotation on segments and label_column; count them in.
+    assert len(tabled) == 32
 
 
 @pytest.mark.parametrize("fn, arg, kwargs", CASES, ids=CASE_IDS)
@@ -168,7 +249,7 @@ def test_every_function_that_takes_points_is_in_the_table():
     missing = []
     for name in gtsne.__all__:
         obj = getattr(gtsne, name)
-        if not inspect.isfunction(obj) or name in NOT_CHECKED_HERE:
+        if not (inspect.isfunction(obj) or inspect.isclass(obj)) or name in NOT_CHECKED_HERE:
             continue
         for arg in inspect.signature(obj).parameters:
             if arg in POINT_ARGS and (name, arg) not in tabled:
