@@ -445,11 +445,15 @@ def build_affinity_model(
     """Full pipeline from raw coordinates to the joint P.
 
     Finds exact k-nearest neighbors, calibrates every row to the target
-    perplexity, and symmetrizes. Returns (AffinityModel,
-    list[ConditionalRow]) with each row's neighbors field holding real
-    point indices.
+    perplexity, and symmetrizes. n_neighbors must be an integer in
+    [2, n - 1] and perplexity lie in (0, n_neighbors), each checked before
+    the search. Returns (AffinityModel, list[ConditionalRow]) with each
+    row's neighbors field holding real point indices.
     """
-    ids, sq = exact_knn(as_points(x, "x"), n_neighbors)
+    x = as_points(x, "x")
+    in_interval(n_neighbors, "n_neighbors", 2, len(x) - 1, "[]", integer=True)
+    in_interval(perplexity, "perplexity", 0, n_neighbors, "()")
+    ids, sq = exact_knn(x, n_neighbors)
     cal = calibrate(sq, perplexity, tol=tol, max_iter=max_iter)
     rows = list(map(ConditionalRow, ids, cal.probs, *(a.tolist() for a in cal[1:])))
     return symmetrize(ids, cal.probs, len(ids)), rows

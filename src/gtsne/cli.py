@@ -18,7 +18,7 @@ from .datasets import (
     gen_swiss_roll,
     gen_three_lines,
 )
-from .io import PlotSpec, read_csv, render_svg, sniff_csv, write_csv
+from .io import PlotSpec, read_csv, render_svg, write_csv
 from .metrics import (
     centroid_distance_correlation,
     knn_preservation,
@@ -130,15 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_points(path, label_col=None):
-    has_header, sniffed_label = sniff_csv(path)
-    return read_csv(
-        path,
-        has_header=has_header,
-        label_column=label_col if label_col is not None else sniffed_label,
-    )
-
-
 def _given(**values) -> dict:
     """The keyword arguments whose flags were passed (not None)."""
     return {k: v for k, v in values.items() if v is not None}
@@ -173,7 +164,7 @@ def _config_values(args) -> dict:
 
 
 def cmd_embed(args) -> int:
-    ds = _read_points(args.input, args.label_col)
+    ds = read_csv(args.input, label_column=args.label_col)
     cfg = EmbedConfig(**_config_values(args))
     emb, report = run(ds, cfg, verbose=True)
     write_csv(emb, args.output, labels=ds.labels)
@@ -204,8 +195,8 @@ def _write_report(report, path) -> None:
 
 
 def cmd_evaluate(args) -> int:
-    x = _read_points(args.data)
-    y = _read_points(args.embedding)
+    x = read_csv(args.data)
+    y = read_csv(args.embedding)
     if x.n != y.n:
         raise ValueError(
             f"dataset has {x.n} rows but embedding has {y.n}; they must match"
@@ -246,7 +237,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_plot(args) -> int:
-    y = _read_points(args.embedding)
+    y = read_csv(args.embedding)
     spec = PlotSpec(**_given(
         width=args.width, height=args.height, point_radius=args.radius, margin=args.margin
     ))
@@ -268,10 +259,6 @@ def main(argv=None) -> int:
     except Exception as exc:
         print(f"gtsne: error: {exc}", file=sys.stderr)
         return 2
-
-
-def cli_entry() -> None:
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

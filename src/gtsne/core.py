@@ -242,6 +242,9 @@ _RULES = {
     "nonnegative": (0, math.inf, "[)"),
     "fraction": (0, 1, "[)"),
     "centroids": (2, math.inf, "[)"),
+    "neighbors": (2, math.inf, "[)"),
+    # No row reaches a perplexity below 1: 2^H with an entropy H >= 0 bits.
+    "perplexity": (1, math.inf, "[)"),
 }
 
 
@@ -258,14 +261,14 @@ class EmbedConfig:
     checks on it alone.
     """
 
-    perplexity: float = _knob(30.0, "target effective neighbor count", rule="positive")
+    perplexity: float = _knob(30.0, "target effective neighbor count", rule="perplexity")
     alpha: float = _knob(1e-2, "centroid-affinity loss weight", rule="nonnegative")
     beta: float = _knob(5e-2, "soft k-means loss weight", rule="nonnegative")
     n_clusters: int = _knob(90, "macro centroid count", rule="centroids", flag="--clusters")
     pca_dims: Optional[int] = _knob(None, "spectral pre-reduction width", rule="positive")
     out_dims: int = _knob(2, "map dimension", choices=(2, 3))
     n_neighbors: Optional[int] = _knob(
-        None, "neighbor list length", rule="positive", flag="--neighbors"
+        None, "neighbor list length", rule="neighbors", flag="--neighbors"
     )
     learning_rate: float = _knob(200.0, "descent step size", rule="positive")
     momentum_initial: float = _knob(0.5, "momentum before the switch", rule="fraction")
@@ -382,17 +385,18 @@ class ConfigError(ValueError):
 def resolve_config(cfg: EmbedConfig, n: int, d_in: int) -> EmbedConfig:
     """Fill data-dependent defaults from the dataset shape.
 
-    n_neighbors defaults to 3 * perplexity (capped at n - 1), pca_dims to
-    min(50, d_in, n). Explicitly set fields are never touched; in particular
-    an oversized n_clusters stays as given and is reported by
-    validate_config rather than silently adjusted.
+    n_neighbors defaults to 3 * perplexity, at least 2 and at most n - 1,
+    pca_dims to min(50, d_in, n). Explicitly set fields are never touched;
+    in particular an oversized n_clusters stays as given and is reported
+    by validate_config rather than silently adjusted.
     """
     updates = {}
     if cfg.n_neighbors is None:
-        # A non-finite perplexity is left for validate_config to report.
-        guess = 3 * cfg.perplexity
+        # A perplexity that is no finite number is left for validate_config
+        # to report.
+        guess = 3 * cfg.perplexity if isinstance(cfg.perplexity, _NUMBERS) else math.nan
         updates["n_neighbors"] = (
-            max(1, min(int(round(guess)), n - 1)) if math.isfinite(guess) else n - 1
+            max(2, min(int(round(guess)), n - 1)) if math.isfinite(guess) else n - 1
         )
     if cfg.pca_dims is None:
         updates["pca_dims"] = max(1, min(50, d_in, n))
@@ -426,17 +430,18 @@ def validate_config(cfg: EmbedConfig, n: int, d_in: int) -> list[str]:
             own[f.name] = str(exc)
     bad = list(own.values())
 
-    def want(ok: bool, name: str, text: str, other: str | None = None):
-        if not (ok or name in own or other in own):
+    def want(ok, name: str, text: str, other: str | None = None):
+        # ok() compares values, so it runs only once they passed their rules.
+        if not (name in own or other in own or ok()):
             bad.append(f"{name}={getattr(cfg, name)!r}: {text}")
 
-    want(cfg.n_clusters <= n, "n_clusters", f"must be <= n={n}")
-    want(cfg.pca_dims <= d_in, "pca_dims", f"must be <= input dim {d_in}")
-    want(cfg.pca_dims <= n, "pca_dims", f"must be <= n={n}")
-    want(cfg.out_dims < cfg.pca_dims, "out_dims", f"must be < pca_dims={cfg.pca_dims}",
-         other="pca_dims")
-    want(cfg.n_neighbors <= n - 1, "n_neighbors", f"must be <= n - 1 = {n - 1}")
-    want(cfg.perplexity < cfg.n_neighbors, "perplexity",
+    want(lambda: cfg.n_clusters <= n, "n_clusters", f"must be <= n={n}")
+    want(lambda: cfg.pca_dims <= d_in, "pca_dims", f"must be <= input dim {d_in}")
+    want(lambda: cfg.pca_dims <= n, "pca_dims", f"must be <= n={n}")
+    want(lambda: cfg.out_dims < cfg.pca_dims, "out_dims",
+         f"must be < pca_dims={cfg.pca_dims}", other="pca_dims")
+    want(lambda: cfg.n_neighbors <= n - 1, "n_neighbors", f"must be <= n - 1 = {n - 1}")
+    want(lambda: cfg.perplexity < cfg.n_neighbors, "perplexity",
          f"must be < n_neighbors={cfg.n_neighbors}", other="n_neighbors")
     return bad
 

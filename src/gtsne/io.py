@@ -44,14 +44,27 @@ def _parse_label(cell: str, where: str) -> int:
     return label
 
 
-def read_csv(path, has_header: bool = False, label_column=None) -> Dataset:
-    """Load a numeric CSV into a Dataset.
+def _is_number(cell: str) -> bool:
+    try:
+        float(cell)
+    except ValueError:
+        return False
+    return True
 
-    label_column may be a column name (requires a header) or a 0-based
-    index; that column becomes integer labels, the rest must be finite
-    numbers. Blank lines and '#' comment lines are skipped. Ragged rows
-    and non-numeric or non-finite cells raise ValueError naming the file,
-    line and column. Parsing uses float(), which is locale-independent.
+
+def read_csv(path, label_column=None) -> Dataset:
+    """Load a numeric CSV into a Dataset, reading back what write_csv writes.
+
+    Blank lines and '#' comment lines are skipped. The first line left is
+    a header exactly when none of its cells parses as a number, so a
+    header of numeric names, which write_csv never writes, reads as data.
+    label_column may be a column name (which needs a header) or a 0-based
+    index; that column becomes integer labels. Without it, a header's
+    column named 'label', if any, becomes the labels. The other cells
+    must be finite numbers. Ragged rows and non-numeric or non-finite
+    cells, on the first line too when it is data, raise ValueError naming
+    the file, line and column. Parsing uses float(), which is
+    locale-independent.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -69,12 +82,13 @@ def read_csv(path, has_header: bool = False, label_column=None) -> Dataset:
         raise ValueError(f"{path}: no data rows")
 
     header = None
-    if has_header:
-        header = rows[0]
-        rows = rows[1:]
-        numbers = numbers[1:]
+    if not any(map(_is_number, rows[0])):
+        header = rows.pop(0)
+        numbers.pop(0)
         if not rows:
             raise ValueError(f"{path}: header but no data rows")
+        if label_column is None and "label" in header:
+            label_column = "label"
 
     width = len(rows[0])
     for row, lineno in zip(rows, numbers):
@@ -87,7 +101,7 @@ def read_csv(path, has_header: bool = False, label_column=None) -> Dataset:
     if label_column is not None:
         if isinstance(label_column, str) and not label_column.lstrip("-").isdigit():
             if header is None:
-                raise ValueError("label column by name requires has_header=True")
+                raise ValueError(f"{path}: no header, so no column named {label_column!r}")
             if label_column not in header:
                 raise ValueError(f"{path}: no column named {label_column!r}")
             label_idx = header.index(label_column)
@@ -118,28 +132,6 @@ def read_csv(path, has_header: bool = False, label_column=None) -> Dataset:
             )
     name = os.path.splitext(os.path.basename(str(path)))[0]
     return Dataset(x=x, labels=labels, name=name)
-
-
-def sniff_csv(path):
-    """Guess (has_header, label_column) for a CSV written by this package.
-
-    The first non-comment line is a header when any of its cells is not
-    numeric; the label column is the one named 'label' if present.
-    """
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if row[0].lstrip().startswith("#"):
-                continue
-            cells = [c.strip() for c in row]
-            try:
-                for c in cells:
-                    float(c)
-                return False, None
-            except ValueError:
-                return True, ("label" if "label" in cells else None)
-    return False, None
 
 
 def write_csv(obj, path, labels=None, header: bool = True) -> None:

@@ -68,8 +68,7 @@ class QuadTree:
     com: np.ndarray          # (m, d) center of mass of contained points
     count: np.ndarray        # (m,) contained point count, as float
     first_child: np.ndarray  # (m,) id of the first child, -1 at leaves
-    n_child: np.ndarray      # (m,) number of children, 0 at leaves
-    is_leaf: np.ndarray      # (m,) bool
+    n_child: np.ndarray      # (m,) number of children, 0 exactly at leaves
 
     @property
     def n_nodes(self) -> int:
@@ -179,7 +178,6 @@ def build_quadtree(y: np.ndarray) -> QuadTree:
         count=count,
         first_child=first_child,
         n_child=n_child,
-        is_leaf=is_leaf,
     )
 
 
@@ -205,7 +203,7 @@ def _tree_forces(tree: QuadTree, y: np.ndarray, theta: float):
     # inner cell is taken only at a positive distance, so a hit at
     # distance 0 is a leaf holding the point itself.
     side = 2.0 * tree.half
-    side2 = np.where(tree.is_leaf, -1.0, side * side)
+    side2 = np.where(tree.n_child == 0, -1.0, side * side)
 
     # Row gathers go through take and masks through index lists: numpy's
     # fancy indexing of (L, d) rows and boolean masks cost several times

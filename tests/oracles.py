@@ -280,7 +280,6 @@ def build_quadtree_by_level(y, max_depth=80, identical_check_depth=8):
 
     root_is_leaf = n == 1 or root_half == 0.0
     coms = [y[0][None, :].copy() if root_is_leaf else y.mean(axis=0)[None, :]]
-    leaves = [np.array([root_is_leaf])]
 
     pt_node = np.zeros(n, dtype=np.int64)
     active = np.arange(n) if not root_is_leaf else np.arange(0)
@@ -291,8 +290,6 @@ def build_quadtree_by_level(y, max_depth=80, identical_check_depth=8):
     while len(active):
         depth += 1
         if depth > max_depth:
-            for node in np.unique(pt_node[active]):
-                leaves[-1][node - level_base] = True
             break
 
         parents_local = pt_node[active] - level_base
@@ -335,7 +332,6 @@ def build_quadtree_by_level(y, max_depth=80, identical_check_depth=8):
         halves.append(child_half)
         coms.append(child_com)
         counts.append(cnts.astype(np.float64))
-        leaves.append(child_leaf)
         children.append(np.full((m_new, n_children), -1, dtype=np.int64))
 
         pt_node[active] = new_ids[inverse]
@@ -353,7 +349,6 @@ def build_quadtree_by_level(y, max_depth=80, identical_check_depth=8):
         children=children,
         first_child=children[np.arange(total_nodes), has_child.argmax(axis=1)],
         n_child=has_child.sum(axis=1),
-        is_leaf=np.concatenate(leaves),
     )
 
 
@@ -388,7 +383,7 @@ def tree_forces_by_table(tree, y, theta):
         com = tree.com[nodes]
         diff = y[pts] - com
         dist2 = np.einsum("ij,ij->i", diff, diff)
-        leaf = tree.is_leaf[nodes]
+        leaf = tree.n_child[nodes] == 0
         side = 2.0 * tree.half[nodes]
         accept = leaf | (side * side < theta2 * dist2)
 

@@ -12,7 +12,7 @@ from gtsne import EmbedConfig, cli, optimizer
 from gtsne.affinity import build_affinity_model
 from gtsne.cli import build_parser, main
 from gtsne.core import resolve_config
-from gtsne.io import read_csv, sniff_csv
+from gtsne.io import read_csv
 from gtsne.macro import kmeans_fit
 from gtsne.metrics import centroid_distance_correlation
 
@@ -50,6 +50,16 @@ class TestExitCodes:
                      str(tmp_path / "out.csv")])
         assert code == 2
         assert "gtsne: error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["embed", "plot"])
+    def test_mixed_first_line_is_data(self, tmp_path, capsys, command):
+        # The command line once took this line for a header and dropped it.
+        path = tmp_path / "a.csv"
+        path.write_text("1,oops\n1,2\n3,4\n")
+        flag = "-i" if command == "embed" else "-y"
+        code = main([command, flag, str(path), "-o", str(tmp_path / "out")])
+        assert code == 2
+        assert "a.csv: line 1, column 2: 'oops' is not numeric" in capsys.readouterr().err
 
     def test_bad_segment_spec_is_usage_error(self, tmp_path, capsys):
         code = main(["evaluate", "-x", "a.csv", "-y", "b.csv",
@@ -146,27 +156,28 @@ class TestGenerate:
     def test_blobs_defaults(self, tmp_path):
         path = tmp_path / "blobs.csv"
         assert main(["generate", "blobs", "-o", str(path)]) == 0
-        assert sniff_csv(path) == (True, "label")
-        ds = read_csv(path, has_header=True, label_column="label")
+        ds = read_csv(path)
         assert ds.x.shape == (500, 10)
         assert len(np.unique(ds.labels)) == 5
 
     def test_three_lines_row_count(self, tmp_path):
         path = tmp_path / "lines.csv"
         assert main(["generate", "three-lines", "-o", str(path), "--ns", "50"]) == 0
-        ds = read_csv(path, has_header=True, label_column="label")
+        ds = read_csv(path)
         assert ds.x.shape == (150, 3)
+        assert ds.labels is not None
 
     def test_sphere_has_no_labels(self, tmp_path):
         path = tmp_path / "sphere.csv"
         assert main(["generate", "sphere", "-o", str(path), "--n", "40"]) == 0
-        assert sniff_csv(path) == (True, None)
-        assert read_csv(path, has_header=True).x.shape == (40, 3)
+        ds = read_csv(path)
+        assert ds.x.shape == (40, 3)
+        assert ds.labels is None
 
     def test_swiss_roll_size_flag(self, tmp_path):
         path = tmp_path / "roll.csv"
         assert main(["generate", "swiss-roll", "-o", str(path), "--n", "80"]) == 0
-        ds = read_csv(path, has_header=True, label_column="label")
+        ds = read_csv(path)
         assert ds.x.shape == (80, 3)
 
     def test_deterministic_files(self, tmp_path):
@@ -184,11 +195,11 @@ class TestEmbed:
                      "--report", str(report)] + FAST_EMBED)
         assert code == 0
         capsys.readouterr()
-        emb = read_csv(out, has_header=True, label_column="label")
+        emb = read_csv(out)
         assert emb.x.shape == (60, 2)
         assert np.all(np.isfinite(emb.x))
         # Labels ride along from the input.
-        src = read_csv(data, has_header=True, label_column="label")
+        src = read_csv(data)
         np.testing.assert_array_equal(emb.labels, src.labels)
         text = report.read_text()
         assert "# perplexity = 5.0\n" in text

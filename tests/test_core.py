@@ -19,8 +19,11 @@ from gtsne import (
     EmbedConfig,
     Embedding,
     core,
+    gen_blobs,
+    optimizer,
     pca_fit,
     resolve_config,
+    run,
 )
 from gtsne.core import (
     BLAS_CHUNK_MACS,
@@ -204,6 +207,11 @@ class TestResolve:
         cfg = resolve_config(EmbedConfig(perplexity=30.0), n=50, d_in=5)
         assert cfg.n_neighbors == 49
 
+    def test_neighbor_default_is_at_least_two(self):
+        # One neighbor is too few for any calibration, so a perplexity
+        # below 1 is its own rule's one violation.
+        assert resolve_config(EmbedConfig(perplexity=0.1), n=60, d_in=5).n_neighbors == 2
+
     def test_pca_default_is_min_50_d(self):
         assert resolve_config(EmbedConfig(), n=100, d_in=3).pca_dims == 3
         assert resolve_config(EmbedConfig(), n=1000, d_in=80).pca_dims == 50
@@ -226,6 +234,8 @@ OUTSIDE = {
     ("nonnegative", float): -math.ulp(0.0),
     ("fraction", float): 1.0,
     ("centroids", int): 1,
+    ("neighbors", int): 1,
+    ("perplexity", float): math.nextafter(1.0, 0.0),
 }
 
 
@@ -320,6 +330,23 @@ class TestValidate:
         bad = validate_config(EmbedConfig(**{name: value}), n=200, d_in=10)
         assert len(bad) == 1, bad
         assert bad[0].startswith(f"{name}={value!r}: must be an integer in "), bad
+
+    @pytest.mark.parametrize(
+        "name, value", [("n_neighbors", 1), ("perplexity", 0.3), ("n_clusters", "5"),
+                        ("perplexity", "30")],
+    )
+    def test_unusable_value_is_refused_before_the_run(self, name, value, monkeypatch):
+        # The first two once passed here and failed in calibrate, after PCA,
+        # k-means and the neighbor search, naming no field; the text values
+        # raised a bare TypeError from a cross-field rule and resolve_config.
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage started")
+
+        monkeypatch.setattr(optimizer, "pca_fit", no_stage)
+        with pytest.raises(ConfigError) as exc:
+            run(gen_blobs(n=100, dims=5), EmbedConfig(**{name: value}))
+        (violation,) = exc.value.violations
+        assert violation.startswith(f"{name}={value!r}: must be "), violation
 
     def test_numpy_scalars_pass(self):
         cfg = EmbedConfig(n_iter=np.int64(5), perplexity=np.float64(5.0), pca_center=np.True_)

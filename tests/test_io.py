@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from gtsne.core import Dataset, Embedding
-from gtsne.io import PALETTE, PlotSpec, read_csv, render_svg, sniff_csv, write_csv
+from gtsne.core import Dataset, Embedding, as_points
+from gtsne.io import PALETTE, PlotSpec, read_csv, render_svg, write_csv
 
 
 class TestReadCsv:
@@ -25,7 +25,7 @@ class TestReadCsv:
     def test_label_by_name(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("a,b,label\n1,2,0\n3,4,1\n")
-        ds = read_csv(p, has_header=True, label_column="label")
+        ds = read_csv(p, label_column="label")
         np.testing.assert_array_equal(ds.x, [[1, 2], [3, 4]])
         np.testing.assert_array_equal(ds.labels, [0, 1])
 
@@ -77,7 +77,7 @@ class TestReadCsv:
         p = tmp_path / "pts.csv"
         p.write_text("a,b\n")
         with pytest.raises(ValueError, match="header but no data"):
-            read_csv(p, has_header=True)
+            read_csv(p)
 
     def test_ragged_row_names_the_line(self, tmp_path):
         p = tmp_path / "pts.csv"
@@ -101,14 +101,14 @@ class TestReadCsv:
     def test_label_name_needs_header(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("1,2\n")
-        with pytest.raises(ValueError, match="requires has_header"):
+        with pytest.raises(ValueError, match="pts.csv: no header, so no column named 'label'"):
             read_csv(p, label_column="label")
 
     def test_unknown_label_name(self, tmp_path):
         p = tmp_path / "pts.csv"
         p.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="no column named"):
-            read_csv(p, has_header=True, label_column="label")
+            read_csv(p, label_column="label")
 
     def test_label_index_out_of_range(self, tmp_path):
         p = tmp_path / "pts.csv"
@@ -129,7 +129,7 @@ class TestWriteCsv:
         x = rng.normal(size=(20, 3)) * 10.0 ** rng.integers(-8, 8, size=(20, 3))
         p = tmp_path / "out.csv"
         write_csv(x, p)
-        back = read_csv(p, has_header=True)
+        back = read_csv(p)
         np.testing.assert_array_equal(back.x, x)
 
     def test_dataset_columns_and_labels(self, tmp_path):
@@ -182,26 +182,71 @@ class TestWriteCsv:
         assert not path.exists()
 
 
-class TestSniffCsv:
+class TestHeaderRule:
+    """read_csv(path) alone reads the header and labels write_csv wrote."""
+
     def test_header_with_label(self, tmp_path):
         p = tmp_path / "a.csv"
-        write_csv(Dataset(x=np.ones((2, 2)), labels=np.array([0, 1])), p)
-        assert sniff_csv(p) == (True, "label")
+        p.write_text("# made by hand\n\nx0,x1,label\n1,2,7\n3,4,8\n")
+        ds = read_csv(p)
+        np.testing.assert_array_equal(ds.x, [[1, 2], [3, 4]])
+        np.testing.assert_array_equal(ds.labels, [7, 8])
 
     def test_header_without_label(self, tmp_path):
         p = tmp_path / "a.csv"
-        write_csv(np.ones((2, 2)), p)
-        assert sniff_csv(p) == (True, None)
+        p.write_text("a,b,c\n1,2,3\n4,5,6\n")
+        ds = read_csv(p)
+        np.testing.assert_array_equal(ds.x, [[1, 2, 3], [4, 5, 6]])
+        assert ds.labels is None
 
     def test_headerless(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("1,2\n3,4\n")
-        assert sniff_csv(p) == (False, None)
+        np.testing.assert_array_equal(read_csv(p).x, [[1, 2], [3, 4]])
 
-    def test_empty(self, tmp_path):
+    def test_comment_only(self, tmp_path):
         p = tmp_path / "a.csv"
         p.write_text("# nothing\n")
-        assert sniff_csv(p) == (False, None)
+        with pytest.raises(ValueError, match="a.csv: no data rows"):
+            read_csv(p)
+
+    @pytest.mark.parametrize(
+        "line, column, problem",
+        [("1,oops", 2, "'oops' is not numeric"), ("nan,1", 1, "'nan' is not finite")],
+    )
+    def test_first_line_with_a_number_is_checked_as_data(self, tmp_path, line, column, problem):
+        # 1,oops was once taken for a header by the command line's reader.
+        p = tmp_path / "a.csv"
+        p.write_text(f"{line}\n1,2\n")
+        with pytest.raises(ValueError, match=f"a.csv: line 1, column {column}: {problem}"):
+            read_csv(p)
+
+    def test_explicit_label_column_wins(self, tmp_path):
+        p = tmp_path / "a.csv"
+        p.write_text("id,x0,label\n5,1.5,0\n6,2.5,1\n")
+        ds = read_csv(p, label_column="id")
+        np.testing.assert_array_equal(ds.x, [[1.5, 0], [2.5, 1]])
+        np.testing.assert_array_equal(ds.labels, [5, 6])
+        np.testing.assert_array_equal(read_csv(p, label_column=0).labels, [5, 6])
+
+    @pytest.mark.parametrize(
+        "obj, labels",
+        [
+            (Dataset(x=np.array([[0.1, -2e-9], [3e7, 1 / 3]]), labels=[4, -1]), [4, -1]),
+            (np.array([[0.1, -2e-9, 5.0], [3e7, 1 / 3, -0.0]]), None),
+            (Embedding(y=np.array([[0.1, -2e-9], [3e7, 1 / 3]])), [2**62, 0]),
+        ],
+        ids=["dataset", "matrix", "embedding"],
+    )
+    def test_round_trip_through_the_defaults(self, tmp_path, obj, labels):
+        p = tmp_path / "a.csv"
+        write_csv(obj, p, labels=None if isinstance(obj, Dataset) else labels)
+        back = read_csv(p)
+        assert back.x.tobytes() == as_points(obj, "obj").tobytes()
+        if labels is None:
+            assert back.labels is None
+        else:
+            assert back.labels.tobytes() == np.array(labels, dtype=np.int64).tobytes()
 
 
 class TestPlotSpec:

@@ -116,7 +116,7 @@ class TestLoss:
         assert abs(objective._kmeans_loss(y, r, c) - want) <= 1e-12 * want
 
 
-TREE_FIELDS = ("half", "com", "count", "is_leaf", "first_child", "n_child")
+TREE_FIELDS = ("half", "com", "count", "first_child", "n_child")
 
 
 def assert_tree_sums_are_exact(y):
@@ -134,8 +134,7 @@ class TestQuadtree:
         y = rng.normal(size=(200, 2))
         tree = build_quadtree(y)
         assert tree.count[0] == 200
-        internal = ~tree.is_leaf
-        for node in np.flatnonzero(internal):
+        for node in np.flatnonzero(tree.n_child):
             first = tree.first_child[node]
             kids = np.arange(first, first + tree.n_child[node])
             assert len(kids) > 0
@@ -144,7 +143,7 @@ class TestQuadtree:
             np.testing.assert_allclose(
                 blended / tree.count[node], tree.com[node], atol=1e-12
             )
-        assert tree.count[tree.is_leaf].sum() == 200
+        assert tree.count[tree.n_child == 0].sum() == 200
 
     def test_root_mass_is_global_mean(self):
         rng = np.random.default_rng(4)
@@ -155,14 +154,14 @@ class TestQuadtree:
     def test_single_point(self):
         tree = build_quadtree(np.array([[2.0, -1.0]]))
         assert tree.n_nodes == 1
-        assert bool(tree.is_leaf[0])
+        assert tree.n_child[0] == 0
         np.testing.assert_array_equal(tree.com[0], [2.0, -1.0])
 
     def test_all_points_identical(self):
         y = np.tile([0.3, 0.7], (40, 1))
         tree = build_quadtree(y)
         assert tree.n_nodes == 1
-        assert bool(tree.is_leaf[0])
+        assert tree.n_child[0] == 0
         assert tree.count[0] == 40
         np.testing.assert_array_equal(tree.com[0], [0.3, 0.7])
 
@@ -176,7 +175,7 @@ class TestQuadtree:
             ]
         )
         tree = build_quadtree(y)
-        heavy = np.flatnonzero(tree.is_leaf & (tree.count == 300))
+        heavy = np.flatnonzero((tree.n_child == 0) & (tree.count == 300))
         assert len(heavy) == 2
         found = {tuple(tree.com[node]) for node in heavy}
         assert found == {(0.25, -0.5), (-1.1, 0.2)}
@@ -187,7 +186,7 @@ class TestQuadtree:
         tree = build_quadtree(y)
         assert tree.com.shape[1] == 3
         assert tree.n_child.max() <= 8
-        assert tree.count[tree.is_leaf].sum() == 64
+        assert tree.count[tree.n_child == 0].sum() == 64
 
     def test_deterministic(self):
         rng = np.random.default_rng(5)
@@ -213,9 +212,8 @@ class TestQuadtree:
     def test_children_are_consecutive_and_split_their_parent(self):
         y = duplicate_heavy_map(300, 3, seed=4)
         tree = build_quadtree(y)
-        assert np.array_equal(tree.is_leaf, tree.n_child == 0)
-        assert np.all(tree.first_child[tree.is_leaf] == -1)
-        kids = np.flatnonzero(~tree.is_leaf)
+        assert np.all((tree.first_child == -1) == (tree.n_child == 0))
+        kids = np.flatnonzero(tree.n_child)
         # Every cell but the root is the child of exactly one cell, and the
         # ids run level by level in parent order.
         firsts = tree.first_child[kids]
@@ -237,7 +235,7 @@ class TestQuadtree:
         y[20:] = y[3] + np.outer(np.arange(1, 11), [1e-9, 0.0, 0.0])
         tree = build_quadtree(y)
         for i in [3, *range(20, 30)]:
-            hits = np.flatnonzero(tree.is_leaf & np.all(tree.com == y[i], axis=1))
+            hits = np.flatnonzero((tree.n_child == 0) & np.all(tree.com == y[i], axis=1))
             assert len(hits) == 1 and tree.count[hits[0]] == 1
         assert tree.n_child.max() == 11  # one finest cell, a leaf per point
         assert_tree_sums_are_exact(y)

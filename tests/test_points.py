@@ -138,6 +138,14 @@ GRAD = dict(y=Y, p=P, macro=MACRO, cfg=EmbedConfig(), exaggeration=1.0)
 # every comparison written as "fail if v < 0".
 SCALAR_CASES = [
     (exact_knn, "k", dict(points=X, k=2), NOT_COUNTS + [0, 12]),
+    # Named as given, not as exact_knn's k or calibrate's target_perplexity.
+    (build_affinity_model, "n_neighbors", dict(x=X, n_neighbors=5, perplexity=2.0),
+     NOT_COUNTS + [1, 12]),
+    (build_affinity_model, "perplexity", dict(x=X, n_neighbors=5, perplexity=2.0),
+     [NAN, 0.0, 5.0]),
+    (build_affinity_model, "tol", dict(x=X, n_neighbors=5, perplexity=2.0), [NAN, -1.0]),
+    (build_affinity_model, "max_iter", dict(x=X, n_neighbors=5, perplexity=2.0),
+     NOT_COUNTS + [0]),
     (calibrate, "target_perplexity", dict(sq_distances=SQ, target_perplexity=2.0),
      [NAN, 0.0, 3.0]),
     (calibrate, "tol", dict(sq_distances=SQ, target_perplexity=2.0, tol=1e-5), [NAN, -1.0]),
@@ -180,7 +188,6 @@ SCALAR_CASES = [
 # SCALAR_CASES, and why: by parameter name, then by owner.
 FREE_SCALARS = {"seed": "numpy's default_rng takes any seed it can use and refuses the rest"}
 NOT_RANGE_CHECKED = {
-    "build_affinity_model": "hands its scalars on to exact_knn (as k) and calibrate",
     "resolve_config": "n and d_in are a data shape",
     "symmetrize": "n must equal the row count of the neighbor ids, which it checks",
     "EmbedConfig": "validate_config checks its fields (tests/test_core.py)",
@@ -231,7 +238,7 @@ def test_every_scalar_argument_is_in_the_table():
                 missing.append(f"{name}({arg})")
     assert not missing, f"scalar arguments not covered by SCALAR_CASES: {missing}"
     # The walk finds no annotation on segments and label_column; count them in.
-    assert len(tabled) == 32
+    assert len(tabled) == 36
 
 
 @pytest.mark.parametrize("fn, arg, kwargs", CASES, ids=CASE_IDS)
