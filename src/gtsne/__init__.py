@@ -17,7 +17,7 @@ from .datasets import (
 )
 from .io import read_csv, write_csv
 from .macro import MacroAffinity, kmeans_fit, macro_affinity, responsibility_matrix
-from .metrics import centroid_distance_correlation, knn_preservation, line_continuity
+from .metrics import centroid_distance_correlation, knn_preservation, worst_gap_ratio
 from .objective import gradient_bh
 from .optimizer import init_embedding, run, step
 from .pca import pca_fit
@@ -44,7 +44,6 @@ __all__ = [
     "init_embedding",
     "kmeans_fit",
     "knn_preservation",
-    "line_continuity",
     "macro_affinity",
     "pca_fit",
     "read_csv",
@@ -53,5 +52,6 @@ __all__ = [
     "run",
     "step",
     "symmetrize",
+    "worst_gap_ratio",
     "write_csv",
 ]

@@ -361,10 +361,6 @@ class ConditionalRow(namedtuple("ConditionalRow", ("neighbors", *Calibration._fi
 
     __slots__ = ()
 
-    @property
-    def sigma(self) -> float:
-        return math.inf if self.beta == 0.0 else 1.0 / math.sqrt(2.0 * self.beta)
-
 
 @dataclass
 class AffinityModel:
@@ -397,21 +393,10 @@ class AffinityModel:
     def nnz(self) -> int:
         return len(self.val)
 
-    def total(self) -> float:
-        """Sum over all ordered pairs (i != j)."""
-        return float(2.0 * self.val.sum())
-
     @cached_property
     def ends(self) -> np.ndarray:
         """Both ends of every stored pair, rows then cols, for scatters."""
         return np.concatenate([self.row, self.col])
-
-    def dense(self) -> np.ndarray:
-        """Materialize the full symmetric matrix (small-n debugging)."""
-        p = np.zeros((self.n, self.n))
-        p[self.row, self.col] = self.val
-        p[self.col, self.row] = self.val
-        return p
 
 
 def symmetrize(neighbor_ids: np.ndarray, probs: np.ndarray, n: int) -> AffinityModel:

@@ -19,11 +19,7 @@ from .datasets import (
     gen_three_lines,
 )
 from .io import PlotSpec, read_csv, render_svg, write_csv
-from .metrics import (
-    centroid_distance_correlation,
-    knn_preservation,
-    line_continuity,
-)
+from .metrics import centroid_distance_correlation, knn_preservation, worst_gap_ratio
 from .optimizer import macro_stage, run
 
 
@@ -111,7 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="start:end[,start:end...] index ranges; default splits into thirds",
     )
     v.add_argument("--knn-k", type=int, default=10)
-    v.add_argument("--factor", type=float, default=5.0)
     v.add_argument("-o", "--output", help="also write the score row here")
     # What macro_stage reads; out_dims is the map's width.
     _add_config_flags(v, ("n_clusters", "pca_dims", "seed", "pca_center"))
@@ -207,7 +202,7 @@ def cmd_evaluate(args) -> int:
     knn_score = knn_preservation(x.x, y.x, k)
 
     segments = args.segments or [(i * n // 3, (i + 1) * n // 3) for i in range(3)]
-    break_fraction = line_continuity(y.x, segments, factor=args.factor)
+    tear = worst_gap_ratio(y.x, segments)
 
     # The embed run's macro model; unset fields take embed's defaults.
     values = _config_values(args)
@@ -226,8 +221,8 @@ def cmd_evaluate(args) -> int:
         _, km, macro = macro_stage(x.x, replace(cfg, n_clusters=min(cfg.n_clusters, n)), {})
         corr = centroid_distance_correlation(km.t, macro.centroids(y.x))
 
-    header = "knn_preservation,line_break_fraction,centroid_distance_correlation"
-    row = f"{knn_score:.10g},{break_fraction:.10g},{corr:.10g}"
+    header = "knn_preservation,worst_gap_ratio,centroid_distance_correlation"
+    row = f"{knn_score:.10g},{tear:.10g},{corr:.10g}"
     print(header)
     print(row)
     if args.output:

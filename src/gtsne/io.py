@@ -61,10 +61,10 @@ def read_csv(path, label_column=None) -> Dataset:
     label_column may be a column name (which needs a header) or a 0-based
     index; that column becomes integer labels. Without it, a header's
     column named 'label', if any, becomes the labels. The other cells
-    must be finite numbers. Ragged rows and non-numeric or non-finite
-    cells, on the first line too when it is data, raise ValueError naming
-    the file, line and column. Parsing uses float(), which is
-    locale-independent.
+    must be finite numbers. A header or row of another width than the
+    first data row, and non-numeric or non-finite cells, on the first line
+    too when it is data, raise ValueError naming the file, line and column
+    or widths. Parsing uses float(), which is locale-independent.
     """
     if not os.path.exists(path):
         raise FileNotFoundError(f"no such file: {path}")
@@ -81,21 +81,22 @@ def read_csv(path, label_column=None) -> Dataset:
     if not rows:
         raise ValueError(f"{path}: no data rows")
 
-    header = None
-    if not any(map(_is_number, rows[0])):
-        header = rows.pop(0)
-        numbers.pop(0)
-        if not rows:
-            raise ValueError(f"{path}: header but no data rows")
-        if label_column is None and "label" in header:
-            label_column = "label"
-
-    width = len(rows[0])
+    # Each line, the header too, must be as wide as the data rows.
+    has_header = not any(map(_is_number, rows[0]))
+    if has_header and len(rows) == 1:
+        raise ValueError(f"{path}: header but no data rows")
+    width = len(rows[has_header])
     for row, lineno in zip(rows, numbers):
         if len(row) != width:
             raise ValueError(
                 f"{path}: line {lineno}: expected {width} columns, got {len(row)}"
             )
+    header = None
+    if has_header:
+        header = rows.pop(0)
+        numbers.pop(0)
+        if label_column is None and "label" in header:
+            label_column = "label"
 
     label_idx = None
     if label_column is not None:
@@ -134,7 +135,7 @@ def read_csv(path, label_column=None) -> Dataset:
     return Dataset(x=x, labels=labels, name=name)
 
 
-def write_csv(obj, path, labels=None, header: bool = True) -> None:
+def write_csv(obj, path, labels=None) -> None:
     """Write points (Dataset, Embedding, or matrix) as CSV.
 
     Floats are written with 17 significant digits ('%.17g'), which makes
@@ -154,11 +155,10 @@ def write_csv(obj, path, labels=None, header: bool = True) -> None:
         if len(labels) != len(mat):
             raise ValueError("labels length does not match row count")
     with open(path, "w", newline="") as fh:
-        if header:
-            cols = [f"{prefix}{j}" for j in range(mat.shape[1])]
-            if labels is not None:
-                cols.append("label")
-            fh.write(",".join(cols) + "\n")
+        cols = [f"{prefix}{j}" for j in range(mat.shape[1])]
+        if labels is not None:
+            cols.append("label")
+        fh.write(",".join(cols) + "\n")
         for i, row in enumerate(mat):
             cells = ["%.17g" % v for v in row]
             if labels is not None:

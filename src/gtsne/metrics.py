@@ -43,16 +43,18 @@ def knn_preservation(x, y, k: int) -> float:
     return overlap / (n * k)
 
 
-def line_continuity(y, segments, factor: float = 5.0) -> float:
-    """Fraction of consecutive within-segment pairs torn apart in the map.
+def worst_gap_ratio(y, segments) -> float:
+    """Worst tearing of index-ordered lines in a map.
 
     segments is a list of (start, end) half-open index ranges, integers,
-    that must be disjoint with at least 2 points each. A pair breaks when
-    its map distance exceeds factor times its segment's median consecutive
-    distance; the fraction pools every pair across segments.
+    that must be disjoint with at least 2 points each. A segment scores its
+    largest consecutive map gap over its median consecutive gap, so an
+    evenly spaced line scores 1.0 and one gap ten times the rest scores
+    10.0; the worst segment's score is returned. A segment whose median gap
+    is 0 scores inf if any of its gaps is positive and 1.0 if all its
+    points coincide.
     """
     ys = as_points(y, "y")
-    in_interval(factor, "factor", 1, math.inf, "(]")
     if len(segments) == 0:
         raise ValueError("need at least one segment")
     n = len(ys)
@@ -62,14 +64,15 @@ def line_continuity(y, segments, factor: float = 5.0) -> float:
     spans = sorted((a, b) for a, b in segments)
     if any(a < end for (_, end), (a, _) in zip(spans, spans[1:])):
         raise ValueError("segments overlap")
-    breaks = 0
-    total = 0
+    worst = 1.0
     for a, b in spans:
         gaps = np.linalg.norm(np.diff(ys[a:b], axis=0), axis=1)
-        median = float(np.median(gaps))
-        breaks += int((gaps > factor * median).sum())
-        total += len(gaps)
-    return breaks / total
+        median, largest = np.median(gaps), gaps.max()
+        if median > 0.0:
+            worst = max(worst, float(largest / median))
+        elif largest > 0.0:
+            return math.inf
+    return worst
 
 
 def _average_ranks(v: np.ndarray) -> np.ndarray:

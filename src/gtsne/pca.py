@@ -31,10 +31,6 @@ class PcaEmbedding:
     eigenvalues: np.ndarray  # (d_z,) variances, nonincreasing, >= 0
     means: np.ndarray        # (d_in,) centering offset
 
-    @property
-    def d_z(self) -> int:
-        return self.components.shape[1]
-
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
     # Singular vectors are only defined up to sign; pin each column so its

@@ -142,6 +142,14 @@ def dense_affinities(x, perplexity, n_neighbors):
     return (cond + cond.T) / (2.0 * n)
 
 
+def dense_model(model):
+    """An AffinityModel's full symmetric matrix, both triangles filled."""
+    p = np.zeros((model.n, model.n))
+    p[model.row, model.col] = model.val
+    p[model.col, model.row] = model.val
+    return p
+
+
 def dense_responsibilities(z, t, d, d_z):
     """Column-normalized heavy-tailed memberships, elementwise loops."""
     z = np.asarray(z, dtype=np.float64)

@@ -18,7 +18,14 @@ from gtsne import (
     symmetrize,
 )
 from gtsne.affinity import AffinityModel, Calibration, ConditionalRow
-from oracles import brute_knn, calibrate_row, dense_affinities, row_perplexity, solve_beta
+from oracles import (
+    brute_knn,
+    calibrate_row,
+    dense_affinities,
+    dense_model,
+    row_perplexity,
+    solve_beta,
+)
 
 # d2 = (1, 4, 9) at effective neighbor count 2, solved independently by
 # bisection; the row follows from the fitted precision.
@@ -251,7 +258,7 @@ class TestSymmetrize:
         assert model.nnz == 1
         assert (model.row[0], model.col[0]) == (0, 1)
         assert model.val[0] == 0.5
-        assert model.total() == 1.0
+        assert 2 * model.val.sum() == 1.0
 
     def test_one_sided_listing(self):
         # 0 lists 1 with conditional mass 0.2; 1 looks elsewhere. The
@@ -267,8 +274,8 @@ class TestSymmetrize:
         x = rng.normal(size=(50, 5))
         model, _ = build_affinity_model(x, n_neighbors=10, perplexity=5, tol=1e-10)
         ref = dense_affinities(x, perplexity=5, n_neighbors=10)
-        np.testing.assert_allclose(model.dense(), ref, atol=1e-8)
-        assert abs(model.total() - 1.0) < 1e-9
+        np.testing.assert_allclose(dense_model(model), ref, atol=1e-8)
+        assert abs(2 * model.val.sum() - 1.0) < 1e-9
 
     def test_self_listing_rejected(self):
         with pytest.raises(ValueError, match="itself"):
@@ -294,7 +301,7 @@ class TestAffinityModel:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(20, 3))
         model, _ = build_affinity_model(x, n_neighbors=6, perplexity=3)
-        d = model.dense()
+        d = dense_model(model)
         assert np.array_equal(d, d.T)
         assert np.all(np.diag(d) == 0)
 
@@ -315,7 +322,7 @@ class TestBuildAffinityModel:
         for row in rows:
             assert abs(row.perplexity - 8.0) <= 1e-5
             assert row.converged
-            np.testing.assert_allclose(row.sigma, 1.0 / np.sqrt(2.0 * row.beta))
+            assert 0.0 < row.beta < np.inf
 
     def test_row_support_is_neighbor_union(self):
         # Row i touches exactly the points it lists plus the points that
@@ -340,8 +347,8 @@ class TestBuildAffinityModel:
         x = np.array([[0.0, 0.0]] * 4 + [[5.0, 5.0]] * 4)
         model, rows = build_affinity_model(x, n_neighbors=3, perplexity=2)
         assert any(r.degenerate for r in rows)
-        assert all(r.sigma == np.inf for r in rows if r.degenerate)
-        assert abs(model.total() - 1.0) < 1e-9
+        assert all(r.beta == 0.0 for r in rows if r.degenerate)
+        assert abs(2 * model.val.sum() - 1.0) < 1e-9
 
     def test_max_iter_two_leaves_rows_unconverged(self):
         rng = np.random.default_rng(8)
@@ -349,7 +356,7 @@ class TestBuildAffinityModel:
         model, rows = build_affinity_model(x, n_neighbors=9, perplexity=4, max_iter=2)
         assert not any(row.converged for row in rows)
         assert all(abs(row.perplexity - 4.0) > 1e-5 for row in rows)
-        assert abs(model.total() - 1.0) < 1e-9
+        assert abs(2 * model.val.sum() - 1.0) < 1e-9
 
     @pytest.mark.parametrize("max_iter", [200, 2])
     def test_rows_are_the_search_and_the_calibration(self, max_iter):

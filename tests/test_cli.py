@@ -14,7 +14,7 @@ from gtsne.cli import build_parser, main
 from gtsne.core import resolve_config
 from gtsne.io import read_csv
 from gtsne.macro import kmeans_fit
-from gtsne.metrics import centroid_distance_correlation
+from gtsne.metrics import centroid_distance_correlation, worst_gap_ratio
 
 FAST_EMBED = [
     "--perplexity", "5", "--neighbors", "15", "--clusters", "5",
@@ -66,6 +66,12 @@ class TestExitCodes:
                      "--segments", "nonsense"])
         assert code == 1
         capsys.readouterr()
+
+    def test_factor_is_not_a_flag(self, capsys):
+        # worst_gap_ratio takes no threshold, so evaluate has no --factor.
+        code = main(["evaluate", "-x", "a.csv", "-y", "b.csv", "--factor", "5"])
+        assert code == 1
+        assert "--factor" in capsys.readouterr().err
 
 
 # Every `embed` config flag: flag -> (EmbedConfig field, type, choices, help).
@@ -297,13 +303,12 @@ class TestEvaluateAndPlot:
                      "-o", str(scores)])
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
-        assert lines[-2] == (
-            "knn_preservation,line_break_fraction,centroid_distance_correlation"
-        )
-        knn, breaks, corr = (float(v) for v in lines[-1].split(","))
-        assert 0.0 <= knn <= 1.0
-        assert 0.0 <= breaks <= 1.0
-        assert -1.0 <= corr <= 1.0
+        assert lines[-2] == "knn_preservation,worst_gap_ratio,centroid_distance_correlation"
+        knn, tear, corr = lines[-1].split(",")
+        assert 0.0 <= float(knn) <= 1.0
+        # The map's thirds, the default segments, scored by the package.
+        assert tear == f"{worst_gap_ratio(read_csv(out).x, [(0, 20), (20, 40), (40, 60)]):.10g}"
+        assert -1.0 <= float(corr) <= 1.0
         assert scores.read_text().splitlines()[1] == lines[-1]
 
     def test_evaluate_defaults_follow_embed_config(self, pipeline, monkeypatch, capsys):

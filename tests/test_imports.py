@@ -1,6 +1,7 @@
 """Module hygiene: every name a package module imports is used there,
-every private name it defines at module level is read there, and the
-package exports exactly the names the README lists."""
+every private name it defines at module level is read there, every public
+method or property of a package class is read by the package or its
+bench, and the package exports exactly the names the README lists."""
 
 import ast
 import re
@@ -54,6 +55,27 @@ def test_no_unread_private_names(path):
         if name.startswith("_") and not name.startswith("__") and name not in read
     ]
     assert not unread, f"{path.name} defines private names it never reads: {unread}"
+
+
+def test_no_unread_public_members():
+    # A member only tests read belongs in the tests (tests/oracles.py).
+    read = {
+        node.attr
+        for path in [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute)
+    }
+    unread = [
+        f"{path.name}: {cls.name}.{member.name}"
+        for path in MODULES
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for member in cls.body
+        if isinstance(member, ast.FunctionDef)
+        and not member.name.startswith("_")
+        and member.name not in read
+    ]
+    assert not unread, f"public members nothing in the package or bench reads: {unread}"
 
 
 def test_exports_match_the_readme_list():

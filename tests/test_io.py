@@ -145,11 +145,6 @@ class TestWriteCsv:
         write_csv(Embedding(y=np.array([[0.5, -1.0]])), p)
         assert p.read_text() == "y0,y1\n0.5,-1\n"
 
-    def test_no_header(self, tmp_path):
-        p = tmp_path / "out.csv"
-        write_csv(np.array([[1.0, 2.0]]), p, header=False)
-        assert p.read_text() == "1,2\n"
-
     def test_explicit_labels_override(self, tmp_path):
         p = tmp_path / "out.csv"
         write_csv(np.array([[1.0], [2.0]]), p, labels=[7, 8])
@@ -198,6 +193,15 @@ class TestHeaderRule:
         ds = read_csv(p)
         np.testing.assert_array_equal(ds.x, [[1, 2, 3], [4, 5, 6]])
         assert ds.labels is None
+
+    @pytest.mark.parametrize("header, width", [("x0,label", 2), ("x0,x1,x2,label", 4)])
+    def test_header_must_be_as_wide_as_the_rows(self, tmp_path, header, width):
+        # x0,label over three-cell rows once read column 1 as the labels
+        # and columns 0 and 2 as the points.
+        p = tmp_path / "a.csv"
+        p.write_text(f"# note\n{header}\n1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError, match=f"a.csv: line 2: expected 3 columns, got {width}"):
+            read_csv(p)
 
     def test_headerless(self, tmp_path):
         p = tmp_path / "a.csv"

@@ -10,11 +10,7 @@ import pytest
 
 from gtsne import EmbedConfig, ThreeLinesSpec, gen_swiss_roll, gen_three_lines, run
 from gtsne.affinity import exact_knn
-from gtsne.metrics import (
-    centroid_distance_correlation,
-    knn_preservation,
-    line_continuity,
-)
+from gtsne.metrics import centroid_distance_correlation, knn_preservation, worst_gap_ratio
 
 
 class TestKnnPreservation:
@@ -134,63 +130,74 @@ class TestKnnPreservationOnTwoThreads:
         assert got == want.hex()
 
 
-class TestLineContinuity:
-    def test_even_spacing_never_breaks(self):
+class TestWorstGapRatio:
+    def test_even_spacing_scores_one(self):
         y = np.column_stack([np.arange(30.0), np.zeros(30)])
-        assert line_continuity(y, [(0, 30)]) == 0.0
+        assert worst_gap_ratio(y, [(0, 30)]) == 1.0
 
     def test_single_tear(self):
         y = np.column_stack([np.arange(11.0), np.zeros(11)])
         y[6:, 0] += 9.0  # one consecutive gap becomes 10, the rest stay 1
-        assert line_continuity(y, [(0, 11)]) == pytest.approx(0.1)
+        assert worst_gap_ratio(y, [(0, 11)]) == 10.0
 
-    def test_pooled_across_segments(self):
+    def test_worst_segment_counts(self):
         a = np.column_stack([np.arange(6.0), np.zeros(6)])
         b = np.column_stack([np.arange(5.0), np.full(5, 40.0)])
         b[2:, 0] += 30.0
         y = np.vstack([a, b])
-        # 5 gaps in the first segment, 4 in the second, one torn.
-        assert line_continuity(y, [(0, 6), (6, 11)]) == pytest.approx(1.0 / 9.0)
+        # The first segment is even; the second's gaps are 1, 31, 1, 1.
+        assert worst_gap_ratio(y, [(0, 6), (6, 11)]) == 31.0
         # Segments as an integer array, which once failed on its truth value.
-        assert line_continuity(y, np.array([[0, 6], [6, 11]])) == pytest.approx(1.0 / 9.0)
+        assert worst_gap_ratio(y, np.array([[0, 6], [6, 11]])) == 31.0
 
-    def test_threshold_is_relative_to_the_segment(self):
-        # A coarse segment with the same shape breaks nowhere even though
-        # its absolute gaps dwarf the fine segment's tear.
+    def test_ratio_is_relative_to_the_segment(self):
+        # A coarse clean segment scores 1 even though its absolute gaps
+        # dwarf the fine segment's tear.
         fine = np.column_stack([np.arange(11.0) * 0.01, np.zeros(11)])
         fine[6:, 0] += 0.09
         coarse = np.column_stack([np.arange(11.0) * 100.0, np.full(11, 500.0)])
         y = np.vstack([fine, coarse])
-        assert line_continuity(y, [(0, 11), (11, 22)]) == pytest.approx(0.05)
+        assert worst_gap_ratio(y, [(0, 11), (11, 22)]) == pytest.approx(10.0)
+        assert worst_gap_ratio(y, [(11, 22)]) == 1.0
 
     def test_adjacent_segments_allowed(self):
         y = np.column_stack([np.arange(10.0), np.zeros(10)])
-        assert line_continuity(y, [(0, 5), (5, 10)]) == 0.0
+        assert worst_gap_ratio(y, [(0, 5), (5, 10)]) == 1.0
+
+    def test_zero_median_gap(self):
+        # Most points of the line coincide: the median gap is 0, and a
+        # positive gap makes the tear unbounded; a line of one repeated
+        # point has no tear at all. Neither divides by zero.
+        torn = np.zeros((10, 2))
+        torn[7:, 0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert worst_gap_ratio(torn, [(0, 10)]) == np.inf
+            assert worst_gap_ratio(np.zeros((10, 2)), [(0, 10)]) == 1.0
+            assert worst_gap_ratio(torn, [(0, 5), (5, 10)]) == np.inf
 
     def test_validation(self):
         y = np.zeros((10, 2))
-        with pytest.raises(ValueError, match="factor"):
-            line_continuity(y, [(0, 10)], factor=1.0)
         with pytest.raises(ValueError, match="segment"):
-            line_continuity(y, [])
+            worst_gap_ratio(y, [])
         with pytest.raises(
             ValueError, match=r"segments\[0\]\[1\]=11: must be an integer in \[2, 10\]"
         ):
-            line_continuity(y, [(0, 11)])
+            worst_gap_ratio(y, [(0, 11)])
         with pytest.raises(
             ValueError, match=r"segments\[0\]\[1\]=4: must be an integer in \[5, 10\]"
         ):
-            line_continuity(y, [(3, 4)])  # fewer than 2 points
+            worst_gap_ratio(y, [(3, 4)])  # fewer than 2 points
         with pytest.raises(ValueError, match="overlap"):
-            line_continuity(y, [(0, 5), (4, 9)])
+            worst_gap_ratio(y, [(0, 5), (4, 9)])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_map_rejected(self, bad):
-        # A NaN gap never exceeds the threshold, so it would read as no tear.
+        # A NaN gap would make the max and median NaN, a score of no tear.
         y = np.column_stack([np.arange(30.0), np.zeros(30)])
         y[12, 0] = bad
         with pytest.raises(ValueError, match="non-finite entries in y"):
-            line_continuity(y, [(0, 30)])
+            worst_gap_ratio(y, [(0, 30)])
 
 
 class TestCentroidDistanceCorrelation:

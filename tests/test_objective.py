@@ -26,6 +26,7 @@ from oracles import (
     build_quadtree_by_level,
     central_differences,
     dense_micro_gradient,
+    dense_model,
     dense_objective,
     dense_repulsion,
     kmeans_loss_by_cluster,
@@ -59,7 +60,7 @@ def exact_losses(y, p, macro, cfg):
 
 
 def oracle_losses(y, p, macro, cfg):
-    return dense_objective(y, p.dense(), macro.r, macro.p_macro, cfg.alpha, cfg.beta)
+    return dense_objective(y, dense_model(p), macro.r, macro.p_macro, cfg.alpha, cfg.beta)
 
 
 def micro_only(cfg):

@@ -115,7 +115,7 @@ def test_accepts_dataset():
     ds = Dataset(x=np.eye(3))
     red = pca_fit(ds, d_z=2)
     assert red.z.shape == (3, 2)
-    assert red.d_z == 2
+    assert red.components.shape == (3, 2)
 
 
 def test_rejects_bad_width():

@@ -35,12 +35,12 @@ from gtsne import (
     init_embedding,
     kmeans_fit,
     knn_preservation,
-    line_continuity,
     macro_affinity,
     pca_fit,
     read_csv,
     responsibility_matrix,
     step,
+    worst_gap_ratio,
     write_csv,
 )
 from gtsne.core import as_points
@@ -73,7 +73,7 @@ CASES = [
     (macro_affinity, "t", dict(t=T)),
     (knn_preservation, "x", dict(x=X, y=Y, k=2)),
     (knn_preservation, "y", dict(x=X, y=Y, k=2)),
-    (line_continuity, "y", dict(y=Y, segments=[(0, 12)])),
+    (worst_gap_ratio, "y", dict(y=Y, segments=[(0, 12)])),
     (centroid_distance_correlation, "t", dict(t=T, c=C)),
     (centroid_distance_correlation, "c", dict(t=T, c=C)),
     (build_affinity_model, "x", dict(x=X, n_neighbors=5, perplexity=2.0)),
@@ -119,10 +119,12 @@ def _step(learning_rate, gamma):
 
 
 def _read_csv(label_column):
-    # Three point columns, then the labels.
+    # No header: three point columns, then the labels.
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "pts.csv")
-        write_csv(X[:, :3], path, labels=np.arange(len(X)), header=False)
+        with open(path, "w") as fh:
+            for i, row in enumerate(X[:, :3]):
+                fh.write(",".join("%.17g" % v for v in row) + f",{i}\n")
         return read_csv(path, label_column=label_column)
 
 
@@ -170,9 +172,8 @@ SCALAR_CASES = [
     (kmeans_fit, "max_iter", dict(z=X, k=3, max_iter=5), NOT_COUNTS + [0]),
     (responsibility_matrix, "d", dict(z=X, t=T, d=2), NOT_COUNTS + [0, 4]),
     (knn_preservation, "k", dict(x=X, y=Y, k=2), NOT_COUNTS + [0, 12]),
-    (line_continuity, "factor", dict(y=Y, segments=[(0, 12)], factor=5.0), [NAN, 1.0]),
     # Each bound of each segment; an end must leave the segment 2 points.
-    (line_continuity, "segments", dict(y=Y, segments=[(0, 6), (6, 12)]),
+    (worst_gap_ratio, "segments", dict(y=Y, segments=[(0, 6), (6, 12)]),
      [[(NAN, 12)], [(2.5, 12)], [(True, 12)], [(-1, 12)], [(11, 12)],
       [(0, NAN)], [(0, 40.5)], [(0, True)], [(0, 13)], [(0, 6), (6, 7)]]),
     (gradient_bh, "exaggeration", GRAD, [NAN, INF, -1.0]),
@@ -238,7 +239,7 @@ def test_every_scalar_argument_is_in_the_table():
                 missing.append(f"{name}({arg})")
     assert not missing, f"scalar arguments not covered by SCALAR_CASES: {missing}"
     # The walk finds no annotation on segments and label_column; count them in.
-    assert len(tabled) == 36
+    assert len(tabled) == 35
 
 
 @pytest.mark.parametrize("fn, arg, kwargs", CASES, ids=CASE_IDS)
