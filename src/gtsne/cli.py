@@ -189,6 +189,11 @@ def _write_report(report, path) -> None:
             fh.write(",".join(str(int(v) if isinstance(v, bool) else v) for v in cells) + "\n")
 
 
+def _unavailable(score: str, why: str) -> float:
+    print(f"gtsne: warning: {why}; {score} unavailable", file=sys.stderr)
+    return float("nan")
+
+
 def cmd_evaluate(args) -> int:
     x = read_csv(args.data)
     y = read_csv(args.embedding)
@@ -202,7 +207,10 @@ def cmd_evaluate(args) -> int:
     knn_score = knn_preservation(x.x, y.x, k)
 
     segments = args.segments or [(i * n // 3, (i + 1) * n // 3) for i in range(3)]
-    tear = worst_gap_ratio(y.x, segments)
+    if args.segments or n >= 6:
+        tear = worst_gap_ratio(y.x, segments)
+    else:  # a default third of fewer than 6 rows has under 2 points
+        tear = _unavailable("worst gap ratio", "fewer than 6 rows for the default thirds")
 
     # The embed run's macro model; unset fields take embed's defaults.
     values = _config_values(args)
@@ -210,12 +218,8 @@ def cmd_evaluate(args) -> int:
         raise ValueError(f"config has out_dims={values['out_dims']}, map {y.dim} columns")
     cfg = resolve_config(EmbedConfig(**values), n, x.dim)
     if cfg.pca_dims <= y.dim:
-        corr = float("nan")
-        print(
-            "gtsne: warning: reduction width does not exceed the map width; "
-            "centroid correlation unavailable",
-            file=sys.stderr,
-        )
+        why = "reduction width does not exceed the map width"
+        corr = _unavailable("centroid correlation", why)
     else:
         # Clamped where run() would reject more centroids than points.
         _, km, macro = macro_stage(x.x, replace(cfg, n_clusters=min(cfg.n_clusters, n)), {})

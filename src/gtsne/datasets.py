@@ -33,6 +33,7 @@ class ThreeLinesSpec:
         in_interval(self.n_s, "n_s", 2, integer=True)
         in_interval(self.dims, "dims", 1, integer=True)
         in_interval(self.velocity_std, "velocity_std", 0)
+        in_interval(self.seed, "seed", 0, integer=True)
         if self.starts is not None:
             starts = as_points(self.starts, "starts")
             if starts.shape != (3, self.dims):
@@ -71,7 +72,7 @@ def gen_blobs(
     in_interval(dims, "dims", 1, integer=True)
     in_interval(n_classes, "n_classes", 1, n, "[]", integer=True)  # a point per class
     in_interval(cluster_std, "cluster_std", 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(in_interval(seed, "seed", 0, integer=True))
     box = 5.0 * cluster_std
     centers = rng.uniform(-box, box, size=(n_classes, dims))
     counts = np.full(n_classes, n // n_classes)
@@ -87,7 +88,7 @@ def gen_blobs(
 def gen_sphere(n: int = 600, seed: int = 0) -> Dataset:
     """Points uniform on the unit sphere (normalized Gaussian draws)."""
     in_interval(n, "n", 2, integer=True)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(in_interval(seed, "seed", 0, integer=True))
     g = rng.normal(size=(n, 3))
     norms = np.linalg.norm(g, axis=1)
     while np.any(norms < 1e-12):  # essentially impossible, but stay exact
@@ -106,7 +107,7 @@ def gen_swiss_roll(n: int = 1000, noise: float = 0.0, seed: int = 0) -> Dataset:
     """
     in_interval(n, "n", 2, integer=True)
     in_interval(noise, "noise", 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(in_interval(seed, "seed", 0, integer=True))
     t = rng.uniform(1.5 * np.pi, 4.5 * np.pi, size=n)
     h = rng.uniform(0.0, 21.0, size=n)
     x = np.column_stack([t * np.cos(t), h, t * np.sin(t)])

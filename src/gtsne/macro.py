@@ -103,7 +103,7 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
     with np.errstate(over="ignore", invalid="ignore"):
         check_sq_norms(((z - z.mean(axis=0)) ** 2).sum(axis=1), "z")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(in_interval(seed, "seed", 0, integer=True))
     centroids = _plus_plus_init(z, k, rng)
     assignment = None
     trace = []
@@ -188,6 +188,9 @@ class MacroAffinity:
 
     r: (k, n) responsibilities, columns summing to 1 over centroids.
     p_macro: (k, k) centroid affinity distribution, zero diagonal, sum 1.
+    The cluster masses divide the map centroids and, in the "exact"
+    gradient mode, each centroid's pull before R^T spreads it over the
+    points.
     """
 
     r: np.ndarray
@@ -199,19 +202,10 @@ class MacroAffinity:
         if self.p_macro.shape != (len(self.r), len(self.r)):
             raise ValueError("r must be (k, n) and p_macro (k, k)")
 
-    @property
-    def n_clusters(self) -> int:
-        return len(self.r)
-
     @cached_property
     def masses(self) -> np.ndarray:
         """(k,) cluster masses, the row sums of r."""
         return self.r.sum(axis=1)
-
-    @cached_property
-    def r_by_mass(self) -> np.ndarray:
-        """(k, n) responsibilities divided by their cluster's mass."""
-        return self.r / self.masses[:, None]
 
     def centroids(self, y: np.ndarray) -> np.ndarray:
         """(k, d) map centroids: the responsibility-weighted means of y."""

@@ -1,8 +1,8 @@
 """Structure-preservation scores for judging an embedding.
 
 All three scores are invariant to rigid motions of the map: neighbor
-overlap and break detection depend only on distances, the centroid score
-only on distance ranks.
+overlap and the worst-gap ratio depend only on distances, the centroid
+score only on distance ranks.
 
 knn_preservation is the second user of the package's one worker thread
 (core.side_by_side), after objective.gradient_bh: the input's search runs

@@ -8,7 +8,7 @@ points and their responsibility-weighted centroids.
 gradient_bh evaluates it. The centroid term follows cfg.gradient_mode:
 "paper" treats the responsibility rows as constants, "exact" (the
 default) differentiates through the centroid positions, which divides
-each responsibility by its cluster mass. The micro repulsion and its
+each centroid's pull by its cluster mass. The micro repulsion and its
 normalizer come from one of three engines, picked per call from the map:
 exact all-pairs sums in row blocks at bh_theta = 0 and for maps of up to
 _EXACT_MAX_POINTS points that the grid does not take, an interpolation
@@ -22,7 +22,7 @@ gradient_bh checks the map with core.as_points before any engine runs.
 The repulsion does not depend on the other terms, so gradient_bh runs it
 on the package's one worker thread (core.side_by_side, which
 metrics.knn_preservation shares), while the calling thread computes the
-attraction, the map centroids and the macro and k-means gradient terms;
+attraction, the map centroids and the centroid pull's gradient term;
 after the wait only their combination is left, in a fixed order, so g
 has the bits of a one-thread evaluation. Numpy releases the interpreter
 lock in its array loops, FFTs and BLAS calls, so the two threads run on
@@ -503,23 +503,23 @@ def _macro_state(y: np.ndarray, macro: MacroAffinity):
     return c, kern, q_macro
 
 
-def _macro_gradient(y, macro, c, kern, q_macro, alpha, mode):
-    if alpha == 0.0 or macro.n_clusters < 2:
-        return np.zeros_like(y)
+def _centroid_gradient(y, macro, c, kern, q_macro, alpha, beta, mode):
+    """The macro (alpha) and k-means (beta) terms: point i gets
+    sum_k r_ki u_k + (2 beta / n) y_i from the (k, d) pull
+    u = 4 alpha b - (2 beta / n) c. b is the centroid-affinity force on
+    each centroid, divided by its cluster mass in the "exact" mode; with
+    one centroid it is 0. The k-means part is (2 beta / n)(y - R^T c):
+    responsibility columns sum to 1, and differentiating through c adds
+    nothing, as the centroids are the responsibility-weighted means.
+    """
     w = (macro.p_macro - q_macro) * kern
     b = w.sum(axis=1)[:, None] * c - w @ c
-    a = macro.r_by_mass if mode == "exact" else macro.r
-    return 4.0 * alpha * chunked_matmul(a.T, b)
-
-
-def _kmeans_gradient(y, macro, c, beta):
-    if beta == 0.0:
-        return np.zeros_like(y)
-    # Responsibility columns sum to 1, so the weighted pull toward each
-    # centroid collapses to y - R^T c. Differentiating through c adds
-    # nothing: the centroids are exactly the responsibility-weighted
-    # means, which zeroes that term.
-    return (2.0 * beta / len(y)) * (y - chunked_matmul(macro.r.T, c))
+    if mode == "exact":
+        b /= macro.masses[:, None]
+    tie = 2.0 * beta / len(y)
+    g = chunked_matmul(macro.r.T, 4.0 * alpha * b - tie * c)
+    g += tie * y
+    return g
 
 
 def _clamped_kl(p: np.ndarray, kern: np.ndarray, z: float):
@@ -616,11 +616,11 @@ def gradient_bh(
 
     The repulsion (_repulsion, looked up by its module name at each call)
     runs on the package's worker thread (core.side_by_side) while this
-    thread runs _attraction, _macro_state, _macro_gradient and
-    _kmeans_gradient; after the wait it only adds the terms up. Each term
-    is computed on one thread, so g is the same bit for bit as when the
-    terms run one after the other. An error on either thread reaches the
-    caller once both have finished, this thread's first.
+    thread runs _attraction, _macro_state and _centroid_gradient; after
+    the wait it only adds the terms up. Each term is computed on one
+    thread, so g is the same bit for bit as when the terms run one after
+    the other. An error on either thread reaches the caller once both
+    have finished, this thread's first.
     """
     if cfg.gradient_mode not in GRADIENT_MODES:
         raise ValueError(f"unknown gradient_mode {cfg.gradient_mode!r}")
@@ -636,16 +636,16 @@ def gradient_bh(
     def caller_terms():
         att, pair_kern = _attraction(y, p, exaggeration)
         c, mkern, q_macro = _macro_state(y, macro)
-        g_macro = _macro_gradient(y, macro, c, mkern, q_macro, cfg.alpha, cfg.gradient_mode)
-        g_kmeans = _kmeans_gradient(y, macro, c, cfg.beta)
-        return att, pair_kern, c, mkern, q_macro, g_macro, g_kmeans
+        g_centroid = _centroid_gradient(
+            y, macro, c, mkern, q_macro, cfg.alpha, cfg.beta, cfg.gradient_mode
+        )
+        return att, pair_kern, c, mkern, q_macro, g_centroid
 
-    (force, zsum, estimator), (att, pair_kern, c, mkern, q_macro, g_macro, g_kmeans) = (
+    (force, zsum, estimator), (att, pair_kern, c, mkern, q_macro, g_centroid) = (
         core.side_by_side(partial(_repulsion, y, cfg.bh_theta), caller_terms)
     )
     z_y = max(float(zsum.sum()), Q_FLOOR)
     g = 4.0 * (att - force / z_y)
-    g += g_macro
-    g += g_kmeans
+    g += g_centroid
     loss_inputs = (y, p.val, pair_kern, z_y, macro, mkern, c, cfg.alpha, cfg.beta)
     return g, GradientWorkspace(z_y, c, q_macro, estimator, loss_inputs)

@@ -51,7 +51,7 @@ def init_embedding(n: int, d: int, stddev: float, seed: int) -> Embedding:
     in_interval(n, "n", 1, integer=True)
     in_interval(d, "d", 1, integer=True)
     in_interval(stddev, "stddev", 0)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(in_interval(seed, "seed", 0, integer=True))
     return Embedding(y=rng.normal(0.0, stddev, size=(n, d)))
 
 

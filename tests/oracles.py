@@ -478,6 +478,33 @@ def dense_micro_gradient(y, p):
     return 4.0 * (att - force / z), z
 
 
+def centroid_terms_apart(y, r, p_macro, alpha, beta, mode):
+    """The macro and k-means gradient terms as two separate formulas:
+    4 alpha A^T b, with b_a = sum_b w_ab (c_a - c_b) and A the
+    responsibilities divided by their cluster masses ("exact") or as
+    they are ("paper"), plus (2 beta / n)(y - R^T c). The centroids c,
+    their kernel and w = (p_macro - q) * kernel are worked out here,
+    with loops over centroid pairs."""
+    y = np.asarray(y, dtype=np.float64)
+    r = np.asarray(r, dtype=np.float64)
+    k = len(r)
+    masses = r.sum(axis=1)
+    c = (r @ y) / masses[:, None]
+    kern = np.zeros((k, k))
+    for a in range(k):
+        for b in range(k):
+            if a != b:
+                kern[a, b] = 1.0 / (1.0 + float(((c[a] - c[b]) ** 2).sum()))
+    z = kern.sum()
+    w = (p_macro - (kern / z if z > 0 else 0.0)) * kern
+    force = np.zeros_like(c)
+    for a in range(k):
+        for b in range(k):
+            force[a] += w[a, b] * (c[a] - c[b])
+    spread = r / masses[:, None] if mode == "exact" else r
+    return 4.0 * alpha * (spread.T @ force) + (2.0 * beta / len(y)) * (y - r.T @ c)
+
+
 def kmeans_loss_by_cluster(y, r, c):
     """Soft k-means loss summed one cluster at a time, divided by n."""
     total = 0.0

@@ -428,6 +428,27 @@ class TestEvaluateAndPlot:
         assert "centroid correlation unavailable" in captured.err
         assert captured.out.strip().splitlines()[-1].endswith(",nan")
 
+    def test_evaluate_map_too_short_for_the_default_thirds(self, tmp_path, capsys):
+        # A 5-row map's first third holds one point: the tearing cell reads
+        # nan with a warning, while given segments keep their checks.
+        rng = np.random.default_rng(1)
+        data, emb = tmp_path / "x.csv", tmp_path / "y.csv"
+        for path, width in ((data, 4), (emb, 2)):
+            path.write_text("\n".join(
+                ",".join("%.17g" % v for v in row) for row in rng.normal(size=(5, width))
+            ) + "\n")
+        assert main(["evaluate", "-x", str(data), "-y", str(emb)]) == 0
+        captured = capsys.readouterr()
+        assert "worst gap ratio unavailable" in captured.err
+        knn, tear, corr = captured.out.strip().splitlines()[-1].split(",")
+        assert tear == "nan" and float(knn) == 1.0 and corr != "nan"
+        assert main(["evaluate", "-x", str(data), "-y", str(emb), "--segments", "0:1"]) == 2
+        assert "segments[0][1]=1: must be an integer in [2, 5]" in capsys.readouterr().err
+        assert main(["evaluate", "-x", str(data), "-y", str(emb), "--segments", "0:5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out.strip().splitlines()[-1].split(",")[1] != "nan"
+
     def test_plot(self, pipeline, tmp_path):
         _, _, out = pipeline
         svg = tmp_path / "map.svg"

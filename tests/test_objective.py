@@ -25,6 +25,7 @@ from gtsne.optimizer import run
 from oracles import (
     build_quadtree_by_level,
     central_differences,
+    centroid_terms_apart,
     dense_micro_gradient,
     dense_model,
     dense_objective,
@@ -373,6 +374,44 @@ class TestGradientExact:
         clipped = MacroAffinity(r=macro.r[:, :-1], p_macro=macro.p_macro)
         with pytest.raises(ValueError, match="responsibilities"):
             exact_gradient(y, p, clipped, cfg)
+
+
+def pull_problem(k, dims, n=300, seed=4):
+    """A map and a macro model of k centroids with unequal masses; one
+    centroid gets a MacroAffinity built by hand."""
+    rng = np.random.default_rng(seed)
+    y = 3.0 * rng.normal(size=(n, dims))
+    if k == 1:
+        return y, MacroAffinity(r=np.ones((1, n)), p_macro=np.zeros((1, 1)))
+    r = rng.random((k, n)) + 0.01
+    r /= r.sum(axis=0)
+    return y, MacroAffinity(r=r, p_macro=macro_affinity(rng.normal(size=(k, 5))))
+
+
+class TestCentroidGradient:
+    """The macro and k-means terms as one pull on the centroids, against
+    the two formulas it replaced."""
+
+    @pytest.mark.parametrize("k, dims", [(1, 3), (90, 2)])
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (0.7, 0.0), (0.0, 0.3), (0.7, 0.3)])
+    def test_matches_the_two_terms(self, k, dims, mode, alpha, beta):
+        y, macro = pull_problem(k, dims)
+        c, kern, q_macro = objective._macro_state(y, macro)
+        g = objective._centroid_gradient(y, macro, c, kern, q_macro, alpha, beta, mode)
+        want = centroid_terms_apart(y, macro.r, macro.p_macro, alpha, beta, mode)
+        assert g.shape == y.shape
+        assert np.abs(g - want).max() <= 1e-12 * np.abs(want).max()
+        # No term, or one centroid and no k-means tie: nothing pulls.
+        assert np.all(g == 0.0) == (beta == 0.0 and (alpha == 0.0 or k == 1))
+
+    @pytest.mark.parametrize("mode", ["exact", "paper"])
+    def test_without_centroid_terms_g_is_the_micro_gradient(self, mode):
+        _, p, macro, y, cfg = make_problem(60, 4, 5, seed=9, gradient_mode=mode)
+        g, ws = gradient_bh(y, p, macro, micro_only(cfg))
+        force, _, _ = objective._repulsion(y, cfg.bh_theta)
+        att, _ = objective._attraction(y, p)
+        assert g.tobytes() == (4.0 * (att - force / ws.z_y)).tobytes()
 
 
 class TestGradientTree:
@@ -829,8 +868,9 @@ def one_thread_gradient(y, p, macro, cfg, exaggeration=1.0):
     att, pair_kern = objective._attraction(y, p, exaggeration)
     c, mkern, q_macro = objective._macro_state(y, macro)
     g = 4.0 * (att - force / z_y)
-    g += objective._macro_gradient(y, macro, c, mkern, q_macro, cfg.alpha, cfg.gradient_mode)
-    g += objective._kmeans_gradient(y, macro, c, cfg.beta)
+    g += objective._centroid_gradient(
+        y, macro, c, mkern, q_macro, cfg.alpha, cfg.beta, cfg.gradient_mode
+    )
     losses = objective._evaluate_losses(
         y, p.val, pair_kern, z_y, macro, mkern, c, cfg.alpha, cfg.beta
     )
@@ -891,26 +931,26 @@ class TestRepulsionWorker:
         assert g.tobytes() == want.tobytes()
 
     def test_the_caller_finishes_its_terms_before_it_waits(self, monkeypatch):
-        # The repulsion holds back until the k-means term is done, which
+        # The repulsion holds back until the centroid term is done, which
         # only a caller that works out that term before its wait allows.
         _, p, macro, y, cfg = make_problem(50, 4, 3, seed=3)
         want = one_thread_gradient(y, p, macro, cfg)[0]
-        kmeans_done = threading.Event()
+        centroid_done = threading.Event()
         threads = []
-        real_kmeans, real_repulsion = objective._kmeans_gradient, objective._repulsion
+        real_centroid, real_repulsion = objective._centroid_gradient, objective._repulsion
 
         def spy(*args):
             threads.append(threading.get_ident())
-            out = real_kmeans(*args)
-            kmeans_done.set()
+            out = real_centroid(*args)
+            centroid_done.set()
             return out
 
         def held(y, theta):
-            if not kmeans_done.wait(timeout=10.0):
-                raise TimeoutError("the k-means term did not run while the repulsion did")
+            if not centroid_done.wait(timeout=10.0):
+                raise TimeoutError("the centroid term did not run while the repulsion did")
             return real_repulsion(y, theta)
 
-        monkeypatch.setattr(objective, "_kmeans_gradient", spy)
+        monkeypatch.setattr(objective, "_centroid_gradient", spy)
         monkeypatch.setattr(objective, "_repulsion", held)
         g, _ = gradient_bh(y, p, macro, cfg)
         assert threads == [threading.get_ident()]
@@ -933,12 +973,12 @@ class TestRepulsionWorker:
 
         def broken(*args):
             raised.set()
-            raise FloatingPointError("macro term failed at 7 points")
+            raise FloatingPointError("centroid term failed at 7 points")
 
         with monkeypatch.context() as m:
             m.setattr(objective, "_repulsion", late)
-            m.setattr(objective, "_macro_gradient", broken)
-            with pytest.raises(FloatingPointError, match=r"^macro term failed at 7 points$"):
+            m.setattr(objective, "_centroid_gradient", broken)
+            with pytest.raises(FloatingPointError, match=r"^centroid term failed at 7 points$"):
                 gradient_bh(y, p, macro, cfg)
             assert finished == [True]
         g, _ = gradient_bh(y, p, macro, cfg)

@@ -131,6 +131,7 @@ def _read_csv(label_column):
 NAN, INF = math.nan, math.inf
 # Values every count refuses besides NaN: a fraction and a bool.
 NOT_COUNTS = [NAN, 2.5, True]
+SEEDS = [-1, 1.5, True, NAN]
 SQ = [[1.0, 4.0, 9.0]]  # one calibration row of 3 neighbor distances
 GRAD = dict(y=Y, p=P, macro=MACRO, cfg=EmbedConfig(), exaggeration=1.0)
 
@@ -183,11 +184,18 @@ SCALAR_CASES = [
     (_step, "learning_rate", dict(learning_rate=1.0, gamma=0.5), [NAN, INF, 0.0]),
     (_step, "gamma", dict(learning_rate=1.0, gamma=0.5), [NAN, INF, 1.0, -0.5]),
     (pca_fit, "d_z", dict(data=X, d_z=2), NOT_COUNTS + [0, 5]),
+    # Seeds go to numpy's default_rng, which names no argument when it
+    # refuses one and takes True as seed 1.
+    (ThreeLinesSpec, "seed", dict(seed=1), SEEDS),
+    (gen_blobs, "seed", dict(n=5, seed=1), SEEDS),
+    (gen_sphere, "seed", dict(n=5, seed=1), SEEDS),
+    (gen_swiss_roll, "seed", dict(n=5, seed=1), SEEDS),
+    (kmeans_fit, "seed", dict(z=X, k=3, seed=1), SEEDS),
+    (init_embedding, "seed", dict(n=5, d=2, stddev=1e-2, seed=1), SEEDS),
 ]
 
-# Numeric parameters of exported functions and classes that are not in
-# SCALAR_CASES, and why: by parameter name, then by owner.
-FREE_SCALARS = {"seed": "numpy's default_rng takes any seed it can use and refuses the rest"}
+# Exported functions and classes whose numeric parameters are not in
+# SCALAR_CASES, and why.
 NOT_RANGE_CHECKED = {
     "resolve_config": "n and d_in are a data shape",
     "symmetrize": "n must equal the row count of the neighbor ids, which it checks",
@@ -235,11 +243,11 @@ def test_every_scalar_argument_is_in_the_table():
                 and isinstance(param.default, (int, float))
                 and not isinstance(param.default, bool)
             )
-            if numeric and arg not in FREE_SCALARS and (name, arg) not in tabled:
+            if numeric and (name, arg) not in tabled:
                 missing.append(f"{name}({arg})")
     assert not missing, f"scalar arguments not covered by SCALAR_CASES: {missing}"
     # The walk finds no annotation on segments and label_column; count them in.
-    assert len(tabled) == 35
+    assert len(tabled) == 41
 
 
 @pytest.mark.parametrize("fn, arg, kwargs", CASES, ids=CASE_IDS)
