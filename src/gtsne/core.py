@@ -1,10 +1,12 @@
 """Shared data types, run configuration, and validation.
 
 Everything downstream (affinities, macro model, optimizer, CLI) speaks in
-terms of these types. They are plain frozen dataclasses around float64
-arrays; treat the arrays as read-only once constructed. The module also
-holds what the kernels share: the block budget, chunked_matmul, and the
-package's one worker thread, which side_by_side runs work on.
+terms of these types. Dataset, Embedding and EmbedConfig are frozen
+dataclasses, the first two around float64 arrays; treat the arrays as
+read-only once constructed. LossRecord and RunReport, which a run fills
+in, are plain dataclasses. The module also holds what the kernels share:
+the block budget, chunked_matmul, and the package's one worker thread,
+which side_by_side runs work on.
 """
 
 from __future__ import annotations
@@ -183,7 +185,6 @@ class Dataset:
 
     x: np.ndarray
     labels: Optional[np.ndarray] = None
-    name: str = ""
 
     def __post_init__(self):
         x = as_points(self.x, "x")
@@ -216,14 +217,6 @@ class Embedding:
 
     def __post_init__(self):
         object.__setattr__(self, "y", as_points(self.y, "y"))
-
-    @property
-    def n(self) -> int:
-        return self.y.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.y.shape[1]
 
 
 def _knob(default, help, **meta):

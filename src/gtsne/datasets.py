@@ -6,11 +6,10 @@ All generators are deterministic per seed and return Dataset objects.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, as_points, in_interval
+from .core import Dataset, in_interval
 
 
 @dataclass(frozen=True)
@@ -19,14 +18,13 @@ class ThreeLinesSpec:
 
     A single velocity sequence with N(0, velocity_std^2) entries is shared
     by all three lines, so the lines are congruent and differ only by
-    their start offsets. Labels are the line ids. The fields are checked
-    when the spec is made, starts by as_points.
+    their start offsets, 0, 50 and 160 in every coordinate. Labels are
+    the line ids. The fields are checked when the spec is made.
     """
 
     n_s: int = 700           # points per line
     dims: int = 3
     velocity_std: float = 6.0
-    starts: Optional[np.ndarray] = None  # (3, dims); default 0, 50, 160 times ones
     seed: int = 0
 
     def __post_init__(self):
@@ -34,11 +32,6 @@ class ThreeLinesSpec:
         in_interval(self.dims, "dims", 1, integer=True)
         in_interval(self.velocity_std, "velocity_std", 0)
         in_interval(self.seed, "seed", 0, integer=True)
-        if self.starts is not None:
-            starts = as_points(self.starts, "starts")
-            if starts.shape != (3, self.dims):
-                raise ValueError(f"starts must have shape (3, {self.dims}), got {starts.shape}")
-            object.__setattr__(self, "starts", starts)
 
 
 def gen_three_lines(spec: ThreeLinesSpec) -> Dataset:
@@ -47,12 +40,10 @@ def gen_three_lines(spec: ThreeLinesSpec) -> Dataset:
     walk = np.vstack(
         [np.zeros(spec.dims), np.cumsum(velocities[: spec.n_s - 1], axis=0)]
     )
-    starts = spec.starts
-    if starts is None:
-        starts = np.array([0.0, 50.0, 160.0])[:, None] * np.ones(spec.dims)
+    starts = np.array([0.0, 50.0, 160.0])[:, None] * np.ones(spec.dims)
     x = np.vstack([start + walk for start in starts])
     labels = np.repeat(np.arange(3), spec.n_s)
-    return Dataset(x=x, labels=labels, name="three_lines")
+    return Dataset(x=x, labels=labels)
 
 
 def gen_blobs(
@@ -82,7 +73,7 @@ def gen_blobs(
     for cls in range(n_classes):
         parts.append(centers[cls] + rng.normal(0.0, cluster_std, size=(counts[cls], dims)))
         labels.append(np.full(counts[cls], cls))
-    return Dataset(x=np.vstack(parts), labels=np.concatenate(labels), name="blobs")
+    return Dataset(x=np.vstack(parts), labels=np.concatenate(labels))
 
 
 def gen_sphere(n: int = 600, seed: int = 0) -> Dataset:
@@ -95,7 +86,7 @@ def gen_sphere(n: int = 600, seed: int = 0) -> Dataset:
         redo = norms < 1e-12
         g[redo] = rng.normal(size=(int(redo.sum()), 3))
         norms = np.linalg.norm(g, axis=1)
-    return Dataset(x=g / norms[:, None], name="sphere")
+    return Dataset(x=g / norms[:, None])
 
 
 def gen_swiss_roll(n: int = 1000, noise: float = 0.0, seed: int = 0) -> Dataset:
@@ -115,4 +106,4 @@ def gen_swiss_roll(n: int = 1000, noise: float = 0.0, seed: int = 0) -> Dataset:
         x = x + rng.normal(0.0, noise, size=x.shape)
     quartiles = np.quantile(t, [0.25, 0.5, 0.75])
     labels = np.digitize(t, quartiles)
-    return Dataset(x=x, labels=labels, name="swiss_roll")
+    return Dataset(x=x, labels=labels)

@@ -131,8 +131,7 @@ def read_csv(path, label_column=None) -> Dataset:
             labels[r] = _parse_label(
                 row[label_idx], f"{path}: line {lineno}, column {label_idx + 1}"
             )
-    name = os.path.splitext(os.path.basename(str(path)))[0]
-    return Dataset(x=x, labels=labels, name=name)
+    return Dataset(x=x, labels=labels)
 
 
 def write_csv(obj, path, labels=None) -> None:
@@ -174,14 +173,11 @@ class PlotSpec:
     height: float = 800.0
     point_radius: float = 3.0
     margin: float = 0.05      # fraction of each dimension kept clear
-    palette: tuple = PALETTE
 
     def __post_init__(self):
         for name in ("width", "height", "point_radius"):
             in_interval(getattr(self, name), name, 0, math.inf, "()")
         in_interval(self.margin, "margin", 0, 0.5)
-        if not self.palette:
-            raise ValueError("palette must not be empty")
 
 
 def render_svg(y, path, labels=None, spec: Optional[PlotSpec] = None) -> None:
@@ -190,8 +186,8 @@ def render_svg(y, path, labels=None, spec: Optional[PlotSpec] = None) -> None:
     Points map into the viewport with the aspect ratio preserved and a
     margin inset; a degenerate extent (single point, vertical or
     horizontal line) centers along the flat dimension. Colors cycle
-    through the palette by sorted label order; without labels every point
-    uses the first palette color. Maps with more than 2 columns are drawn
+    through PALETTE by sorted label order; without labels every point
+    uses its first color. Maps with more than 2 columns are drawn
     by their first two.
     """
     spec = spec or PlotSpec()
@@ -207,9 +203,9 @@ def render_svg(y, path, labels=None, spec: Optional[PlotSpec] = None) -> None:
             raise ValueError("labels length does not match point count")
         # np.unique puts every NaN label in one slot, after the others.
         slot = np.unique(labels, return_inverse=True)[1]
-        colors = [spec.palette[i % len(spec.palette)] for i in slot]
+        colors = [PALETTE[i % len(PALETTE)] for i in slot]
     else:
-        colors = [spec.palette[0]] * n
+        colors = [PALETTE[0]] * n
 
     lo = pts.min(axis=0)
     hi = pts.max(axis=0)

@@ -58,9 +58,7 @@ class CentroidModel:
     """Fitted k-means state on the reduced coordinates."""
 
     t: np.ndarray              # (k, d_z) centroid positions
-    assignment: np.ndarray     # (n,) hard cluster of each point
-    inertia: float             # final within-cluster sum of squares
-    inertia_trace: np.ndarray  # per-iteration inertia, nonincreasing
+    inertia_trace: np.ndarray  # each round's within-cluster sum of squares, nonincreasing
 
 
 def _plus_plus_init(z: np.ndarray, k: int, rng) -> np.ndarray:
@@ -135,12 +133,7 @@ def kmeans_fit(z: np.ndarray, k: int, seed: int = 0, max_iter: int = 300) -> Cen
             break
         assignment = new_assignment
 
-    return CentroidModel(
-        t=centroids,
-        assignment=assignment,
-        inertia=trace[-1],
-        inertia_trace=np.asarray(trace),
-    )
+    return CentroidModel(t=centroids, inertia_trace=np.asarray(trace))
 
 
 def responsibility_matrix(z: np.ndarray, t: np.ndarray, d: int) -> np.ndarray:

@@ -476,17 +476,15 @@ class GradientWorkspace:
     """Byproducts of one gradient evaluation, reused for logging.
 
     z_y is the map-affinity normalizer (exact or estimated), c the (k, d)
-    map centroids, q_macro their (k, k) affinities and z_estimator
-    "exact", "interpolation" or "barnes_hut". losses, the objective's
-    parts at the evaluated map, is worked out from the byproducts the
-    first time it is read, so an iteration that logs nothing never pays
-    for it.
+    map centroids and z_estimator "exact", "interpolation" or
+    "barnes_hut". losses, the objective's parts at the evaluated map, is
+    worked out from the byproducts the first time it is read, so an
+    iteration that logs nothing never pays for it.
     """
 
-    def __init__(self, z_y, c, q_macro, z_estimator, loss_inputs):
+    def __init__(self, z_y, c, z_estimator, loss_inputs):
         self.z_y = z_y
         self.c = c
-        self.q_macro = q_macro
         self.z_estimator = z_estimator
         self._loss_inputs = loss_inputs
 
@@ -639,13 +637,13 @@ def gradient_bh(
         g_centroid = _centroid_gradient(
             y, macro, c, mkern, q_macro, cfg.alpha, cfg.beta, cfg.gradient_mode
         )
-        return att, pair_kern, c, mkern, q_macro, g_centroid
+        return att, pair_kern, c, mkern, g_centroid
 
-    (force, zsum, estimator), (att, pair_kern, c, mkern, q_macro, g_centroid) = (
+    (force, zsum, estimator), (att, pair_kern, c, mkern, g_centroid) = (
         core.side_by_side(partial(_repulsion, y, cfg.bh_theta), caller_terms)
     )
     z_y = max(float(zsum.sum()), Q_FLOOR)
     g = 4.0 * (att - force / z_y)
     g += g_centroid
     loss_inputs = (y, p.val, pair_kern, z_y, macro, mkern, c, cfg.alpha, cfg.beta)
-    return g, GradientWorkspace(z_y, c, q_macro, estimator, loss_inputs)
+    return g, GradientWorkspace(z_y, c, estimator, loss_inputs)

@@ -18,18 +18,9 @@ from .core import as_points, in_interval
 
 @dataclass(frozen=True)
 class PcaEmbedding:
-    """Projection result: scores z, the basis, and centering offsets.
+    """Projection result: the scores z, (n, d_z), on the kept directions."""
 
-    components has orthonormal columns (one per kept direction), eigenvalues
-    are the matching variances in nonincreasing order, and means is the
-    vector subtracted from rows before projecting (zeros when centering was
-    off). Rows reconstruct as z @ components.T + means.
-    """
-
-    z: np.ndarray            # (n, d_z) projected coordinates
-    components: np.ndarray   # (d_in, d_z) orthonormal basis columns
-    eigenvalues: np.ndarray  # (d_z,) variances, nonincreasing, >= 0
-    means: np.ndarray        # (d_in,) centering offset
+    z: np.ndarray
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
@@ -46,11 +37,12 @@ def _fix_signs(components: np.ndarray) -> np.ndarray:
 def pca_fit(data, d_z: int, center: bool = True) -> PcaEmbedding:
     """Project data onto its top d_z variance directions.
 
-    data may be a Dataset or a plain (n, d_in) matrix. The components are
+    data may be a Dataset or a plain (n, d_in) matrix. The directions are
     the first d_z right singular vectors of the (centered) data, so they
-    are orthonormal even where the data has lower rank; the eigenvalues
-    are the squared singular values over n. A thin SVD has min(n, d_in)
-    directions, so d_z must lie in [1, min(n, d_in)].
+    are orthonormal even where the data has lower rank, and the sums of
+    squares of z's columns (n times the variances when centered) do not
+    increase. A thin SVD has min(n, d_in) directions, so d_z must lie in
+    [1, min(n, d_in)].
     """
     x = as_points(data, "data")
     n, d_in = x.shape
@@ -58,8 +50,5 @@ def pca_fit(data, d_z: int, center: bool = True) -> PcaEmbedding:
 
     means = x.mean(axis=0) if center else np.zeros(d_in)
     xc = x - means
-    _, s, vt = np.linalg.svd(xc, full_matrices=False)
-    components = _fix_signs(vt[:d_z].T)
-    z = xc @ components
-    evals = s[:d_z] ** 2 / n
-    return PcaEmbedding(z=z, components=components, eigenvalues=evals, means=means)
+    vt = np.linalg.svd(xc, full_matrices=False)[2]
+    return PcaEmbedding(z=xc @ _fix_signs(vt[:d_z].T))

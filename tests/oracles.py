@@ -150,6 +150,22 @@ def dense_model(model):
     return p
 
 
+def pca_by_eigh(x, d_z, center=True):
+    """(z, variances): x projected on the top d_z eigenvectors of its
+    covariance, or of its second-moment matrix when not centered, each
+    signed so that its largest-magnitude entry is positive, and their
+    eigenvalues in nonincreasing order."""
+    x = np.asarray(x, dtype=np.float64)
+    xc = x - x.mean(axis=0) if center else x
+    values, vectors = np.linalg.eigh(xc.T @ xc / len(x))
+    order = np.argsort(values)[::-1][:d_z]
+    basis = vectors[:, order]
+    for j in range(d_z):
+        if basis[np.argmax(np.abs(basis[:, j])), j] < 0:
+            basis[:, j] = -basis[:, j]
+    return xc @ basis, values[order]
+
+
 def dense_responsibilities(z, t, d, d_z):
     """Column-normalized heavy-tailed memberships, elementwise loops."""
     z = np.asarray(z, dtype=np.float64)

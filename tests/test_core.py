@@ -98,7 +98,7 @@ class TestDataset:
 class TestEmbedding:
     def test_accepts_matrix(self):
         e = Embedding(y=np.zeros((4, 2)))
-        assert e.n == 4 and e.dim == 2
+        assert e.y.shape == (4, 2) and e.y.dtype == np.float64
 
     def test_rejects_non_finite(self):
         y = np.zeros((2, 2))

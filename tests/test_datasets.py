@@ -16,7 +16,6 @@ class TestThreeLines:
     def test_default_shape_and_labels(self):
         data = gen_three_lines(ThreeLinesSpec())
         assert data.x.shape == (2100, 3)
-        assert data.name == "three_lines"
         np.testing.assert_array_equal(data.labels, np.repeat([0, 1, 2], 700))
 
     def test_lines_start_at_the_offsets(self):
@@ -38,15 +37,6 @@ class TestThreeLines:
         steps = np.diff(data.x[:2000], axis=0)
         assert 5.5 < steps.std() < 6.5
 
-    def test_custom_starts(self):
-        starts = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0]])
-        data = gen_three_lines(ThreeLinesSpec(n_s=10, dims=2, starts=starts))
-        np.testing.assert_array_equal(data.x[10], [5.0, 0.0])
-
-    def test_bad_starts_shape_rejected(self):
-        with pytest.raises(ValueError, match="starts"):
-            gen_three_lines(ThreeLinesSpec(n_s=10, dims=2, starts=np.zeros((3, 3))))
-
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError):
             gen_three_lines(ThreeLinesSpec(n_s=1))
@@ -62,7 +52,6 @@ class TestBlobs:
     def test_default_shape(self):
         data = gen_blobs()
         assert data.x.shape == (500, 10)
-        assert data.name == "blobs"
         np.testing.assert_array_equal(np.bincount(data.labels), [100] * 5)
 
     def test_remainder_goes_to_early_classes(self):
@@ -102,7 +91,6 @@ class TestSphere:
     def test_rows_are_unit_vectors(self):
         data = gen_sphere()
         assert data.x.shape == (600, 3)
-        assert data.name == "sphere"
         np.testing.assert_allclose(
             np.linalg.norm(data.x, axis=1), 1.0, atol=1e-12
         )
@@ -127,7 +115,6 @@ class TestSwissRoll:
     def test_noiseless_geometry(self):
         data = gen_swiss_roll(n=1000, noise=0.0, seed=0)
         assert data.x.shape == (1000, 3)
-        assert data.name == "swiss_roll"
         t = np.hypot(data.x[:, 0], data.x[:, 2])
         assert t.min() >= 1.5 * np.pi - 1e-9
         assert t.max() <= 4.5 * np.pi + 1e-9

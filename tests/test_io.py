@@ -14,7 +14,6 @@ class TestReadCsv:
         ds = read_csv(p)
         np.testing.assert_array_equal(ds.x, [[1, 2, 3], [4, 5, 6]])
         assert ds.labels is None
-        assert ds.name == "pts"
 
     def test_blank_and_comment_lines_skipped(self, tmp_path):
         p = tmp_path / "pts.csv"
@@ -133,9 +132,7 @@ class TestWriteCsv:
         np.testing.assert_array_equal(back.x, x)
 
     def test_dataset_columns_and_labels(self, tmp_path):
-        ds = Dataset(
-            x=np.array([[1.0, 2.0], [3.0, 4.5]]), labels=np.array([4, 0]), name="t"
-        )
+        ds = Dataset(x=np.array([[1.0, 2.0], [3.0, 4.5]]), labels=np.array([4, 0]))
         p = tmp_path / "out.csv"
         write_csv(ds, p)
         assert p.read_text() == "x0,x1,label\n1,2,4\n3,4.5,0\n"
@@ -257,7 +254,6 @@ class TestPlotSpec:
     def test_defaults_valid(self):
         spec = PlotSpec()
         assert spec.width == 800.0
-        assert spec.palette == PALETTE
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -266,8 +262,6 @@ class TestPlotSpec:
             PlotSpec(point_radius=0)
         with pytest.raises(ValueError):
             PlotSpec(margin=0.5)
-        with pytest.raises(ValueError):
-            PlotSpec(palette=())
 
 
 class TestRenderSvg:
@@ -328,9 +322,11 @@ class TestRenderSvg:
 
     def test_labels_beyond_the_palette_wrap_around(self, tmp_path):
         p = tmp_path / "a.svg"
-        spec = PlotSpec(palette=("#000000", "#111111"))
-        render_svg(np.zeros((3, 2)), p, labels=[7, 8, 9], spec=spec)
-        assert p.read_text().count('fill="#000000"') == 2  # labels 7 and 9
+        labels = np.arange(len(PALETTE) + 2)
+        render_svg(np.zeros((len(labels), 2)), p, labels=labels)
+        text = p.read_text()
+        assert text.count(f'fill="{PALETTE[0]}"') == 2  # the first and the 11th
+        assert text.count(f'fill="{PALETTE[1]}"') == 2
 
     def test_unlabeled_points_use_first_color(self, tmp_path):
         p = tmp_path / "a.svg"

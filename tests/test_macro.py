@@ -98,13 +98,26 @@ LLOYD_INPUTS = [
 LLOYD_IDS = ["swiss-roll", "three-lines", "empty-clusters", "offset-1e4", "tie-lattice"]
 
 
+def fit_and_assignment(z, k, seed, max_iter=300):
+    """kmeans_fit's model and the assignment behind it: the per-cluster
+    loop's, run from the same k-means++ start, whose centroids and
+    inertia trace must equal the fit's bit for bit."""
+    km = kmeans_fit(z, k=k, seed=seed, max_iter=max_iter)
+    z = np.asarray(z, dtype=np.float64)
+    start = macro._plus_plus_init(z, k, np.random.default_rng(seed))
+    t, assignment, trace = lloyd_by_cluster(z, start, max_iter)
+    assert np.array_equal(km.t, t)
+    assert np.array_equal(km.inertia_trace, trace)
+    return km, assignment
+
+
 class TestKmeans:
     def test_one_centroid_per_point(self):
         rng = np.random.default_rng(2)
         z = rng.normal(size=(8, 3))
-        km = kmeans_fit(z, k=8, seed=0)
-        assert km.inertia == 0.0
-        assert sorted(km.assignment.tolist()) == list(range(8))
+        km, assignment = fit_and_assignment(z, k=8, seed=0)
+        assert km.inertia_trace[-1] == 0.0
+        assert sorted(assignment.tolist()) == list(range(8))
 
     def test_two_pair_clusters_find_midpoints(self):
         z = np.array([[0.0, 0.0], [1.0, 0.0], [100.0, 0.0], [101.0, 0.0]])
@@ -117,7 +130,7 @@ class TestKmeans:
         z = rng.normal(size=(200, 3))
         km = kmeans_fit(z, k=5, seed=0)
         best = lloyd_best_of(z, k=5, n_restarts=50, seed=1)
-        assert km.inertia <= 1.05 * best
+        assert km.inertia_trace[-1] <= 1.05 * best
 
     def test_inertia_never_increases(self):
         rng = np.random.default_rng(4)
@@ -125,14 +138,13 @@ class TestKmeans:
             z = rng.normal(size=(120, 4)) * rng.uniform(0.5, 2.0, size=4)
             km = kmeans_fit(z, k=7, seed=seed)
             assert np.all(np.diff(km.inertia_trace) <= 1e-9)
-            assert km.inertia == km.inertia_trace[-1]
 
     def test_centroids_are_member_means(self):
         rng = np.random.default_rng(5)
         z = rng.normal(size=(90, 3))
-        km = kmeans_fit(z, k=6, seed=2)
+        km, assignment = fit_and_assignment(z, k=6, seed=2)
         for j in range(6):
-            members = z[km.assignment == j]
+            members = z[assignment == j]
             assert len(members) > 0
             np.testing.assert_allclose(km.t[j], members.mean(axis=0), atol=1e-8)
 
@@ -142,8 +154,8 @@ class TestKmeans:
         # which sends equal points to one cluster, leaves a cluster empty.
         # Four nonempty clusters therefore show that the repair ran.
         z = np.array([[0.0, 0.0]] * 6 + [[10.0, 0.0]] * 6 + [[0.0, 10.0]] * 2)
-        km = kmeans_fit(z, k=4, seed=0)
-        counts = np.bincount(km.assignment, minlength=4)
+        km, assignment = fit_and_assignment(z, k=4, seed=0)
+        counts = np.bincount(assignment, minlength=4)
         assert np.all(counts > 0)
         assert np.all(np.diff(km.inertia_trace) <= 1e-9)
         assert np.all(np.isfinite(km.t))
@@ -153,19 +165,15 @@ class TestKmeans:
         # Two distinct points, three clusters: the empty cluster's donor
         # must come from the pair at the origin, not the lone point at
         # (1, 0), whose cluster would otherwise average no members.
-        km = kmeans_fit([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]], k=3, seed=seed)
-        assert sorted(km.assignment.tolist()) == [0, 1, 2]
+        z = [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]
+        km, assignment = fit_and_assignment(z, k=3, seed=seed)
+        assert sorted(assignment.tolist()) == [0, 1, 2]
         assert sorted(km.t.tolist()) == [[0.0, 0.0], [0.0, 0.0], [1.0, 0.0]]
-        assert km.inertia == 0.0
+        assert km.inertia_trace[-1] == 0.0
 
     @pytest.mark.parametrize("z, k", LLOYD_INPUTS, ids=LLOYD_IDS)
     def test_centroids_match_the_per_cluster_loop(self, z, k):
-        km = kmeans_fit(z, k=k, seed=0)
-        start = macro._plus_plus_init(z, k, np.random.default_rng(0))
-        t, assignment, trace = lloyd_by_cluster(z, start)
-        assert np.array_equal(km.t, t)
-        assert np.array_equal(km.assignment, assignment)
-        assert np.array_equal(km.inertia_trace, trace)
+        fit_and_assignment(z, k=k, seed=0)
 
     def test_assignment_memory_stays_bounded(self):
         # Points and centroids are 8 MB and 36 kB. Each assignment step
@@ -195,7 +203,7 @@ class TestKmeans:
         a = kmeans_fit(z, k=4, seed=9)
         b = kmeans_fit(z, k=4, seed=9)
         assert np.array_equal(a.t, b.t)
-        assert np.array_equal(a.assignment, b.assignment)
+        assert np.array_equal(a.inertia_trace, b.inertia_trace)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="k="):
@@ -218,10 +226,10 @@ class TestKmeans:
 
     def test_one_round_returns_its_assignment(self):
         z = np.array([[0.0], [0.1], [5.0], [5.1]])
-        km = kmeans_fit(z, k=2, seed=0, max_iter=1)
+        km, assignment = fit_and_assignment(z, k=2, seed=0, max_iter=1)
         assert len(km.inertia_trace) == 1
-        assert len(set(km.assignment[:2])) == 1 and len(set(km.assignment[2:])) == 1
-        assert km.assignment[0] != km.assignment[2]
+        assert len(set(assignment[:2])) == 1 and len(set(assignment[2:])) == 1
+        assert assignment[0] != assignment[2]
 
 
 class TestResponsibilities:

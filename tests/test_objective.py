@@ -18,7 +18,13 @@ from gtsne import core, objective
 from gtsne.affinity import AffinityModel, build_affinity_model
 from gtsne.core import Embedding, EmbedConfig
 from gtsne.datasets import gen_swiss_roll
-from gtsne.macro import MacroAffinity, kmeans_fit, macro_affinity, responsibility_matrix
+from gtsne.macro import (
+    MacroAffinity,
+    kmeans_fit,
+    macro_affinity,
+    responsibility_matrix,
+    student_t_kernel,
+)
 from gtsne.objective import build_quadtree, gradient_bh
 from gtsne.optimizer import run
 
@@ -340,9 +346,11 @@ class TestGradientExact:
         _, ws = exact_gradient(y, p, macro, cfg)
         assert ws.z_y > 0.0
         assert ws.z_estimator == "exact"
-        np.testing.assert_array_equal(ws.q_macro, ws.q_macro.T)
-        assert np.abs(np.diag(ws.q_macro)).max() == 0.0
-        assert abs(ws.q_macro.sum() - 1.0) <= 1e-12
+        kern, z_c = student_t_kernel(ws.c)
+        q_macro = kern / z_c
+        np.testing.assert_array_equal(q_macro, q_macro.T)
+        assert np.abs(np.diag(q_macro)).max() == 0.0
+        assert abs(q_macro.sum() - 1.0) <= 1e-12
         losses = ws.losses
         want = losses.micro + cfg.alpha * losses.macro + cfg.beta * losses.kmeans
         assert abs(losses.total - want) <= 1e-12 * max(1.0, abs(want))

@@ -63,7 +63,6 @@ MACRO = MacroAffinity(
 CASES = [
     (Dataset, "x", dict(x=X)),
     (Embedding, "y", dict(y=Y)),
-    (ThreeLinesSpec, "starts", dict(dims=2, starts=[[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])),
     (pca_fit, "data", dict(data=X, d_z=2)),
     (kmeans_fit, "z", dict(z=X, k=3)),
     (exact_knn, "points", dict(points=X, k=2)),
@@ -94,7 +93,7 @@ CASES = [
 CASE_IDS = [f"{fn.__name__}-{arg}" for fn, arg, _ in CASES]
 
 # Parameter names that carry points in the exported functions' signatures.
-POINT_ARGS = {"data", "obj", "points", "reference", "starts", "x", "y", "z", "t", "c"}
+POINT_ARGS = {"data", "obj", "points", "reference", "x", "y", "z", "t", "c"}
 # Exported functions with such a parameter that are not in CASES, and why.
 NOT_CHECKED_HERE = {
     "run": "takes a Dataset, which checked its x when it was made",
